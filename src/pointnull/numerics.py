@@ -9,23 +9,19 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "Bracket",
     "NoCrossingError",
     "QuadratureError",
     "RngStream",
     "find_crossing",
     "log_beta",
     "log_normal_pdf",
-    "normal_draw",
     "quadrature",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "std_normal_sf",
 ]
@@ -51,10 +47,6 @@ def std_normal_cdf(x: float) -> float:
 def std_normal_sf(x: float) -> float:
     """Upper tail 1 - Phi(x), without the cancellation of literal 1 - cdf."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -128,24 +120,9 @@ def log_beta(a: float, b: float) -> float:
     return _log_beta_both_large(a, b) + shift
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Interval whose endpoints straddle a target crossing."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+# Bracket doublings before find_crossing gives up: the step reaches 2^200
+# times the initial one, far past any finite crossing of interest.
+_MAX_DOUBLINGS = 200
 
 
 def find_crossing(
@@ -155,7 +132,6 @@ def find_crossing(
     *,
     tol: float = 1e-12,
     initial_step: float = 1.0,
-    max_doublings: int = 200,
 ) -> float:
     """Solve f(x) = target for monotone f on [lo, infinity).
 
@@ -175,22 +151,20 @@ def find_crossing(
         return lo
     step = initial_step
     x_prev, g_prev = lo, g_lo
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         x_next = x_prev + step
         g_next = f(x_next) - target
         if g_next == 0.0:
             return x_next
         if (g_next < 0.0) != (g_lo < 0.0):
-            bracket = Bracket(x_prev, x_next)
             break
         x_prev, g_prev = x_next, g_next
         step *= 2.0
     else:
         raise NoCrossingError(
-            f"no crossing of {target} in [{lo}, {x_prev}] after {max_doublings} doublings"
+            f"no crossing of {target} in [{lo}, {x_prev}] after {_MAX_DOUBLINGS} doublings"
         )
-    a, b = bracket.lo, bracket.hi
-    g_a = g_prev
+    a, b, g_a = x_prev, x_next, g_prev
     while True:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -284,16 +258,9 @@ class RngStream:
         key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
         self._gen = np.random.Generator(np.random.Philox(key))
 
-    def draw(self) -> float:
-        return float(self._gen.standard_normal())
-
     def normals(self, size: int) -> np.ndarray:
         return self._gen.standard_normal(size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-
-def normal_draw(stream: RngStream) -> float:
-    """One standard-normal draw, advancing the stream."""
-    return stream.draw()

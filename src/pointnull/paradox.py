@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ __all__ = [
     "required_bf",
     "uniform_ks_distance",
 ]
+
+# Replicates whose Bayes factor (and, for the joint rate, p-value) falls
+# below this count as collapsed in the consistency sweep.
+_COLLAPSE_TOL = 1e-6
 
 # Integer threshold comparisons happen in log units with this slack so that
 # exact-odds targets (t=0 with posterior target .95 means sqrt(1+n) = 19 at
@@ -129,42 +133,20 @@ def bf_branch_minimum(t: float) -> tuple[float, float]:
     return a * a - 1.0, a * math.exp(-(a * a - 1.0) / 2.0)
 
 
-def paradox_table(
-    query: ParadoxQuery,
-    n_list: Iterable[int],
-    alpha_schedule: Callable[[int], float] | None = None,
-) -> list[tuple[int, TestReport]]:
-    """One report per sample size at the query's fixed t.
+def paradox_table(query: ParadoxQuery, n_list: Iterable[int]) -> list[tuple[int, TestReport]]:
+    """One report per sample size at the query's fixed t and alpha.
 
     The p-value column is constant by construction; rows where the
     frequentist rejects while the Bayes factor favors the null are the
-    paradox zone (TestReport.paradoxical). alpha_schedule, when given, maps
-    n to the acceptance bound, for readers who want the boundary to shrink
-    with sample size; no schedule is built in because no rule for one is
-    part of the contract.
+    paradox zone (TestReport.paradoxical).
     """
     p = p_value(query.t)
     rows: list[tuple[int, TestReport]] = []
     for n in n_list:
         n = int(n)
-        alpha = query.alpha if alpha_schedule is None else float(alpha_schedule(n))
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha schedule produced {alpha} at n={n}")
         bf = bayes_factor_lindley(query.t, n)
-        rows.append(
-            (
-                n,
-                TestReport(
-                    t=query.t,
-                    p_value=p,
-                    bf01=bf,
-                    post_prob0=posterior_prob_null(bf, query.weights),
-                    alpha=alpha,
-                    reject_frequentist=p <= alpha,
-                    favor_null_bayes=bf >= 1.0,
-                ),
-            )
-        )
+        post = posterior_prob_null(bf, query.weights)
+        rows.append((n, TestReport(query.t, p, bf, post, query.alpha)))
     return rows
 
 
@@ -214,23 +196,16 @@ class ConsistencySummary:
     joint_collapse_rate: float
 
 
-def consistency_simulation(
-    run: ConsistencyRun,
-    *,
-    alpha: float = 0.05,
-    collapse_tol: float = 1e-6,
-) -> list[ConsistencySummary]:
+def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[ConsistencySummary]:
     """Summarize Bayes factors and p-values across the grid, seed-determined.
 
-    bf_collapse_rate counts replicates with BF below collapse_tol;
+    bf_collapse_rate counts replicates with BF below 1e-6;
     joint_collapse_rate additionally requires the p-value below it, the
     both-measures-agree reading of consistency under the alternative.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if not collapse_tol > 0.0:
-        raise ValueError("collapse_tol must be positive")
-    log_tol = math.log(collapse_tol)
+    log_tol = math.log(_COLLAPSE_TOL)
     summaries = []
     for i, n in enumerate(run.n_grid):
         stream = RngStream(run.seed, stream_id=i)
@@ -250,7 +225,7 @@ def consistency_simulation(
                 median_p_value=float(np.median(p_vals)),
                 reject_rate=float(np.mean(p_vals <= alpha)),
                 bf_collapse_rate=float(np.mean(below)),
-                joint_collapse_rate=float(np.mean(below & (p_vals < collapse_tol))),
+                joint_collapse_rate=float(np.mean(below & (p_vals < _COLLAPSE_TOL))),
             )
         )
     return summaries
@@ -267,13 +242,7 @@ def uniform_ks_distance(values: Sequence[float]) -> float:
     return float(np.maximum(steps - v, v - (steps - 1.0 / v.size)).max())
 
 
-def pvalue_uniformity_check(
-    seed: int,
-    replications: int,
-    *,
-    noncentrality: float = 0.0,
-    stream_id: int = 0,
-) -> float:
+def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: float = 0.0) -> float:
     """KS distance of simulated p-values from Uniform(0,1).
 
     Under the null (noncentrality 0) the t statistic is standard normal at
@@ -283,6 +252,6 @@ def pvalue_uniformity_check(
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    draws = RngStream(seed, stream_id).normals(replications) + noncentrality
+    draws = RngStream(seed).normals(replications) + noncentrality
     p = np.array([p_value(float(z)) for z in draws])
     return uniform_ks_distance(p)

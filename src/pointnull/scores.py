@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .normal import AlternativePrior, NormalProblem, conjugate_posterior
 from .numerics import RngStream, log_normal_pdf
@@ -251,10 +250,9 @@ class ScoreSelectionSummary:
 
 def score_consistency_sim(
     run,
-    rule: str = "hyvarinen",
     prior: AlternativePrior | None = None,
 ) -> list[ScoreSelectionSummary]:
-    """Selection rates of a scoring rule across a seeded simulation sweep.
+    """Hyvarinen-score selection rates across a seeded simulation sweep.
 
     Accepts the same run description as the Bayes-factor consistency sweep
     and reuses its stream-per-grid-point layout, so the two simulations see
@@ -263,8 +261,6 @@ def score_consistency_sim(
     P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
     sharpen with n. Off the null the alternative takes over completely.
     """
-    if rule != "hyvarinen":
-        raise ValueError(f"unsupported rule {rule!r}; only 'hyvarinen' simulates")
     if prior is None:
         prior = AlternativePrior.flat()
     summaries = []

@@ -10,7 +10,7 @@ discrepancy gamma from theta0 warranted at a given severity level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .normal import NormalProblem
@@ -21,32 +21,24 @@ __all__ = [
     "SeverityQuery",
     "severity_at",
     "severity_curve",
-    "severity_threshold_probe",
     "warranted_discrepancy",
 ]
 
 
 @dataclass(frozen=True)
 class SeverityQuery:
-    """Severity request: a problem, a claim direction, and a level.
+    """Severity request for claims theta > theta1: a problem and a level.
 
-    Only theta > theta1 claims are supported; the mirrored direction is
-    available through the affine symmetry x -> -x of the whole problem
-    rather than a second code path.
+    The mirrored claim theta < theta1 is available through the affine
+    symmetry x -> -x of the whole problem rather than a second code path.
     """
 
     problem: NormalProblem
     level: float = 0.9
-    direction: str = "greater"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie strictly between 0 and 1")
-        if self.direction != "greater":
-            raise ValueError(
-                f"direction must be 'greater' (got {self.direction!r}); "
-                "mirror the problem for the other side"
-            )
 
 
 @dataclass(frozen=True)
@@ -85,15 +77,6 @@ def severity_at(problem: NormalProblem, theta1: float) -> float:
     if not math.isfinite(theta1):
         raise ValueError("theta1 must be finite")
     return std_normal_cdf((problem.xbar - theta1) / problem.sem)
-
-
-def severity_threshold_probe(problem: NormalProblem, theta1: float) -> float:
-    """severity_at under its tail-probability reading.
-
-    Same number, surfaced separately so tabulated output can place the
-    severity threshold next to the acceptance bound it structurally mirrors.
-    """
-    return severity_at(problem, theta1)
 
 
 def warranted_discrepancy(problem: NormalProblem, level: float) -> float:

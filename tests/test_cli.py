@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pointnull.cli import ESP_REPORTED_CONTRAST, FORMAT_VERSION, main
+from pointnull.cli import FORMAT_VERSION, main
 from pointnull.normal import (
     AlternativePrior,
     NormalProblem,
@@ -105,6 +105,13 @@ class TestReport:
         code, _, err = run(capsys, ["report", "--t", "1.0", "--n", "4", "--sigma", "-1"])
         assert code == 2
         assert "sigma" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+    def test_bad_alpha_is_usage_error(self, capsys, alpha):
+        code, out, err = run(capsys, ["report", "--t", "1.0", "--n", "4", "--alpha", alpha])
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha must lie strictly between 0 and 1\n"
 
 
 class TestParadox:
@@ -414,13 +421,17 @@ class TestPlumbing:
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--theta0", "-3.1e-05"), ("--t", "-2e-3"), ("--t", "-1E+0")]
+    )
+    def test_negative_exponent_value_is_not_a_flag(self, capsys, flag, value):
+        base = ["report", "--n", "10", "--format", "csv"] + (["--t", "2"] if flag != "--t" else [])
+        joined = run(capsys, base + [f"{flag}={value}"])
+        assert joined[0] == 0
+        assert run(capsys, base + [flag, value]) == joined
+
     def test_table_format_renders_rows(self, capsys):
         code, out, _ = run(capsys, ["paradox", "--t", "1.96", "--format", "table"])
         assert code == 0
         assert "crossing_n = 16818" in out
         assert "post_prob0" in out
-
-    def test_esp_contrast_is_a_documented_constant(self):
-        # reported pair from a published parapsychology discussion; kept as
-        # data, not recomputed, because the underlying counts are absent
-        assert ESP_REPORTED_CONTRAST == {"p_value": 0.003, "bf01": 12.0}

@@ -404,13 +404,6 @@ class TestScoreConsistencySim:
         (s,) = score_consistency_sim(run, prior=AlternativePrior.conjugate(1.0))
         assert 0.0 <= s.select_null_rate <= 1.0
 
-    def test_unsupported_rule(self):
-        run = ConsistencyRun(
-            theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=(10,), replications=10, seed=1
-        )
-        with pytest.raises(ValueError, match="hyvarinen"):
-            score_consistency_sim(run, rule="log")
-
     def test_chi_square_constant_matches_p_value_identity(self):
         # P(chi-square_1 < 2) = 1 - p_value(sqrt 2)
         from pointnull.normal import p_value

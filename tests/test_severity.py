@@ -13,7 +13,6 @@ from pointnull.severity import (
     SeverityQuery,
     severity_at,
     severity_curve,
-    severity_threshold_probe,
     warranted_discrepancy,
 )
 
@@ -85,20 +84,11 @@ class TestSeverityAt:
         with pytest.raises(ValueError):
             severity_at(UNIT, math.nan)
 
-
-class TestThresholdProbe:
-    def test_alias_contract(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            p = random_problem(rng)
-            th = p.xbar + float(rng.uniform(-3, 3)) * p.sem
-            assert severity_threshold_probe(p, th) == severity_at(p, th)
-
     def test_at_null_is_one_minus_one_sided_p(self):
         # Phi(t) = 1 - P(T > t) under the null
         from pointnull.numerics import std_normal_sf
 
-        got = severity_threshold_probe(UNIT, 0.0)
+        got = severity_at(UNIT, 0.0)
         assert math.isclose(got, 1.0 - std_normal_sf(1.96), rel_tol=1e-12)
 
     def test_reflection_about_xbar(self):
@@ -106,7 +96,7 @@ class TestThresholdProbe:
         p = NormalProblem(theta0=0.5, sigma=2.0, n=16, xbar=1.3)
         mirrored = p.theta0 + 2.0 * (p.xbar - p.theta0)
         assert math.isclose(
-            severity_threshold_probe(p, mirrored),
+            severity_at(p, mirrored),
             1.0 - severity_at(p, p.theta0),
             rel_tol=1e-12,
         )
@@ -183,16 +173,11 @@ class TestSeverityQuery:
     def test_defaults(self):
         q = SeverityQuery(problem=UNIT)
         assert q.level == 0.9
-        assert q.direction == "greater"
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
     def test_level_validation(self, level):
         with pytest.raises(ValueError):
             SeverityQuery(problem=UNIT, level=level)
-
-    def test_only_greater_direction(self):
-        with pytest.raises(ValueError, match="mirror"):
-            SeverityQuery(problem=UNIT, direction="less")
 
 
 class TestSeverityCurve:

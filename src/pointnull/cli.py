@@ -273,6 +273,13 @@ def cmd_severity(args: argparse.Namespace) -> tuple[dict, int]:
         step = (hi - lo) / (args.grid_points - 1)
         grid = [lo + i * step for i in range(args.grid_points)]
         grid[-1] = hi
+        if args.grid_lo is None and args.grid_hi is None and any(
+            b <= a for a, b in zip(grid, grid[1:])
+        ):
+            raise UsageError(
+                f"the default grid xbar +/- 3*sem collapses at |xbar| = {abs(problem.xbar):.6g} "
+                f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
+            )
     curve = severity_curve(query, grid)
     rows = [
         {"theta1": th, "gamma": th - problem.theta0, "severity": sev}

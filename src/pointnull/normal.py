@@ -11,7 +11,7 @@ appear in the consistency sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .numerics import log_normal_pdf
 
@@ -64,7 +64,9 @@ class NormalProblem:
         cls, t: float, n: int, *, theta0: float = 0.0, sigma: float = 1.0
     ) -> "NormalProblem":
         """Problem whose observed mean sits t standard errors above theta0."""
-        return cls(theta0, sigma, n, theta0 + t * sigma / math.sqrt(n))
+        # validate theta0, sigma and n, in the constructor's order, before sqrt(n)
+        problem = cls(theta0, sigma, n, theta0)
+        return replace(problem, xbar=theta0 + t * sigma / math.sqrt(n))
 
     @property
     def sem(self) -> float:
@@ -175,6 +177,7 @@ def log_bayes_factor_lindley(t: float, n: float) -> float:
     """log of sqrt(1+n) exp(-n t^2 / (2(1+n))), the tau = sigma Bayes factor.
 
     n may be real: the crossing solver treats it as a continuous variable.
+    t may be an array: the arithmetic around log1p(n) is elementwise.
     At fixed t the value diverges with n, which is the whole paradox.
     """
     if not n >= 1:

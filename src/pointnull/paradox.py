@@ -11,8 +11,9 @@ measures collapse together.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +45,13 @@ __all__ = [
 # Replicates whose Bayes factor (and, for the joint rate, p-value) falls
 # below this count as collapsed in the consistency sweep.
 _COLLAPSE_TOL = 1e-6
+
+# p_value's divisor: the sweeps' p-values must be the same doubles it returns.
+_SQRT2 = math.sqrt(2.0)
+
+# Sweep p-values go through math.erfc this many at a time, so no list of
+# Python floats as long as the sweep is ever built.
+_P_CHUNK = 1 << 16
 
 # Integer threshold comparisons happen in log units with this slack so that
 # exact-odds targets (t=0 with posterior target .95 means sqrt(1+n) = 19 at
@@ -94,10 +102,18 @@ def crossing_sample_size(query: ParadoxQuery) -> int:
     after, so the crossing is defined on that increasing branch; the
     condition then holds for every larger n. Raises UnreachableTargetError
     when the required factor never clears the minimum over integer n (which
-    also covers targets so low they hold everywhere and leave no crossing).
+    also covers targets so low they hold everywhere and leave no crossing),
+    or when the crossing lies beyond the largest float n.
     """
     t = abs(query.t)
     log_c = log_required_bf(query)
+    # n/(1+n) rounds to 1 at the largest float n, so this is log B01 there; the
+    # branch rises, so a target above it is crossed only beyond the float range
+    if 0.5 * math.log1p(sys.float_info.max) - 0.5 * t * t < log_c:
+        raise UnreachableTargetError(
+            f"unreachable target: at |t| = {t:.6g} the crossing sample size lies "
+            f"beyond the float range (above {sys.float_info.max:.6g})"
+        )
     n_star = t * t - 1.0
     candidates = {1.0}
     if n_star > 1.0:
@@ -183,6 +199,20 @@ class ConsistencyRun:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
+    def sample_means(self) -> Iterator[tuple[int, float, np.ndarray]]:
+        """(n, sem, xbar) for each grid point, in grid order.
+
+        xbar holds the replicates' sample means theta_true + sem * z, with z
+        drawn from grid point i's own stream (seed, stream_id=i). Every sweep
+        over a run draws through here, so the same seed gives identical draws.
+        """
+        for i, n in enumerate(self.n_grid):
+            stream = RngStream(self.seed, stream_id=i)
+            sem = self.sigma / math.sqrt(n)
+            with np.errstate(over="ignore"):
+                xbar = self.theta_true + sem * stream.normals(self.replications)
+            yield n, sem, xbar
+
 
 @dataclass(frozen=True)
 class ConsistencySummary:
@@ -207,16 +237,15 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
         raise ValueError("alpha must lie strictly between 0 and 1")
     log_tol = math.log(_COLLAPSE_TOL)
     summaries = []
-    for i, n in enumerate(run.n_grid):
-        stream = RngStream(run.seed, stream_id=i)
-        sem = run.sigma / math.sqrt(n)
-        log_bfs = np.empty(run.replications)
-        p_vals = np.empty(run.replications)
-        for j, z in enumerate(stream.normals(run.replications)):
-            xbar = run.theta_true + sem * float(z)
+    for n, sem, xbar in run.sample_means():
+        if sem == 0.0:
+            raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
+        # t may overflow to inf, which _p_values refuses; Python float
+        # arithmetic never warned about it, so numpy must not either
+        with np.errstate(over="ignore"):
             t = (xbar - run.theta0) / sem
-            log_bfs[j] = log_bayes_factor_lindley(t, n)
-            p_vals[j] = p_value(t)
+            log_bfs = log_bayes_factor_lindley(t, n)
+        p_vals = _p_values(t)
         below = log_bfs < log_tol
         summaries.append(
             ConsistencySummary(
@@ -252,6 +281,23 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    draws = RngStream(seed).normals(replications) + noncentrality
-    p = np.array([p_value(float(z)) for z in draws])
+    # no name holds the draws, so they are freed before the KS sort copies p
+    p = _p_values(RngStream(seed).normals(replications) + noncentrality)
     return uniform_ks_distance(p)
+
+
+def _p_values(t: np.ndarray) -> np.ndarray:
+    """p_value of each element of t, as the same doubles p_value returns.
+
+    math.erfc itself is mapped, one exact libm call per element, rather than
+    any vectorised erfc whose last bits could differ; the sweeps' medians and
+    rates then come out exactly as from the scalar p_value.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
+    p = np.abs(t)
+    p /= _SQRT2
+    for lo in range(0, p.size, _P_CHUNK):
+        chunk = p[lo : lo + _P_CHUNK]  # a view: erfc overwrites its arguments in place
+        chunk[:] = np.fromiter(map(math.erfc, chunk.tolist()), float, chunk.size)
+    return p

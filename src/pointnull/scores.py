@@ -15,8 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .normal import AlternativePrior, NormalProblem, conjugate_posterior
-from .numerics import RngStream, log_normal_pdf
+from .numerics import (
+    RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
+    log_normal_pdf,
+)
 
 __all__ = [
     "PredictiveDensity",
@@ -187,12 +192,16 @@ def hyvarinen_score(x: float, m: PredictiveDensity) -> float:
     Built from derivatives of log m, so any positive multiple of m scores
     identically; the improper flat predictive scores exactly zero no matter
     its constant. For a normal predictive the value is -2/v + (x - mu)^2/v^2.
+    x may be an array of means: the arithmetic is elementwise.
     """
     if m.kind == "improper-flat":
         return 0.0
     d = x - m.location
     v = m.variance
-    return -2.0 / v + (d * d) / (v * v)
+    v2 = v * v
+    if v2 == 0.0:
+        raise ValueError("variance too small to score: its square underflows to 0")
+    return -2.0 / v + (d * d) / v2
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -255,7 +264,7 @@ def score_consistency_sim(
     """Hyvarinen-score selection rates across a seeded simulation sweep.
 
     Accepts the same run description as the Bayes-factor consistency sweep
-    and reuses its stream-per-grid-point layout, so the two simulations see
+    and draws through the same run.sample_means(), so the two simulations see
     identical draws for the same seed. Under the null with the flat
     alternative the null-selection rate sits on the intrinsic plateau
     P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
@@ -264,19 +273,21 @@ def score_consistency_sim(
     if prior is None:
         prior = AlternativePrior.flat()
     summaries = []
-    for i, n in enumerate(run.n_grid):
-        stream = RngStream(run.seed, stream_id=i)
-        sem = run.sigma / math.sqrt(n)
-        null = ties = 0
-        for z in stream.normals(run.replications):
-            problem = NormalProblem(
-                theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta_true + sem * float(z)
-            )
-            report = hyvarinen_compare(problem, prior)
-            if report.tie:
-                ties += 1
-            elif report.select_null:
-                null += 1
+    for n, _, xbar in run.sample_means():
+        # the first replicate's problem and the two predictives run the checks
+        # a per-replicate hyvarinen_compare would meet first
+        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=float(xbar[0]))
+        m0 = PredictiveDensity.point_null(problem)
+        m1 = PredictiveDensity.from_prior(problem, prior)
+        # inf and nan are judged below, silently, as Python floats were
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = hyvarinen_score(xbar, m0) - hyvarinen_score(xbar, m1)
+        # m0's finite variance bounds sem, so every xbar is finite here; a nan
+        # difference is the one replicate ScoreReport would refuse
+        if np.isnan(diff).any():
+            raise ValueError("diff must equal s0 - s1")
+        null = int(np.count_nonzero(diff < 0.0))
+        ties = int(np.count_nonzero(diff == 0.0))
         reps = run.replications
         summaries.append(
             ScoreSelectionSummary(

@@ -106,6 +106,11 @@ class TestReport:
         assert code == 2
         assert "sigma" in err
 
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_t_form_with_bad_n_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, ["report", "--t", "1", "--n", n])
+        assert (code, out, err) == (2, "", "error: n must be at least 1\n")
+
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
     def test_bad_alpha_is_usage_error(self, capsys, alpha):
         code, out, err = run(capsys, ["report", "--t", "1.0", "--n", "4", "--alpha", alpha])
@@ -151,6 +156,14 @@ class TestParadox:
         code, _, _ = run(capsys, ["paradox", "--t", "1.96", "--target", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("t", ["1e200", "1e154"])
+    def test_crossing_beyond_float_range_exits_1(self, capsys, t):
+        code, out, err = run(capsys, ["paradox", "--t", t])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: unreachable target: at |t| = {float(t):.6g} ")
+
 
 class TestSeverity:
     ARGS = ["severity", "--theta0", "0", "--sigma", "1", "--n", "100", "--xbar", "0.25"]
@@ -192,6 +205,16 @@ class TestSeverity:
     def test_zero_grid_points_is_usage_error(self, capsys):
         code, _, _ = run(capsys, self.ARGS + ["--grid-points", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("xbar", ["1e17", "-1e300"])
+    def test_collapsed_default_grid_names_the_grid_flags(self, capsys, xbar):
+        code, out, err = run(capsys, ["severity", "--n", "4", "--xbar", xbar])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the default grid xbar +/- 3*sem collapses at |xbar| = "
+            f"{abs(float(xbar)):.6g} (sem = 0.5); pass --grid-lo and --grid-hi\n"
+        )
 
 
 class TestBinomial:

@@ -45,6 +45,15 @@ class TestNormalProblem:
         assert problem.xbar == pytest.approx(0.49)
         assert t_statistic(problem) == pytest.approx(1.96, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_from_t_validates_n_before_dividing(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            NormalProblem.from_t(1.0, n)
+
+    def test_from_t_checks_in_constructor_order(self):
+        with pytest.raises(ValueError, match="^sigma must be positive$"):
+            NormalProblem.from_t(1.0, 0, sigma=-1.0)
+
     def test_sem(self):
         assert NormalProblem(0.0, 2.0, 16, 0.1).sem == 0.5
 

@@ -47,6 +47,15 @@ class TestCrossingSampleSize:
         # log-domain slack must absorb
         assert crossing_sample_size(ParadoxQuery(t=0.0)) == 360
 
+    @pytest.mark.parametrize("t", [30.0, -1e154, 1e200, 1.7e308])
+    def test_crossing_beyond_float_range_is_unreachable(self, t):
+        # t*t overflowed at 1e200 (math.floor(inf)); at 1e154 the solver
+        # bracketed [1e308, 1e308] and reported no crossing
+        with pytest.raises(UnreachableTargetError) as info:
+            crossing_sample_size(ParadoxQuery(t=t))
+        assert f"at |t| = {abs(t):.6g} " in str(info.value)
+        assert "beyond the float range" in str(info.value)
+
     def test_anchor_is_integer_ceiling_of_real_root(self):
         assert math.ceil(REAL_ROOT_EQUAL) == 16818
 

@@ -202,6 +202,12 @@ class TestHyvarinenScore:
         m = PredictiveDensity(kind="conjugate", location=0.4, variance=2.0)
         assert hyvarinen_score(1.1, m.scaled(k)) == hyvarinen_score(1.1, m)
 
+    def test_variance_whose_square_underflows_is_refused(self):
+        # 2.5e-201 squared is 0.0: the penalty divided by it
+        m = PredictiveDensity(kind="point-null", location=0.0, variance=2.5e-201)
+        with pytest.raises(ValueError, match="square underflows"):
+            hyvarinen_score(0.0, m)
+
     def test_flat_scores_zero_for_any_c(self):
         for c in (1e-9, 1.0, 123.0, 1e9):
             assert hyvarinen_score(0.7, PredictiveDensity.improper_flat(c)) == 0.0

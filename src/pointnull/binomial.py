@@ -4,6 +4,7 @@ point null, kept in the log domain so half-million-trial inputs stay finite."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .normal import NormalProblem, p_value
@@ -32,6 +33,8 @@ class BinomialProblem:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > sys.float_info.max:
+            raise ValueError(f"n must be at most the largest float, {sys.float_info.max:.6g}")
         if not 0 <= self.x <= self.n:
             raise ValueError("x must lie in [0, n]")
         if not (math.isfinite(self.theta0) and 0.0 < self.theta0 < 1.0):

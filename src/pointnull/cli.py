@@ -252,10 +252,7 @@ def cmd_paradox(args: argparse.Namespace) -> tuple[dict, int]:
     ]
     inputs = {"t": args.t, "target": args.target, "rho0": args.rho0, "alpha": args.alpha}
     results = {"crossing_n": n, "required_bf": required_bf(query), "rows": rows}
-    provenance = [
-        ["crossing_n", "root-finder+integer-refinement"],
-        ["rows", "closed-form"],
-    ]
+    provenance = [["crossing_n", "integer-bisection"], ["rows", "closed-form"]]
     return _envelope("paradox", inputs, results, provenance), 0
 
 

@@ -11,6 +11,7 @@ appear in the consistency sweeps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .numerics import log_normal_pdf
@@ -56,6 +57,8 @@ class NormalProblem:
             raise ValueError("sigma must be positive")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > sys.float_info.max:
+            raise ValueError(f"n must be at most the largest float, {sys.float_info.max:.6g}")
         if not math.isfinite(self.xbar):
             raise ValueError("xbar must be finite")
 
@@ -129,10 +132,6 @@ class HypothesisWeights:
         if not (math.isfinite(self.rho0) and 0.0 < self.rho0 < 1.0):
             raise ValueError("rho0 must lie strictly between 0 and 1")
 
-    @property
-    def prior_odds(self) -> float:
-        return self.rho0 / (1.0 - self.rho0)
-
 
 EQUAL_WEIGHTS = HypothesisWeights(0.5)
 
@@ -176,7 +175,6 @@ def p_value(t: float) -> float:
 def log_bayes_factor_lindley(t: float, n: float) -> float:
     """log of sqrt(1+n) exp(-n t^2 / (2(1+n))), the tau = sigma Bayes factor.
 
-    n may be real: the crossing solver treats it as a continuous variable.
     t may be an array: the arithmetic around log1p(n) is elementwise.
     At fixed t the value diverges with n, which is the whole paradox.
     """

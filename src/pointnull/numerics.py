@@ -121,17 +121,14 @@ def log_beta(a: float, b: float) -> float:
 
 
 # Bracket doublings before find_crossing gives up: the step reaches 2^200
-# times the initial one, far past any finite crossing of interest.
+# times the initial one, far past any finite crossing of interest. Bisection
+# then stops once f is within _TOL of the target.
 _MAX_DOUBLINGS = 200
+_TOL = 1e-13
 
 
 def find_crossing(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    *,
-    tol: float = 1e-12,
-    initial_step: float = 1.0,
+    f: Callable[[float], float], target: float, lo: float, *, initial_step: float = 1.0
 ) -> float:
     """Solve f(x) = target for monotone f on [lo, infinity).
 
@@ -139,7 +136,7 @@ def find_crossing(
     which is all the target functions here need. Raises NoCrossingError when
     the expansion runs out of doublings without straddling the target (f
     bounded away from it, or not monotone as promised). Returns once the
-    image is within tol of the target or the bracket collapses to adjacent
+    image is within _TOL of the target or the bracket collapses to adjacent
     floats.
     """
     if not math.isfinite(lo):
@@ -170,7 +167,7 @@ def find_crossing(
         if mid <= a or mid >= b:
             return mid
         g_mid = f(mid) - target
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= _TOL:
             return mid
         if (g_mid < 0.0) == (g_a < 0.0):
             a, g_a = mid, g_mid

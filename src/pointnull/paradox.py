@@ -26,6 +26,7 @@ from .normal import (
     p_value,
     posterior_prob_null,
 )
+# find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
 from .numerics import RngStream, find_crossing
 
 __all__ = [
@@ -58,6 +59,9 @@ _P_CHUNK = 1 << 16
 # exactly n=360) land on the closed-form integer instead of one past it.
 # The nearest genuine misses sit ~1e-3 log units away, nine orders clear.
 _LOG_SLACK = 1e-12
+
+# Largest crossing reported: every integer up to 2^53 is exact as a double.
+_MAX_EXACT_N = 2**53
 
 
 class UnreachableTargetError(RuntimeError):
@@ -100,19 +104,23 @@ def crossing_sample_size(query: ParadoxQuery) -> int:
 
     The Bayes factor at fixed t falls until n = t^2 - 1 and rises forever
     after, so the crossing is defined on that increasing branch; the
-    condition then holds for every larger n. Raises UnreachableTargetError
-    when the required factor never clears the minimum over integer n (which
-    also covers targets so low they hold everywhere and leave no crossing),
-    or when the crossing lies beyond the largest float n.
+    condition then holds for every larger n. Found over Python ints by
+    doubling from the branch's first integer up to 2^53, then bisecting (at
+    most 110 Bayes factors). Raises UnreachableTargetError when the crossing
+    lies above 2^53, or when the required factor never clears the minimum
+    over integer n (which also covers targets so low they hold everywhere).
     """
     t = abs(query.t)
     log_c = log_required_bf(query)
-    # n/(1+n) rounds to 1 at the largest float n, so this is log B01 there; the
-    # branch rises, so a target above it is crossed only beyond the float range
-    if 0.5 * math.log1p(sys.float_info.max) - 0.5 * t * t < log_c:
+
+    def reaches(n: int) -> bool:
+        return log_bayes_factor_lindley(t, n) >= log_c - _LOG_SLACK
+
+    # first, so an overflowing t*t never reaches math.floor below
+    if not reaches(_MAX_EXACT_N):
         raise UnreachableTargetError(
             f"unreachable target: at |t| = {t:.6g} the crossing sample size lies "
-            f"beyond the float range (above {sys.float_info.max:.6g})"
+            f"above 2^53 = {_MAX_EXACT_N}, past the integers a double holds exactly"
         )
     n_star = t * t - 1.0
     candidates = {1.0}
@@ -124,16 +132,14 @@ def crossing_sample_size(query: ParadoxQuery) -> int:
             f"unreachable target: required Bayes factor {math.exp(log_c):.6g} does not "
             f"exceed the minimum {math.exp(floor_log_bf):.6g} over sample sizes"
         )
-    branch_lo = max(1.0, n_star)
-    root = find_crossing(
-        lambda n: log_bayes_factor_lindley(t, n), log_c, branch_lo, tol=1e-13
-    )
-    n = max(1, math.ceil(root - 1e-9))
-    while log_bayes_factor_lindley(t, n) < log_c - _LOG_SLACK:
-        n += 1
-    while n - 1 >= branch_lo and log_bayes_factor_lindley(t, n - 1) >= log_c - _LOG_SLACK:
-        n -= 1
-    return n
+    # hi always reaches; lo fails, or equals hi when the branch starts reached
+    lo = hi = max(1, math.ceil(n_star))
+    while not reaches(hi):
+        lo, hi = hi, min(2 * hi, _MAX_EXACT_N)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
 
 
 def bf_branch_minimum(t: float) -> tuple[float, float]:
@@ -188,6 +194,8 @@ class ConsistencyRun:
             raise ValueError("n_grid must be non-empty")
         if self.n_grid[0] < 1:
             raise ValueError("sample sizes must be at least 1")
+        if max(self.n_grid) > sys.float_info.max:
+            raise ValueError(f"sample sizes must be at most the largest float, {sys.float_info.max:.6g}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if self.replications < 1:

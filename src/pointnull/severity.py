@@ -97,11 +97,7 @@ def warranted_discrepancy(problem: NormalProblem, level: float) -> float:
         # stands in that vacuous regime
         start = problem.xbar - 40.0 * problem.sem
         root = find_crossing(
-            lambda th: severity_at(problem, th),
-            level,
-            start,
-            tol=1e-13,
-            initial_step=problem.sem,
+            lambda th: severity_at(problem, th), level, start, initial_step=problem.sem
         )
         solved = root - problem.theta0
         if abs(solved - gamma) > 1e-8 * max(1.0, abs(gamma)):

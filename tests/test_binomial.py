@@ -34,6 +34,11 @@ class TestBinomialProblem:
         with pytest.raises(ValueError):
             BinomialProblem(**kwargs)
 
+    def test_n_above_largest_float_is_refused(self):
+        # binomial_z divided by n and raised OverflowError: int too large to convert to float
+        with pytest.raises(ValueError, match="^n must be at most the largest float, 1.79769e"):
+            BinomialProblem(n=10**400, x=1, theta0=0.5)
+
 
 class TestBinomialZ:
     def test_exact_null_rate_is_zero(self):

@@ -6,6 +6,7 @@ randomized sweeps re-derive the agreement properties on fresh seeded grids.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestNormalProblem:
 
     def test_sem(self):
         assert NormalProblem(0.0, 2.0, 16, 0.1).sem == 0.5
+
+    @pytest.mark.parametrize("n", [int(sys.float_info.max) + 1, 10**400])
+    def test_n_above_largest_float_is_refused(self, n):
+        # math.sqrt(n) raised OverflowError: int too large to convert to float
+        for make in (lambda: NormalProblem(0.0, 1.0, n, 0.0), lambda: NormalProblem.from_t(1.0, n)):
+            with pytest.raises(ValueError, match="^n must be at most the largest float, 1.79769e"):
+                make()
+
+    def test_largest_float_n_is_accepted(self):
+        n = int(sys.float_info.max)
+        assert NormalProblem.from_t(1.0, n).sem == 1.0 / math.sqrt(n)
 
     @pytest.mark.parametrize(
         "kwargs",

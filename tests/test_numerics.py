@@ -159,7 +159,7 @@ class TestFindCrossing:
         def log_bf(n):
             return 0.5 * math.log1p(n) - n * t * t / (2.0 * (1.0 + n))
 
-        root = find_crossing(log_bf, math.log(19.0), 1.0, tol=1e-13)
+        root = find_crossing(log_bf, math.log(19.0), 1.0)
         assert abs(root - 16817.748857995294) <= 1e-6
         # grid-scan oracle: first integer past the root satisfying the target
         first = next(n for n in range(16810, 16830) if log_bf(n) >= math.log(19.0))

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from pointnull import paradox
 from pointnull.normal import (
     EQUAL_WEIGHTS,
     HypothesisWeights,
     bayes_factor_lindley,
+    log_bayes_factor_lindley,
     posterior_prob_null,
 )
 from pointnull.paradox import (
@@ -47,14 +49,49 @@ class TestCrossingSampleSize:
         # log-domain slack must absorb
         assert crossing_sample_size(ParadoxQuery(t=0.0)) == 360
 
-    @pytest.mark.parametrize("t", [30.0, -1e154, 1e200, 1.7e308])
+    @pytest.mark.parametrize("t", [6.0, -7.0, 8.0, 12.0, 15.0, 26.0, 30.0, -1e154, 1e200, 1.7e308])
     def test_crossing_beyond_float_range_is_unreachable(self, t):
         # t*t overflowed at 1e200 (math.floor(inf)); at 1e154 the solver
-        # bracketed [1e308, 1e308] and reported no crossing
+        # bracketed [1e308, 1e308] and reported no crossing; the crossings
+        # above 2^53 at t=6 to 8 were walked one integer at a time, and those
+        # at t=12 to 26 (near 1e65 to 1e296) missed by 200 doublings of step 1
         with pytest.raises(UnreachableTargetError) as info:
             crossing_sample_size(ParadoxQuery(t=t))
         assert f"at |t| = {abs(t):.6g} " in str(info.value)
-        assert "beyond the float range" in str(info.value)
+        assert "above 2^53 = 9007199254740992" in str(info.value)
+
+    def test_largest_exact_crossing(self):
+        # t=0: sqrt(1+n) >= c first holds at n = c^2 - 1 = 2^53 - 1, give or
+        # take the 1e8 integers that rounding the target to a double moves it
+        # (1e-8 in log units); a factor of 1.01 more needs n above 2^53
+        c = 2.0**26.5
+        n = crossing_sample_size(ParadoxQuery(t=0.0, target_post_prob=c / (1 + c)))
+        assert 2**52 < n <= 2**53
+        c *= 1.01
+        with pytest.raises(UnreachableTargetError, match=r"above 2\^53"):
+            crossing_sample_size(ParadoxQuery(t=0.0, target_post_prob=c / (1 + c)))
+
+    def test_bayes_factor_evaluations_are_bounded(self, monkeypatch):
+        calls = 0
+
+        def counted(t, n):
+            nonlocal calls
+            calls += 1
+            return log_bayes_factor_lindley(t, n)
+
+        monkeypatch.setattr(paradox, "log_bayes_factor_lindley", counted)
+        worst = 0
+        for t in (0.0, 0.5, 1.2, 1.5, 1.9, 1.96, 3.0, 5.0, 5.9, 6.0, 8.0, 26.0, 1e154, 1.7e308):
+            for target in (0.3, 0.5, 0.95, 0.999999999, 1.0 - 2.0**-53, 2.0**26.5 / (1 + 2.0**26.5)):
+                for rho0 in (0.01, 0.5, 0.99):
+                    calls = 0
+                    q = ParadoxQuery(t=t, target_post_prob=target, weights=HypothesisWeights(rho0))
+                    try:
+                        crossing_sample_size(q)
+                    except UnreachableTargetError:
+                        pass
+                    worst = max(worst, calls)
+        assert 100 <= worst <= 110
 
     def test_anchor_is_integer_ceiling_of_real_root(self):
         assert math.ceil(REAL_ROOT_EQUAL) == 16818
@@ -250,6 +287,7 @@ class TestConsistencyRun:
             {"n_grid": (0, 5)},
             {"n_grid": (10, 10)},
             {"n_grid": (20, 10)},
+            {"n_grid": (10, 10**400)},
             {"replications": 0},
             {"sigma": 0.0},
             {"sigma": -1.0},
@@ -265,6 +303,11 @@ class TestConsistencyRun:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ConsistencyRun(**base)
+
+    def test_grid_point_above_largest_float_is_refused(self):
+        # math.sqrt(n) in sample_means raised OverflowError
+        with pytest.raises(ValueError, match="^sample sizes must be at most the largest float"):
+            ConsistencyRun(0.0, 0.0, 1.0, (5, 10**400), replications=2, seed=1)
 
     def test_grid_coerced_to_ints(self):
         run = ConsistencyRun(

@@ -138,7 +138,6 @@ class TestWarrantedDiscrepancy:
                 lambda th: severity_at(p, th),
                 level,
                 p.xbar - 40.0 * p.sem,
-                tol=1e-13,
                 initial_step=p.sem,
             )
             assert abs((root - p.theta0) - g) < 1e-8 * max(1.0, abs(g))

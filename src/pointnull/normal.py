@@ -188,15 +188,34 @@ def bayes_factor_lindley(t: float, n: float) -> float:
     return math.exp(log_bayes_factor_lindley(t, n))
 
 
-def _require_conjugate(prior: AlternativePrior) -> None:
+def _conjugate_variances(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
+    """(sigma^2/n, tau^2), refused when either, or their sum, leaves the
+    positive doubles.
+
+    Each input is finite and positive, yet its square can overflow to inf or
+    underflow to 0; the message names the inputs and the direction, where
+    the arithmetic downstream would only see an invalid variance.
+    """
     if not prior.is_conjugate:
         raise ValueError("this operation requires a conjugate-normal prior")
+    s2 = problem.sampling_var
+    if s2 == 0.0 or s2 == math.inf:
+        way = "underflows to 0" if s2 == 0.0 else "overflows to inf"
+        raise ValueError(f"sigma^2/n {way} at sigma = {problem.sigma:.6g}, n = {problem.n}")
+    tau2 = prior.tau * prior.tau
+    if tau2 == 0.0 or tau2 == math.inf:
+        way = "underflows to 0" if tau2 == 0.0 else "overflows to inf"
+        raise ValueError(f"tau^2 {way} at tau = {prior.tau:.6g}")
+    if s2 + tau2 == math.inf:
+        raise ValueError(
+            f"sigma^2/n + tau^2 overflows to inf at sigma = {problem.sigma:.6g}, "
+            f"n = {problem.n}, tau = {prior.tau:.6g}"
+        )
+    return s2, tau2
 
 
 def log_bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> float:
-    _require_conjugate(prior)
-    s2 = problem.sampling_var
-    tau2 = prior.tau * prior.tau
+    s2, tau2 = _conjugate_variances(problem, prior)
     log_m0 = log_normal_pdf(problem.xbar, problem.theta0, s2)
     log_m1 = log_normal_pdf(problem.xbar, problem.theta0, s2 + tau2)
     return log_m0 - log_m1
@@ -213,9 +232,7 @@ def bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> f
 
 def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
     """Posterior mean and variance of theta under the conjugate alternative."""
-    _require_conjugate(prior)
-    s2 = problem.sampling_var
-    tau2 = prior.tau * prior.tau
+    s2, tau2 = _conjugate_variances(problem, prior)
     denom = tau2 + s2
     mu_n = (tau2 * problem.xbar + s2 * problem.theta0) / denom
     omega2 = s2 * tau2 / denom
@@ -242,10 +259,15 @@ def savage_dickey_bf(problem: NormalProblem, prior: AlternativePrior) -> float:
 
 def posterior_prob_null(bf01: float, weights: HypothesisWeights) -> float:
     """Posterior probability of the null from its Bayes factor and weights."""
-    if not bf01 > 0.0:
-        raise ValueError("bf01 must be positive")
-    # arranged so bf01 = inf maps cleanly to 1.0
-    return 1.0 / (1.0 + (1.0 - weights.rho0) / (weights.rho0 * bf01))
+    if not bf01 >= 0.0:
+        raise ValueError("bf01 must be non-negative")
+    # arranged so bf01 = inf maps cleanly to 1.0, and odds that underflow to
+    # 0 (exp(log B01) underflowed, or its product with rho0 did) to 0.0, as
+    # the division below already does once (1 - rho0) / odds overflows
+    odds = weights.rho0 * bf01
+    if odds == 0.0:
+        return 0.0
+    return 1.0 / (1.0 + (1.0 - weights.rho0) / odds)
 
 
 def reinterpret_as_prior_scale(

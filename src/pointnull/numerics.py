@@ -8,10 +8,10 @@ and self-contained.
 from __future__ import annotations
 
 import math
-import statistics
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NoCrossingError",
@@ -28,7 +28,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_STD_NORMAL = statistics.NormalDist()
 
 
 class NoCrossingError(RuntimeError):
@@ -53,7 +52,11 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile needs 0 < p < 1, got {p}")
-    return _STD_NORMAL.inv_cdf(p)
+    # imported here: severity is its only caller, and the other subcommands
+    # should not pay for loading statistics at start-up
+    import statistics
+
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def log_normal_pdf(x: float, mean: float, var: float) -> float:
@@ -244,6 +247,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
+        # numpy loads with the first stream, so closed-form callers never pay for it
+        import numpy as np
+
         seed = int(seed)
         stream_id = int(stream_id)
         if not 0 <= seed < 2**64:

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .normal import (
     EQUAL_WEIGHTS,
@@ -28,6 +26,11 @@ from .normal import (
 )
 # find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
 from .numerics import RngStream, find_crossing
+
+if TYPE_CHECKING:
+    # numpy itself is imported inside the sweep functions, the only ones
+    # that use arrays, so the closed forms load without it
+    import numpy as np
 
 __all__ = [
     "ConsistencyRun",
@@ -109,6 +112,10 @@ def crossing_sample_size(query: ParadoxQuery) -> int:
     most 110 Bayes factors). Raises UnreachableTargetError when the crossing
     lies above 2^53, or when the required factor never clears the minimum
     over integer n (which also covers targets so low they hold everywhere).
+
+    The integer is exact through about 1e12. Above that, float rounding of
+    log B01 and the 1e-12 log slack (worth about 2e-12 n integers) can move
+    it: t = 5.5 gives 4953535496854869, not necessarily the exact crossing.
     """
     t = abs(query.t)
     log_c = log_required_bf(query)
@@ -214,6 +221,8 @@ class ConsistencyRun:
         drawn from grid point i's own stream (seed, stream_id=i). Every sweep
         over a run draws through here, so the same seed gives identical draws.
         """
+        import numpy as np
+
         for i, n in enumerate(self.n_grid):
             stream = RngStream(self.seed, stream_id=i)
             sem = self.sigma / math.sqrt(n)
@@ -241,6 +250,8 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     joint_collapse_rate additionally requires the p-value below it, the
     both-measures-agree reading of consistency under the alternative.
     """
+    import numpy as np
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     log_tol = math.log(_COLLAPSE_TOL)
@@ -270,6 +281,8 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
 
 def uniform_ks_distance(values: Sequence[float]) -> float:
     """Two-sided Kolmogorov-Smirnov distance against Uniform(0,1)."""
+    import numpy as np
+
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("need at least one value")
@@ -301,6 +314,8 @@ def _p_values(t: np.ndarray) -> np.ndarray:
     any vectorised erfc whose last bits could differ; the sweeps' medians and
     rates then come out exactly as from the scalar p_value.
     """
+    import numpy as np
+
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
     p = np.abs(t)

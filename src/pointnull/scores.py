@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .normal import AlternativePrior, NormalProblem, conjugate_posterior
 from .numerics import (
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
@@ -270,6 +268,8 @@ def score_consistency_sim(
     P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
     sharpen with n. Off the null the alternative takes over completely.
     """
+    import numpy as np
+
     if prior is None:
         prior = AlternativePrior.flat()
     summaries = []

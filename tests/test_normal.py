@@ -20,7 +20,9 @@ from pointnull.normal import (
     conjugate_posterior,
     evaluate_test,
     improper_bf,
+    log_bayes_factor_conjugate,
     log_bayes_factor_lindley,
+    log_savage_dickey_bf,
     p_value,
     posterior_prob_null,
     reinterpret_as_prior_scale,
@@ -220,6 +222,39 @@ class TestBayesFactorConjugate:
         with pytest.raises(ValueError):
             bayes_factor_conjugate(NormalProblem(0.0, 1.0, 4, 0.1), AlternativePrior.flat())
 
+    @pytest.mark.parametrize(
+        "sigma, tau, message",
+        [
+            (1.0, 1e200, "^tau\\^2 overflows to inf at tau = 1e\\+200$"),
+            (1.0, 1e-200, "^tau\\^2 underflows to 0 at tau = 1e-200$"),
+            (1e200, 1.0, "^sigma\\^2/n overflows to inf at sigma = 1e\\+200, n = 100$"),
+            (1e-200, 1.0, "^sigma\\^2/n underflows to 0 at sigma = 1e-200, n = 100$"),
+            (
+                1.3e154,
+                1.34e154,
+                "^sigma\\^2/n \\+ tau\\^2 overflows to inf"
+                " at sigma = 1.3e\\+154, n = 100, tau = 1.34e\\+154$",
+            ),
+        ],
+    )
+    def test_variance_out_of_range_names_its_cause(self, sigma, tau, message):
+        # each input is a finite positive double; only a square, or their sum, leaves the range
+        problem = NormalProblem.from_t(1.96, 100, sigma=sigma)
+        prior = AlternativePrior.conjugate(tau)
+        for route in (log_bayes_factor_conjugate, conjugate_posterior, log_savage_dickey_bf):
+            with pytest.raises(ValueError, match=message):
+                route(problem, prior)
+
+    def test_variances_at_the_edge_of_range_pass(self):
+        # sigma^2/n and tau^2 both subnormal or both near the top: still positive and finite
+        problem = NormalProblem(0.0, 1e-160, 1, 0.0)
+        prior = AlternativePrior.conjugate(1e-160)
+        # xbar = theta0 and tau^2 = sigma^2/n: B01 = sqrt(2)
+        assert log_bayes_factor_conjugate(problem, prior) == pytest.approx(0.5 * math.log(2.0))
+        problem = NormalProblem(0.0, 1e153, 1, 0.0)
+        prior = AlternativePrior.conjugate(1e153)
+        assert log_bayes_factor_conjugate(problem, prior) == pytest.approx(0.5 * math.log(2.0))
+
 
 class TestSavageDickey:
     def test_centered_case_closed_form(self):
@@ -288,8 +323,26 @@ class TestPosteriorProbNull:
 
     def test_extreme_bf(self):
         assert posterior_prob_null(math.inf, HypothesisWeights(0.5)) == 1.0
-        with pytest.raises(ValueError):
-            posterior_prob_null(0.0, HypothesisWeights(0.5))
+        # exp(log B01) underflows to 0 far out in the tail: the posterior is
+        # below the smallest double, not an error
+        assert posterior_prob_null(0.0, HypothesisWeights(0.5)) == 0.0
+
+    @pytest.mark.parametrize("bf", [-1.0, -5e-324, math.nan, -math.inf])
+    def test_rejects_negative_and_nan(self, bf):
+        with pytest.raises(ValueError, match="^bf01 must be non-negative$"):
+            posterior_prob_null(bf, HypothesisWeights(0.5))
+
+    def test_odds_underflow_is_zero_not_a_crash(self):
+        # rho0 * bf01 rounds to 0 although bf01 is the smallest subnormal
+        assert posterior_prob_null(5e-324, HypothesisWeights(0.5)) == 0.0
+
+    def test_positive_bf_keeps_the_odds_formula(self):
+        rng = np.random.default_rng(16)
+        for log_bf in rng.uniform(-744.0, 709.0, 300):
+            bf = math.exp(float(log_bf))
+            rho = float(rng.uniform(0.01, 0.99))
+            want = 1.0 / (1.0 + (1.0 - rho) / (rho * bf))
+            assert posterior_prob_null(bf, HypothesisWeights(rho)) == want
 
 
 class TestPriorScaleReading:

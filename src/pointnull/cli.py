@@ -12,7 +12,6 @@ deterministic given the full flag set.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Any, Callable
@@ -99,6 +98,9 @@ def _full(value: Any) -> str:
 
 
 def render_json(env: dict) -> str:
+    # imported here, so csv and table calls never load json
+    import json
+
     return json.dumps(env, indent=2, allow_nan=False) + "\n"
 
 
@@ -633,13 +635,14 @@ def main(argv: list[str] | None = None) -> int:
     handler: Callable = args.handler
     try:
         env, code = handler(args)
+        # inside the try: render_json refuses a non-finite value with a ValueError
+        text = _render(env, fmt, args.digits)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(env, fmt, args.digits)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

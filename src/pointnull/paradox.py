@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .normal import (
     EQUAL_WEIGHTS,
@@ -53,9 +53,22 @@ _COLLAPSE_TOL = 1e-6
 # p_value's divisor: the sweeps' p-values must be the same doubles it returns.
 _SQRT2 = math.sqrt(2.0)
 
-# Sweep p-values go through math.erfc this many at a time, so no list of
-# Python floats as long as the sweep is ever built.
-_P_CHUNK = 1 << 16
+# math.erfc falls as its argument grows, apart from one-ulp rises in libm
+# (the largest known is 1.4e-17, near x = 1.25): for x1 <= x2,
+# erfc(x2) <= erfc(x1) + _ERFC_SLACK. Every sweep decision taken from
+# x = |t|/sqrt(2) alone holds with this margin; a test in
+# tests/test_sweep_reference.py fails loudly on a libm that breaks it.
+_ERFC_SLACK = 2.0**-40
+
+# math.erfc is exactly 0.0 from here on.
+_ERFC_ZERO = 30.0
+
+# The KS step bounds p's order statistics in blocks of this many ranks.
+_KS_BLOCK = 64
+
+# math.erfc is mapped over at most this many elements at a time, so no list
+# of Python floats as long as the sweep is ever built.
+_ERFC_CHUNK = 1 << 16
 
 # Integer threshold comparisons happen in log units with this slack so that
 # exact-odds targets (t=0 with posterior target .95 means sqrt(1+n) = 19 at
@@ -249,31 +262,41 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     bf_collapse_rate counts replicates with BF below 1e-6;
     joint_collapse_rate additionally requires the p-value below it, the
     both-measures-agree reading of consistency under the alternative.
+
+    Each summary is the double that mapping p_value over every replicate
+    would give, but math.erfc runs only where a p-value can change it. The
+    rates read p through thresholds: replicates outside a narrow band of
+    |t| around each threshold are decided from |t| alone. The median reads p
+    at its middle ranks: erfc runs on a window of |t|'s middle ranks, or on
+    every replicate when one outside the window might sort inside it (ties,
+    or p-values packed closer than erfc's rises, far off the null).
     """
     import numpy as np
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     log_tol = math.log(_COLLAPSE_TOL)
+    # p < 1e-6 is p <= the double below it
+    below_tol = math.nextafter(_COLLAPSE_TOL, 0.0)
     summaries = []
     for n, sem, xbar in run.sample_means():
         if sem == 0.0:
             raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
-        # t may overflow to inf, which _p_values refuses; Python float
+        # t may overflow to inf, which _erfc_args refuses; Python float
         # arithmetic never warned about it, so numpy must not either
         with np.errstate(over="ignore"):
             t = (xbar - run.theta0) / sem
             log_bfs = log_bayes_factor_lindley(t, n)
-        p_vals = _p_values(t)
+        x = _erfc_args(t)
         below = log_bfs < log_tol
         summaries.append(
             ConsistencySummary(
                 n=n,
                 median_log_bf=float(np.median(log_bfs)),
-                median_p_value=float(np.median(p_vals)),
-                reject_rate=float(np.mean(p_vals <= alpha)),
+                median_p_value=_median_p(x),
+                reject_rate=_count_p_at_most(x, alpha) / x.size,
                 bf_collapse_rate=float(np.mean(below)),
-                joint_collapse_rate=float(np.mean(below & (p_vals < _COLLAPSE_TOL))),
+                joint_collapse_rate=_count_p_at_most(x[below], below_tol) / x.size,
             )
         )
     return summaries
@@ -299,28 +322,152 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     every n, so the p-values are uniform and the distance small; a nonzero
     noncentrality shifts the draws off the null and drives the distance
     toward 1, the sanity inversion.
+
+    The result is the double uniform_ks_distance gives on p_value of every
+    draw, but math.erfc runs at the ends of each block of 64 ranks and on
+    windows around the few blocks whose bound can reach the maximum.
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    # no name holds the draws, so they are freed before the KS sort copies p
-    p = _p_values(RngStream(seed).normals(replications) + noncentrality)
-    return uniform_ks_distance(p)
+    # no name holds the draws, so they are freed before the sort copies x
+    return _ks_distance_p(_erfc_args(RngStream(seed).normals(replications) + noncentrality))
 
 
-def _p_values(t: np.ndarray) -> np.ndarray:
-    """p_value of each element of t, as the same doubles p_value returns.
+# The helpers below take x = |t|/sqrt(2), so that p = erfc(x) is p_value(t).
 
-    math.erfc itself is mapped, one exact libm call per element, rather than
-    any vectorised erfc whose last bits could differ; the sweeps' medians and
-    rates then come out exactly as from the scalar p_value.
-    """
+
+def _erfc_args(t: np.ndarray) -> np.ndarray:
+    """|t|/sqrt(2) elementwise, the argument p_value hands math.erfc."""
     import numpy as np
 
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
-    p = np.abs(t)
-    p /= _SQRT2
-    for lo in range(0, p.size, _P_CHUNK):
-        chunk = p[lo : lo + _P_CHUNK]  # a view: erfc overwrites its arguments in place
-        chunk[:] = np.fromiter(map(math.erfc, chunk.tolist()), float, chunk.size)
+    x = np.abs(t)
+    x /= _SQRT2
+    return x
+
+
+def _exact_p(x: np.ndarray) -> np.ndarray:
+    """math.erfc of each element, one exact libm call each, rather than any
+    vectorised erfc whose last bits could differ from p_value's."""
+    import numpy as np
+
+    p = np.empty(x.size)
+    for lo in range(0, x.size, _ERFC_CHUNK):
+        chunk = x[lo : lo + _ERFC_CHUNK]
+        p[lo : lo + chunk.size] = np.fromiter(map(math.erfc, chunk.tolist()), float, chunk.size)
     return p
+
+
+def _erfc_band(level: float) -> tuple[float, float]:
+    """(x_lo, x_hi) with erfc(x) > level for every x <= x_lo and
+    erfc(x) < level for every x >= x_hi.
+
+    Bisected with math.erfc to erfc(x_lo) > level + slack and
+    erfc(x_hi) < level - slack, so the bounds hold through libm's rises.
+    """
+
+    def last_true(holds: Callable[[float], bool]) -> tuple[float, float]:
+        # holds(0.0) is true and holds(_ERFC_ZERO) false; ends on adjacent doubles
+        a, b = 0.0, _ERFC_ZERO
+        while a < (m := 0.5 * (a + b)) < b:
+            a, b = (m, b) if holds(m) else (a, m)
+        return a, b
+
+    up, down = level + _ERFC_SLACK, level - _ERFC_SLACK
+    x_lo = last_true(lambda x: math.erfc(x) > up)[0] if math.erfc(0.0) > up else -math.inf
+    x_hi = last_true(lambda x: math.erfc(x) >= down)[1] if down > 0.0 else math.inf
+    return x_lo, x_hi
+
+
+def _count_p_at_most(x: np.ndarray, level: float) -> int:
+    """How many elements have erfc(x) <= level; erfc runs on _erfc_band only."""
+    import numpy as np
+
+    x_lo, x_hi = _erfc_band(level)
+    undecided = x[(x > x_lo) & (x < x_hi)]
+    return int(np.count_nonzero(x >= x_hi)) + int(np.count_nonzero(_exact_p(undecided) <= level))
+
+
+def _settled_ranks(window: np.ndarray, lo: int, hi: int, above: bool, below: bool) -> np.ndarray | None:
+    """Ranks lo..hi of the sorted erfc(window), or None when an element
+    outside the window might sort among them.
+
+    window[0] must be the window's largest x and window[-1] its smallest.
+    above (below) says some element outside has x >= window[0]
+    (x <= window[-1]): by the slack bound its p is at most
+    erfc(window[0]) + slack (at least erfc(window[-1]) - slack), which must
+    not pass the ranks' values for them to be ranks of the whole array.
+    """
+    import numpy as np
+
+    p = _exact_p(window)
+    ranks = np.sort(p)[lo : hi + 1]
+    if above and p[0] + _ERFC_SLACK > ranks[0]:
+        return None
+    if below and p[-1] - _ERFC_SLACK < ranks[-1]:
+        return None
+    return ranks
+
+
+def _median_p(x: np.ndarray) -> float:
+    """np.median of erfc(x), as the same double, from erfc on x's middle ranks.
+
+    erfc falls as x grows, so p's middle ranks are x's middle ranks
+    mirrored: one partition of x finds them with a margin of 8 ranks each
+    side. Where that window is not settled (ties, or p-values packed closer
+    than the slack) it widens to the whole array.
+    """
+    import numpy as np
+
+    n = x.size
+    k1, k2 = (n - 1) // 2, n // 2
+    w = 8
+    if 4 * w < n:
+        part = np.partition(x, (k1 - w, k2 + w))
+        # reversed, so the window's largest x comes first
+        window = part[k1 - w : k2 + w + 1][::-1]
+        middle = _settled_ranks(window, w, w + k2 - k1, above=True, below=True)
+        if middle is not None:
+            return float(np.median(middle))
+    return float(np.median(_exact_p(x)))
+
+
+def _ks_distance_p(x: np.ndarray) -> float:
+    """uniform_ks_distance of erfc(x), as the same double.
+
+    With x sorted descending, p's k-th smallest value lies within the slack
+    of erfc(x[k]). erfc at the two ends of each block of ranks then bounds
+    every block's KS term from above and the maximum from below; only the
+    blocks whose bound reaches the maximum get exact order statistics.
+    """
+    import numpy as np
+
+    n = x.size
+    xd = np.sort(x)[::-1]
+    starts = np.arange(0, n, _KS_BLOCK)
+    ends = np.minimum(starts + (_KS_BLOCK - 1), n - 1)
+    q0, q1 = _exact_p(xd[starts]), _exact_p(xd[ends])
+    # the term at rank k is max((k+1)/n - v_k, v_k - k/n); the second
+    # slack covers the rounding of these bounds
+    margin = 2.0 * _ERFC_SLACK
+    upper = np.maximum((ends + 1) / n - q0, q1 - starts / n) + margin
+    lower = max(
+        np.maximum((starts + 1) / n - q0, q0 - starts / n).max(),
+        np.maximum((ends + 1) / n - q1, q1 - ends / n).max(),
+    ) - margin
+    blocks = np.flatnonzero(upper >= lower)
+    gaps = np.flatnonzero(np.diff(blocks) > 1)
+    best = 0.0
+    for b0, b1 in zip(blocks[np.r_[0, gaps + 1]], blocks[np.r_[gaps, blocks.size - 1]]):
+        i, j = int(starts[b0]), int(ends[b1])
+        margin_ranks = _KS_BLOCK
+        while True:
+            a, b = max(0, i - margin_ranks), min(n - 1, j + margin_ranks)
+            v = _settled_ranks(xd[a : b + 1], i - a, j - a, above=a > 0, below=b < n - 1)
+            if v is not None:
+                break
+            margin_ranks *= 8
+        steps = np.arange(i + 1, j + 2, dtype=float) / n
+        best = max(best, float(np.maximum(steps - v, v - (steps - 1.0 / n)).max()))
+    return best

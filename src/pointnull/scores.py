@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .normal import AlternativePrior, NormalProblem, conjugate_posterior
+from .normal import AlternativePrior, NormalProblem, _conjugate_variances, conjugate_posterior
 from .numerics import (
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
     log_normal_pdf,
@@ -77,11 +77,9 @@ class PredictiveDensity:
         """Marginal density of the mean under the conjugate alternative."""
         if not prior.is_conjugate:
             raise ValueError("conjugate predictive needs a conjugate prior")
-        return cls(
-            kind="conjugate",
-            location=problem.theta0,
-            variance=problem.sampling_var + prior.tau * prior.tau,
-        )
+        # refused there, naming the input, when sigma^2/n or tau^2 leaves the doubles
+        s2, tau2 = _conjugate_variances(problem, prior)
+        return cls(kind="conjugate", location=problem.theta0, variance=s2 + tau2)
 
     @classmethod
     def improper_flat(cls, c: float = 1.0) -> "PredictiveDensity":
@@ -174,8 +172,10 @@ def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     for finite predictives, and inherits the arbitrary-constant defect
     against the improper flat alternative, where B01 itself is m0 / c.
     """
-    m0 = PredictiveDensity.point_null(problem)
+    # the alternative first: a conjugate one names an underflowing sigma^2/n,
+    # which the point null would only call an invalid variance
     m1 = PredictiveDensity.from_prior(problem, prior)
+    m0 = PredictiveDensity.point_null(problem)
     return _report(
         "log",
         log_score(problem.xbar, m0),
@@ -210,8 +210,8 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     reported as-is. The magnitude carries no absolute calibration, so no
     acceptance bound is applied here.
     """
-    m0 = PredictiveDensity.point_null(problem)
     m1 = PredictiveDensity.from_prior(problem, prior)
+    m0 = PredictiveDensity.point_null(problem)
     return _report(
         "hyvarinen",
         hyvarinen_score(problem.xbar, m0),
@@ -275,10 +275,10 @@ def score_consistency_sim(
     summaries = []
     for n, _, xbar in run.sample_means():
         # the first replicate's problem and the two predictives run the checks
-        # a per-replicate hyvarinen_compare would meet first
+        # a per-replicate hyvarinen_compare would meet first, in its order
         problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=float(xbar[0]))
-        m0 = PredictiveDensity.point_null(problem)
         m1 = PredictiveDensity.from_prior(problem, prior)
+        m0 = PredictiveDensity.point_null(problem)
         # inf and nan are judged below, silently, as Python floats were
         with np.errstate(over="ignore", invalid="ignore"):
             diff = hyvarinen_score(xbar, m0) - hyvarinen_score(xbar, m1)

@@ -1,12 +1,12 @@
 """Start-up guard: the closed forms load neither numpy nor statistics.
 
-numpy is imported inside the sweep functions and statistics inside
-std_normal_quantile, so a module-level import of either puts its load time
-back on every closed-form call. Each case runs in a fresh interpreter,
-since this test process has long since imported both.
+numpy is imported inside the sweep functions, statistics inside
+std_normal_quantile and json inside render_json, so a module-level import
+of any of them puts its load time back on calls that never use it. Each
+case runs in a fresh interpreter, since this test process has long since
+imported all three.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,24 +20,25 @@ SRC = str(Path(pointnull.__file__).resolve().parents[1])
 WATCHED = ("numpy", "statistics")
 
 
-def loaded_after(code: str) -> list[str]:
+def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
     """The watched modules present in sys.modules after code runs in a fresh
-    interpreter, read from the last stdout line."""
-    probe = f"{code}\nimport sys\nprint(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))"
+    interpreter, read from the last stdout line (space-separated, so the
+    probe itself imports nothing)."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import json\n" + probe],
+        [sys.executable, "-c", probe],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1].split()
 
 
-def after_main(argv: list[str]) -> list[str]:
-    return loaded_after(f"from pointnull import cli\nassert cli.main({argv!r}) == 0")
+def after_main(argv: list[str], watched: tuple[str, ...] = WATCHED) -> list[str]:
+    return loaded_after(f"from pointnull import cli\nassert cli.main({argv!r}) == 0", watched)
 
 
 @pytest.mark.parametrize("module", ["pointnull", "pointnull.cli"])
@@ -74,3 +75,9 @@ def test_simulate_loads_numpy(kind):
 def test_rng_stream_works_after_a_bare_import():
     code = "import pointnull\nassert pointnull.RngStream(1).normals(3).shape == (3,)"
     assert "numpy" in loaded_after(code)
+
+
+@pytest.mark.parametrize("fmt, loaded", [("csv", []), ("table", []), ("json", ["json"])])
+def test_only_json_output_loads_json(fmt, loaded):
+    argv = ["report", "--t", "1.96", "--n", "16818", "--format", fmt]
+    assert after_main(argv, watched=("json",)) == loaded

@@ -6,14 +6,23 @@ evaluate one replicate at a time through the scalar kernels, as the sweeps
 once did; the arithmetic is the same, so the summaries must be equal to the
 last bit (compared through repr) and every failure must raise the same
 exception type with the same message.
+
+The p-value sweeps call math.erfc only where a p-value can change an output
+and decide the rest from |t|, trusting erfc to fall with its argument up to
+paradox._ERFC_SLACK. The last part of this file checks that bound on this
+platform's libm and replays crafted draws on the points where it is tight:
+erfc's own one-ulp rises, the alpha and 1e-6 thresholds, and ties.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pointnull import paradox
 from pointnull.normal import (
     AlternativePrior,
     NormalProblem,
@@ -210,6 +219,9 @@ def test_failure_runs_reach_every_error():
     assert errors == {
         (ValueError, "t must be finite"),
         (ValueError, "variance must be positive and finite"),
+        # the conjugate alternative's predictive is built first and names the cause
+        (ValueError, "sigma^2/n underflows to 0 at sigma = 1e-200, n = 4"),
+        (ValueError, "sigma^2/n overflows to inf at sigma = 1e+307, n = 1"),
         (ValueError, "variance too small to score: its square underflows to 0"),
         (ValueError, "diff must equal s0 - s1"),
         (ValueError, "xbar must be finite"),
@@ -238,3 +250,189 @@ def test_both_sweeps_draw_through_sample_means():
         z = RngStream(8, stream_id=i).normals(5)
         assert sem == 1.0 / math.sqrt(n)
         assert xbar.tolist() == [0.1 + sem * float(v) for v in z]
+
+
+# ---------------------------------------------------------------- erfc slack
+
+SLACK = paradox._ERFC_SLACK
+
+
+def adjacent_doubles(x, count):
+    """x and the count doubles on each side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def erfc_rises(xs):
+    """(x, rise) wherever math.erfc goes up from one element of ascending xs
+    to the next."""
+    p = np.array([math.erfc(x) for x in xs.tolist()])
+    rise = np.diff(p)
+    up = rise > 0.0
+    return xs[1:][up], rise[up]
+
+
+# libm's rises next to x = 1.25: math.erfc(x) > math.erfc(previous double)
+WOBBLE_X, WOBBLE_RISE = erfc_rises(adjacent_doubles(1.25, 200_000))
+
+
+def test_erfc_rises_stay_far_below_the_slack():
+    """The sweeps decide p-values from |t| alone with margin _ERFC_SLACK; a
+    libm whose erfc rises by more than a thousandth of it fails here."""
+    scans = [adjacent_doubles(1.25, 200_000), np.linspace(0.0, 27.0, 1_000_001)]
+    scans += [adjacent_doubles(float(x), 2_000) for x in np.linspace(0.0, 27.0, 271)]
+    largest = max(float(erfc_rises(xs)[1].max(initial=0.0)) for xs in scans)
+    assert largest < SLACK / 1e3
+    # the scan does see the known rises, so it is not vacuous
+    assert len(WOBBLE_X) > 0 and largest >= float(WOBBLE_RISE.max()) > 0.0
+
+
+class CraftedStream:
+    """Stands in for RngStream: every stream yields the class's draws."""
+
+    draws: list[float] = []
+
+    def __init__(self, seed, stream_id=0):
+        pass
+
+    def normals(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws, dtype=float)
+
+
+@pytest.fixture
+def crafted(monkeypatch):
+    """Make the sweep and the reference loops above draw the given values."""
+
+    def use(draws):
+        stream = type("Crafted", (CraftedStream,), {"draws": list(draws)})
+        monkeypatch.setattr(paradox, "RngStream", stream)
+        monkeypatch.setattr(sys.modules[__name__], "RngStream", stream)
+
+    return use
+
+
+def t_on(x):
+    """A t with |t| / sqrt(2) == x, the argument p_value hands erfc."""
+    t = x * paradox._SQRT2
+    assert abs(t) / paradox._SQRT2 == x
+    return t
+
+
+def first_t_at_most(level):
+    """A double t >= 0 with p_value(t) <= level and p_value above level at
+    the double below it, by bisection."""
+    lo, hi = 0.0, 40.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if p_value(mid) <= level else (mid, hi)
+    return hi
+
+
+def around(t, k=3):
+    return [float(v) for v in adjacent_doubles(t, k)]
+
+
+# t on each side of every rise; p differs by about 1e-17 across the set
+WOBBLE_T = [t_on(x) for rise in WOBBLE_X.tolist() for x in (math.nextafter(rise, 0.0), rise)]
+T_ALPHA = first_t_at_most(0.05)
+T_TOL = first_t_at_most(math.nextafter(1e-6, 0.0))
+THRESHOLD_T = around(T_ALPHA) + around(T_TOL) + [-t for t in around(T_ALPHA)] + [6.0, 7.5, 40.0]
+TIE_RNG = np.random.default_rng(17)
+CRAFTED = {
+    "wobble": WOBBLE_T + [-t for t in WOBBLE_T[::3]],
+    "wobble-odd": WOBBLE_T[:-1],
+    "thresholds": THRESHOLD_T,
+    "threshold-alpha-only": around(T_ALPHA, 50),
+    "all-equal-1": [1.96],
+    "all-equal-2": [1.96, -1.96],
+    "all-equal-100": [T_ALPHA] * 100,
+    "all-equal-101": [0.3] * 101,
+    "heavy-ties": TIE_RNG.choice([0.0, 0.5, T_ALPHA, -T_ALPHA, T_TOL, 9.0], 1001).tolist(),
+    "ties-around-median": [1.0] * 60 + [1.5] * 41 + [2.0] * 60,
+    "uniform-with-ties": np.repeat(TIE_RNG.standard_normal(500), 3).tolist(),
+}
+# Both sides of one rise straddle the median of 41 draws, so p's median is the
+# lone side's p-value, which sits on the wrong side of the tied ones were p
+# ordered by |t| alone: above the middle window (x_rise lone, among the
+# largest x) and below it (x_before lone, among the smallest).
+X_BEFORE, X_RISE = math.nextafter(float(WOBBLE_X[0]), 0.0), float(WOBBLE_X[0])
+CRAFTED["wobble-median-above"] = [0.05 * i for i in range(20)] + [t_on(X_BEFORE)] * 20 + [t_on(X_RISE)]
+CRAFTED["wobble-median-below"] = (
+    [t_on(X_BEFORE)] + [t_on(X_RISE)] * 20 + [3.0 + 0.1 * i for i in range(20)]
+)
+# alphas sitting exactly on a replicate's p-value, on both sides of a rise
+CRAFTED_ALPHAS = [0.05, p_value(T_ALPHA), p_value(math.nextafter(T_ALPHA, 0.0))]
+CRAFTED_ALPHAS += [p_value(t) for t in WOBBLE_T[:4]]
+
+
+@pytest.mark.parametrize("alpha", CRAFTED_ALPHAS)
+@pytest.mark.parametrize("name", CRAFTED)
+def test_crafted_consistency_matches_reference(crafted, name, alpha):
+    crafted(CRAFTED[name])
+    # at n = 1 the standard error is 1.0, so every t is its draw exactly
+    run = run_of(len(CRAFTED[name]), n_grid=(1, 50))
+    got = outcome(consistency_simulation, run, alpha=alpha)
+    assert got == outcome(reference_consistency, run, alpha)
+    assert isinstance(got, str)
+
+
+@pytest.mark.parametrize("name", [k for k, v in CRAFTED.items() if len(v) >= 100])
+def test_crafted_uniformity_matches_reference(crafted, name):
+    crafted(CRAFTED[name])
+    reps = len(CRAFTED[name])
+    got = outcome(pvalue_uniformity_check, 1, reps)
+    assert got == outcome(reference_uniformity, 1, reps)
+    assert isinstance(got, str)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 32, 33, 34, 64, 65, 129])
+def test_small_and_odd_even_reps_match_reference(reps):
+    run = run_of(reps, n_grid=(2, 20, 2000), theta_true=0.01, seed=reps)
+    assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
+
+
+@pytest.mark.parametrize("reps", [100, 101, (1 << 16) + 5, 1_000_000])
+@pytest.mark.parametrize("noncentrality", [0.0, 0.5, 8.0])
+def test_uniformity_grid_matches_reference(reps, noncentrality):
+    got = outcome(pvalue_uniformity_check, 23, reps, noncentrality=noncentrality)
+    assert got == outcome(reference_uniformity, 23, reps, noncentrality)
+    assert isinstance(got, str)
+
+
+# x = |t|/sqrt(2): the wobble points, the thresholds, ties, and spreads from
+# the null to p-values packed far closer than the slack
+SPECIAL_X = [float(x) for x in WOBBLE_X] + [abs(t) / paradox._SQRT2 for t in THRESHOLD_T]
+
+
+@st.composite
+def erfc_args(draw):
+    size = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.sampled_from([0.0, 0.3, 1.25, 3.0, 8.0]))
+    x = np.abs(rng.standard_normal(size) + shift)
+    if draw(st.booleans()):
+        # overwrite a share with special points, repeated, so ties abound
+        k = draw(st.integers(1, size))
+        x[rng.integers(0, size, k)] = rng.choice(SPECIAL_X, k)
+    return x
+
+
+LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [0.05, 1e-6, math.nextafter(1e-6, 0.0), 1e-300, 1.0 - 2.0**-53]
+    + [math.erfc(x) for x in SPECIAL_X]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(erfc_args(), LEVELS)
+def test_helpers_match_the_full_erfc_map(x, level):
+    # the band's own ends, where x alone decides, are replicates too
+    ends = [v for v in paradox._erfc_band(level) if 0.0 <= v < math.inf]
+    x = np.concatenate([x, ends])
+    p = np.array([math.erfc(v) for v in x.tolist()])
+    assert paradox._count_p_at_most(x, level) == int(np.count_nonzero(p <= level))
+    assert repr(paradox._median_p(x)) == repr(float(np.median(p)))
+    assert repr(paradox._ks_distance_p(x)) == repr(uniform_ks_distance(p))

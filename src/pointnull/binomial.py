@@ -5,25 +5,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from . import _EXPORTS
+from ._record import Record
 from .normal import NormalProblem, p_value
 from .numerics import log_beta
 
-__all__ = [
-    "BinomialProblem",
-    "STONE_EXAMPLE",
-    "as_normal_problem",
-    "binomial_bf_flat",
-    "binomial_bf_laplace",
-    "binomial_p_value",
-    "binomial_z",
-    "log_binomial_bf_flat",
-]
+__all__ = _EXPORTS["binomial"]
 
 
-@dataclass(frozen=True)
-class BinomialProblem:
+class BinomialProblem(Record):
     """x successes in n trials against a point null success probability."""
 
     n: int

@@ -12,47 +12,12 @@ deterministic given the full flag set.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from typing import Any, Callable
 
-from .binomial import (
-    BinomialProblem,
-    binomial_bf_flat,
-    binomial_bf_laplace,
-    binomial_p_value,
-    binomial_z,
-    STONE_EXAMPLE,
-)
-from .normal import (
-    AlternativePrior,
-    HypothesisWeights,
-    NormalProblem,
-    bayes_factor_conjugate,
-    bayes_factor_lindley,
-    evaluate_test,
-    p_value,
-    posterior_prob_null,
-    reinterpret_as_prior_scale,
-    savage_dickey_bf,
-    t_statistic,  # no caller here; the benchmark's tracer wraps cli.t_statistic
-)
-from .paradox import (
-    ConsistencyRun,
-    ParadoxQuery,
-    consistency_simulation,
-    crossing_sample_size,
-    paradox_table,
-    pvalue_uniformity_check,
-    required_bf,
-)
-from .scores import (
-    hyvarinen_compare,
-    log_score_compare,
-    score_consistency_sim,
-    sprenger_kl_report,
-)
-from .severity import SeverityQuery, severity_curve
+from . import _EXPORTS
 
 __all__ = ["FORMAT_VERSION", "UsageError", "main"]
 
@@ -67,6 +32,39 @@ _DEFAULT_FORMATS = {
     "simulate": "csv",
     "paper-check": "table",
 }
+
+
+# The library modules each subcommand's handler calls into. The handlers
+# read library names as globals of this module, bound by _load: main loads
+# the subcommand's modules before its handler runs, and the module
+# __getattr__ serves outside readers. A bound name is never rebound, so a
+# stand-in set here (a test double, a tracing wrapper) is what the handlers call.
+_COMMAND_MODULES = {
+    "report": ("normal",),
+    "paradox": ("normal", "paradox"),
+    "severity": ("normal", "severity"),
+    "binomial": ("binomial",),
+    "score": ("normal", "scores"),
+    "simulate": ("normal", "paradox", "scores"),
+    "paper-check": ("binomial", "normal", "paradox", "scores"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each library module and bind its exports not yet bound here."""
+    namespace = globals()
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in library.__all__:
+            namespace.setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -163,6 +161,16 @@ def _render(env: dict, fmt: str, digits: int) -> str:
     if fmt == "csv":
         return render_csv(env, digits)
     return render_table(env, digits)
+
+
+def _check_finite(results: dict) -> None:
+    """Refuse a nan or infinite result, naming it, whatever the output format."""
+    fields = [(k, v) for k, v in results.items() if k != "rows"]
+    for i, row in enumerate(results.get("rows", [])):
+        fields += [(f"rows[{i}].{k}", v) for k, v in row.items()]
+    for name, value in fields:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"result {name} is {value!r}, not a finite number")
 
 
 def _envelope(command: str, inputs: dict, results: dict, provenance: list) -> dict:
@@ -633,9 +641,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     fmt = args.format or _DEFAULT_FORMATS[args.command]
     handler: Callable = args.handler
+    _load(*_COMMAND_MODULES[args.command])
     try:
         env, code = handler(args)
-        # inside the try: render_json refuses a non-finite value with a ValueError
+        _check_finite(env["results"])
         text = _render(env, fmt, args.digits)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,37 +12,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
+from . import _EXPORTS
+from ._record import Record
 from .numerics import log_normal_pdf
 
-__all__ = [
-    "AlternativePrior",
-    "EQUAL_WEIGHTS",
-    "HypothesisWeights",
-    "NormalProblem",
-    "TestReport",
-    "bayes_factor_conjugate",
-    "bayes_factor_lindley",
-    "conjugate_posterior",
-    "evaluate_test",
-    "improper_bf",
-    "log_bayes_factor_conjugate",
-    "log_bayes_factor_lindley",
-    "log_savage_dickey_bf",
-    "p_value",
-    "posterior_prob_null",
-    "reinterpret_as_prior_scale",
-    "savage_dickey_bf",
-    "t_statistic",
-    "weight_compensation",
-]
+__all__ = _EXPORTS["normal"]
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class NormalProblem:
+class NormalProblem(Record):
     """Observed mean of n draws from N(theta, sigma^2), against null theta0."""
 
     theta0: float
@@ -68,8 +48,8 @@ class NormalProblem:
     ) -> "NormalProblem":
         """Problem whose observed mean sits t standard errors above theta0."""
         # validate theta0, sigma and n, in the constructor's order, before sqrt(n)
-        problem = cls(theta0, sigma, n, theta0)
-        return replace(problem, xbar=theta0 + t * sigma / math.sqrt(n))
+        cls(theta0, sigma, n, theta0)
+        return cls(theta0, sigma, n, theta0 + t * sigma / math.sqrt(n))
 
     @property
     def sem(self) -> float:
@@ -81,8 +61,7 @@ class NormalProblem:
         return self.sigma * self.sigma / self.n
 
 
-@dataclass(frozen=True)
-class AlternativePrior:
+class AlternativePrior(Record):
     """Prior on theta under the alternative.
 
     Either a conjugate normal centered at the null with scale tau, or the
@@ -122,8 +101,7 @@ class AlternativePrior:
         return self.kind == "conjugate-normal"
 
 
-@dataclass(frozen=True)
-class HypothesisWeights:
+class HypothesisWeights(Record):
     """Prior probability mass on the point null."""
 
     rho0: float = 0.5
@@ -136,8 +114,7 @@ class HypothesisWeights:
 EQUAL_WEIGHTS = HypothesisWeights(0.5)
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     """Frequentist and Bayesian verdicts on one observed mean."""
 
     t: float

@@ -10,21 +10,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "NoCrossingError",
-    "QuadratureError",
-    "RngStream",
-    "find_crossing",
-    "log_beta",
-    "log_normal_pdf",
-    "quadrature",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "std_normal_sf",
-]
+__all__ = _EXPORTS["numerics"]
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

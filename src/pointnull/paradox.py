@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from . import _EXPORTS
+from ._record import Record
 from .normal import (
     EQUAL_WEIGHTS,
     HypothesisWeights,
@@ -32,19 +33,7 @@ if TYPE_CHECKING:
     # that use arrays, so the closed forms load without it
     import numpy as np
 
-__all__ = [
-    "ConsistencyRun",
-    "ConsistencySummary",
-    "ParadoxQuery",
-    "UnreachableTargetError",
-    "bf_branch_minimum",
-    "consistency_simulation",
-    "crossing_sample_size",
-    "paradox_table",
-    "pvalue_uniformity_check",
-    "required_bf",
-    "uniform_ks_distance",
-]
+__all__ = _EXPORTS["paradox"]
 
 # Replicates whose Bayes factor (and, for the joint rate, p-value) falls
 # below this count as collapsed in the consistency sweep.
@@ -84,8 +73,7 @@ class UnreachableTargetError(RuntimeError):
     """The required Bayes factor never rises to the requested target."""
 
 
-@dataclass(frozen=True)
-class ParadoxQuery:
+class ParadoxQuery(Record):
     """A fixed t statistic plus the posterior target the null must reach."""
 
     t: float
@@ -192,8 +180,7 @@ def paradox_table(query: ParadoxQuery, n_list: Iterable[int]) -> list[tuple[int,
     return rows
 
 
-@dataclass(frozen=True)
-class ConsistencyRun:
+class ConsistencyRun(Record):
     """Seeded Monte Carlo sweep over sample sizes.
 
     theta_true equal to theta0 exercises the null regime; anything else
@@ -244,8 +231,7 @@ class ConsistencyRun:
             yield n, sem, xbar
 
 
-@dataclass(frozen=True)
-class ConsistencySummary:
+class ConsistencySummary(Record):
     """Per-sample-size aggregates of one consistency sweep."""
 
     n: int

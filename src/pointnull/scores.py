@@ -13,32 +13,21 @@ than broken by fiat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from . import _EXPORTS
+from ._record import Record
 from .normal import AlternativePrior, NormalProblem, _conjugate_variances, conjugate_posterior
 from .numerics import (
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
     log_normal_pdf,
 )
 
-__all__ = [
-    "PredictiveDensity",
-    "ScoreReport",
-    "ScoreSelectionSummary",
-    "hyvarinen_compare",
-    "hyvarinen_score",
-    "log_score",
-    "log_score_compare",
-    "score_consistency_sim",
-    "sprenger_kl_report",
-    "sprenger_kl_score",
-]
+__all__ = _EXPORTS["scores"]
 
 _KINDS = ("point-null", "conjugate", "improper-flat")
 
 
-@dataclass(frozen=True)
-class PredictiveDensity:
+class PredictiveDensity(Record):
     """Prior predictive for the sample mean under one hypothesis.
 
     Finite kinds are normal with a location and variance; improper-flat is
@@ -96,7 +85,7 @@ class PredictiveDensity:
         """The same shape with density multiplied by k > 0."""
         if not (math.isfinite(k) and k > 0.0):
             raise ValueError("scale factor must be positive and finite")
-        return replace(self, c=self.c * k)
+        return type(self)(self.kind, self.location, self.variance, self.c * k)
 
     def log_density(self, x: float) -> float:
         if self.kind == "improper-flat":
@@ -113,8 +102,7 @@ class PredictiveDensity:
         return self.kind == "improper-flat"
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(Record):
     """Two penalties and their difference under one rule.
 
     Penalty convention throughout: smaller is better, so diff = s0 - s1 < 0
@@ -245,8 +233,7 @@ def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> Score
     return _report("sprenger-kl", sprenger_kl_score(problem, prior), 0.0)
 
 
-@dataclass(frozen=True)
-class ScoreSelectionSummary:
+class ScoreSelectionSummary(Record):
     """Selection rates for one sample size of a scored simulation sweep."""
 
     n: int

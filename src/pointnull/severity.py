@@ -10,23 +10,17 @@ discrepancy gamma from theta0 warranted at a given severity level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import _EXPORTS
+from ._record import Record
 from .normal import NormalProblem
 from .numerics import find_crossing, std_normal_cdf, std_normal_quantile
 
-__all__ = [
-    "SeverityCurve",
-    "SeverityQuery",
-    "severity_at",
-    "severity_curve",
-    "warranted_discrepancy",
-]
+__all__ = _EXPORTS["severity"]
 
 
-@dataclass(frozen=True)
-class SeverityQuery:
+class SeverityQuery(Record):
     """Severity request for claims theta > theta1: a problem and a level.
 
     The mirrored claim theta < theta1 is available through the affine
@@ -41,8 +35,7 @@ class SeverityQuery:
             raise ValueError("level must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
-class SeverityCurve:
+class SeverityCurve(Record):
     """Severity evaluated over an ascending theta1 grid.
 
     points holds (theta1, severity) pairs, strictly decreasing in severity;

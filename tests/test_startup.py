@@ -1,10 +1,13 @@
-"""Start-up guard: the closed forms load neither numpy nor statistics.
+"""Start-up guard: a closed-form call loads only what its subcommand runs.
 
 numpy is imported inside the sweep functions, statistics inside
 std_normal_quantile and json inside render_json, so a module-level import
-of any of them puts its load time back on calls that never use it. Each
-case runs in a fresh interpreter, since this test process has long since
-imported all three.
+of any of them puts its load time back on calls that never use it. The
+records are plain classes, so no call loads dataclasses or the inspect
+machinery it pulls in. The package namespace and cli's library names are
+lazy: ``import pointnull`` loads no submodule, and each subcommand loads
+only the modules cli's table lists for it. Each case runs in a fresh
+interpreter, since this test process has long since imported everything.
 """
 
 import os
@@ -15,9 +18,23 @@ from pathlib import Path
 import pytest
 
 import pointnull
+from pointnull import cli
 
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
-WATCHED = ("numpy", "statistics")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+WATCHED = ("numpy", "statistics", "dataclasses", "inspect")
+SUBMODULES = tuple(
+    f"pointnull.{name}"
+    for name in ("_record", "numerics", "normal", "binomial", "paradox", "severity", "scores", "cli")
+)
+CLOSED_FORM = [
+    ["report", "--t", "1.96", "--n", "16818"],
+    ["paradox", "--t", "1.96"],
+    ["severity", "--n", "100", "--xbar", "0.2"],
+    ["binomial", "--n", "527135", "--x", "106298", "--theta0", "0.2"],
+    ["score", "--rule", "hyvarinen", "--t", "1.5", "--n", "40", "--alt", "flat"],
+    ["paper-check"],
+]
 
 
 def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
@@ -25,10 +42,9 @@ def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
     interpreter, read from the last stdout line (space-separated, so the
     probe itself imports nothing)."""
     probe = f"{code}\nimport sys\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        env=env,
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -41,24 +57,50 @@ def after_main(argv: list[str], watched: tuple[str, ...] = WATCHED) -> list[str]
     return loaded_after(f"from pointnull import cli\nassert cli.main({argv!r}) == 0", watched)
 
 
+def imported_by_module_run(argv: list[str]) -> set[str]:
+    """The modules a ``python -m pointnull.cli`` process imports with an import
+    statement, as the benchmark runs it, read from -X importtime so the
+    process runs unaltered. (importlib.import_module calls go unlogged.)"""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pointnull.cli", *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rpartition("|")[2].strip() for line in lines}
+
+
 @pytest.mark.parametrize("module", ["pointnull", "pointnull.cli"])
 def test_import_loads_neither(module):
     assert loaded_after(f"import {module}") == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["report", "--t", "1.96", "--n", "16818"],
-        ["paradox", "--t", "1.96"],
-        ["binomial", "--n", "527135", "--x", "106298", "--theta0", "0.2"],
-        ["score", "--rule", "hyvarinen", "--t", "1.5", "--n", "40", "--alt", "flat"],
-        ["paper-check"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", [a for a in CLOSED_FORM if a[0] != "severity"], ids=lambda a: a[0])
 def test_closed_form_subcommand_loads_neither(argv):
     assert after_main(argv) == []
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM, ids=lambda a: a[0])
+def test_closed_form_module_run_loads_no_dataclasses(argv):
+    imported = imported_by_module_run(argv)
+    assert "pointnull.numerics" in imported  # the probe sees the library's imports
+    assert imported.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import pointnull", SUBMODULES) == []
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM[:5], ids=lambda a: a[0])
+def test_subcommand_loads_only_its_table_modules(argv):
+    # every library module builds on normal, numerics and the record helper,
+    # so report loads none of paradox, scores, severity and binomial
+    expected = {"pointnull.cli", "pointnull._record", "pointnull.numerics", "pointnull.normal"}
+    expected |= {f"pointnull.{name}" for name in cli._COMMAND_MODULES[argv[0]]}
+    assert set(after_main(argv, SUBMODULES)) == expected
 
 
 def test_severity_loads_statistics_only():

@@ -15,41 +15,23 @@ import argparse
 import importlib
 import math
 import sys
-from typing import Any, Callable
+from typing import Any
 
-from . import _EXPORTS
+from . import __getattr__ as _package_getattr
 
 __all__ = ["FORMAT_VERSION", "UsageError", "main"]
 
 FORMAT_VERSION = "1"
 
-_DEFAULT_FORMATS = {
-    "report": "json",
-    "paradox": "csv",
-    "severity": "csv",
-    "binomial": "json",
-    "score": "json",
-    "simulate": "csv",
-    "paper-check": "table",
-}
+# A severity grid is built as a Python list; this many points take about
+# half a second and 90 MB.
+_MAX_GRID_POINTS = 100_000
 
 
-# The library modules each subcommand's handler calls into. The handlers
-# read library names as globals of this module, bound by _load: main loads
-# the subcommand's modules before its handler runs, and the module
-# __getattr__ serves outside readers. A bound name is never rebound, so a
-# stand-in set here (a test double, a tracing wrapper) is what the handlers call.
-_COMMAND_MODULES = {
-    "report": ("normal",),
-    "paradox": ("normal", "paradox"),
-    "severity": ("normal", "severity"),
-    "binomial": ("binomial",),
-    "score": ("normal", "scores"),
-    "simulate": ("normal", "paradox", "scores"),
-    "paper-check": ("binomial", "normal", "paradox", "scores"),
-}
-
-
+# The handlers read library names as globals of this module. Each handler
+# first binds the modules it calls with _load, so a call loads only what its
+# subcommand runs. A bound name is never rebound, so a stand-in set here (a
+# test double, a tracing wrapper) is what the handlers call.
 def _load(*modules: str) -> None:
     """Import each library module and bind its exports not yet bound here."""
     namespace = globals()
@@ -60,38 +42,25 @@ def _load(*modules: str) -> None:
 
 
 def __getattr__(name: str) -> Any:
-    for module, names in _EXPORTS.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Serve a library name not yet bound here through the package's lookup."""
+    try:
+        return _package_getattr(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 class UsageError(Exception):
     """Flag combination the parser alone cannot reject."""
 
 
-def _fmt(value: Any, digits: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.{digits}g}"
-    return str(value)
-
-
-def _full(value: Any) -> str:
-    # comment-line values keep full precision so the emission is
-    # recomputable without the JSON twin
+def _fmt(value: Any, digits: int | None = None) -> str:
+    """Output text for a value; a float in full (repr) unless digits is given."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(value) if digits is None else f"{value:.{digits}g}"
     return str(value)
 
 
@@ -112,10 +81,12 @@ def _split_results(env: dict) -> tuple[dict, list[dict]]:
 def render_csv(env: dict, digits: int) -> str:
     scalars, rows = _split_results(env)
     lines = [f"# format_version={env['format_version']} command={env['command']}"]
+    # comment-line values keep full precision so the emission is
+    # recomputable without the JSON twin
     if env["inputs"]:
-        lines.append("# input " + " ".join(f"{k}={_full(v)}" for k, v in env["inputs"].items()))
+        lines.append("# input " + " ".join(f"{k}={_fmt(v)}" for k, v in env["inputs"].items()))
     if scalars:
-        lines.append("# result " + " ".join(f"{k}={_full(v)}" for k, v in scalars.items()))
+        lines.append("# result " + " ".join(f"{k}={_fmt(v)}" for k, v in scalars.items()))
     for name, tag in env.get("provenance", []):
         lines.append(f"# provenance {name}={tag}")
     if rows:
@@ -173,16 +144,6 @@ def _check_finite(results: dict) -> None:
             raise ValueError(f"result {name} is {value!r}, not a finite number")
 
 
-def _envelope(command: str, inputs: dict, results: dict, provenance: list) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "provenance": provenance,
-    }
-
-
 def _problem_from_args(args: argparse.Namespace) -> NormalProblem:
     if args.t is not None:
         return NormalProblem.from_t(args.t, args.n, theta0=args.theta0, sigma=args.sigma)
@@ -190,23 +151,19 @@ def _problem_from_args(args: argparse.Namespace) -> NormalProblem:
 
 
 def _prior_from_args(args: argparse.Namespace, sigma: float) -> AlternativePrior:
-    alt = getattr(args, "alt", None)
-    tau = getattr(args, "tau", None)
-    tau_eq = getattr(args, "tau_equals_sigma", False)
-    c = getattr(args, "c", None)
-    if tau is not None and tau_eq:
-        raise UsageError("--tau and --tau-equals-sigma conflict")
-    wants_conjugate = tau is not None or tau_eq or alt == "conjugate"
-    if alt == "flat" and (tau is not None or tau_eq):
+    # the parser's group already refuses --tau with --tau-equals-sigma
+    scale_given = args.tau is not None or args.tau_equals_sigma
+    if args.alt == "flat" and scale_given:
         raise UsageError("--alt flat conflicts with a conjugate scale flag")
-    if wants_conjugate:
-        if c is not None:
+    if scale_given or args.alt == "conjugate":
+        if args.c is not None:
             raise UsageError("--c applies only to the flat alternative")
-        return AlternativePrior.conjugate(sigma if tau is None else tau)
-    return AlternativePrior.flat(c=1.0 if c is None else c)
+        return AlternativePrior.conjugate(sigma if args.tau is None else args.tau)
+    return AlternativePrior.flat(c=1.0 if args.c is None else args.c)
 
 
-def cmd_report(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_report(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("normal")
     problem = _problem_from_args(args)
     # report always uses the proper conjugate alternative; tau defaults to
     # sigma, which is also what --tau-equals-sigma spells out
@@ -238,10 +195,11 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, int]:
         ["bf01_savage_dickey", "posterior-to-prior-density-ratio"],
         ["post_prob0", "odds-identity"],
     ]
-    return _envelope("report", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
-def cmd_paradox(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_paradox(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("normal", "paradox")
     query = ParadoxQuery(
         t=args.t,
         target_post_prob=args.target,
@@ -263,10 +221,11 @@ def cmd_paradox(args: argparse.Namespace) -> tuple[dict, int]:
     inputs = {"t": args.t, "target": args.target, "rho0": args.rho0, "alpha": args.alpha}
     results = {"crossing_n": n, "required_bf": required_bf(query), "rows": rows}
     provenance = [["crossing_n", "integer-bisection"], ["rows", "closed-form"]]
-    return _envelope("paradox", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
-def cmd_severity(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_severity(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("normal", "severity")
     problem = NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
     query = SeverityQuery(problem=problem, level=args.level)
     sem = problem.sem
@@ -274,6 +233,8 @@ def cmd_severity(args: argparse.Namespace) -> tuple[dict, int]:
     hi = args.grid_hi if args.grid_hi is not None else problem.xbar + 3.0 * sem
     if args.grid_points < 1:
         raise UsageError("--grid-points must be at least 1")
+    if args.grid_points > _MAX_GRID_POINTS:
+        raise UsageError(f"--grid-points must be at most {_MAX_GRID_POINTS}")
     if args.grid_points == 1:
         grid = [lo]
     else:
@@ -311,10 +272,11 @@ def cmd_severity(args: argparse.Namespace) -> tuple[dict, int]:
         ["warranted_gamma", "closed-form+root-finder-cross-check"],
         ["rows", "closed-form; final row is the warranted point"],
     ]
-    return _envelope("severity", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
-def cmd_binomial(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_binomial(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("binomial")
     problem = BinomialProblem(n=args.n, x=args.x, theta0=args.theta0)
     z = binomial_z(problem)
     p = binomial_p_value(problem)
@@ -338,10 +300,11 @@ def cmd_binomial(args: argparse.Namespace) -> tuple[dict, int]:
         "bf_flat": bf_flat,
         "bf_laplace": bf_laplace,
     }
-    return _envelope("binomial", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
-def cmd_score(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_score(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("normal", "scores")
     problem = _problem_from_args(args)
     prior = _prior_from_args(args, problem.sigma)
     if args.rule == "log":
@@ -370,7 +333,7 @@ def cmd_score(args: argparse.Namespace) -> tuple[dict, int]:
         "c_dependent": report.c_dependent,
     }
     provenance = [["s0", "penalty-convention"], ["s1", "penalty-convention"]]
-    return _envelope("score", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -383,68 +346,61 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("paradox")
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
-    if args.kind == "uniformity":
-        ks = pvalue_uniformity_check(args.seed, args.reps, noncentrality=args.noncentrality)
+    try:
+        if args.kind == "uniformity":
+            ks = pvalue_uniformity_check(args.seed, args.reps, noncentrality=args.noncentrality)
+            inputs = {
+                "kind": args.kind,
+                "seed": args.seed,
+                "reps": args.reps,
+                "noncentrality": args.noncentrality,
+            }
+            rows = [
+                {"replications": args.reps, "noncentrality": args.noncentrality, "ks_distance": ks}
+            ]
+            results = {"rows": rows}
+            provenance = [["ks_distance", f"seeded-simulation(seed={args.seed})"]]
+            return inputs, results, provenance
+        run = ConsistencyRun(
+            theta_true=args.theta_true,
+            theta0=args.theta0,
+            sigma=args.sigma,
+            n_grid=_parse_grid(args.n_grid),
+            replications=args.reps,
+            seed=args.seed,
+        )
         inputs = {
             "kind": args.kind,
-            "seed": args.seed,
-            "reps": args.reps,
-            "noncentrality": args.noncentrality,
+            "theta_true": run.theta_true,
+            "theta0": run.theta0,
+            "sigma": run.sigma,
+            "n_grid": ",".join(str(n) for n in run.n_grid),
+            "reps": run.replications,
+            "seed": run.seed,
         }
-        rows = [{"replications": args.reps, "noncentrality": args.noncentrality, "ks_distance": ks}]
-        results = {"rows": rows}
-        provenance = [["ks_distance", f"seeded-simulation(seed={args.seed})"]]
-        return _envelope("simulate", inputs, results, provenance), 0
-    run = ConsistencyRun(
-        theta_true=args.theta_true,
-        theta0=args.theta0,
-        sigma=args.sigma,
-        n_grid=_parse_grid(args.n_grid),
-        replications=args.reps,
-        seed=args.seed,
-    )
-    inputs = {
-        "kind": args.kind,
-        "theta_true": run.theta_true,
-        "theta0": run.theta0,
-        "sigma": run.sigma,
-        "n_grid": ",".join(str(n) for n in run.n_grid),
-        "reps": run.replications,
-        "seed": run.seed,
-    }
-    if args.kind == "consistency":
-        summaries = consistency_simulation(run, alpha=args.alpha)
-        rows = [
-            {
-                "n": s.n,
-                "median_log_bf": s.median_log_bf,
-                "median_p_value": s.median_p_value,
-                "reject_rate": s.reject_rate,
-                "bf_collapse_rate": s.bf_collapse_rate,
-                "joint_collapse_rate": s.joint_collapse_rate,
-            }
-            for s in summaries
-        ]
-        inputs["alpha"] = args.alpha
-    else:
-        prior = AlternativePrior.flat() if args.tau is None else AlternativePrior.conjugate(args.tau)
-        summaries = score_consistency_sim(run, prior=prior)
-        rows = [
-            {
-                "n": s.n,
-                "select_null_rate": s.select_null_rate,
-                "select_alt_rate": s.select_alt_rate,
-                "tie_rate": s.tie_rate,
-            }
-            for s in summaries
-        ]
-        inputs["prior"] = prior.kind
+        if args.kind == "consistency":
+            summaries = consistency_simulation(run, alpha=args.alpha)
+            inputs["alpha"] = args.alpha
+        else:
+            _load("normal", "scores")
+            if args.tau is None:
+                prior = AlternativePrior.flat()
+            else:
+                prior = AlternativePrior.conjugate(args.tau)
+            summaries = score_consistency_sim(run, prior=prior)
+            inputs["prior"] = prior.kind
+    except MemoryError as exc:
+        # numpy refuses a replicate array larger than memory before filling it
+        raise RuntimeError(f"--reps {args.reps} is too large: {exc}") from None
+    # a row per grid point: the summary record's fields, in their order
+    rows = [{field: getattr(s, field) for field in s._fields} for s in summaries]
     results = {"rows": rows}
     provenance = [["rows", f"seeded-simulation(seed={run.seed})"]]
-    return _envelope("simulate", inputs, results, provenance), 0
+    return inputs, results, provenance
 
 
 def _anchor_rows(demo_fail: bool) -> list[dict]:
@@ -496,13 +452,14 @@ def _anchor_rows(demo_fail: bool) -> list[dict]:
     return table
 
 
-def cmd_paper_check(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_paper_check(args: argparse.Namespace) -> tuple[dict, dict, list]:
+    _load("binomial", "normal", "paradox", "scores")
     rows = _anchor_rows(args.demo_fail)
     all_pass = all(r["status"] == "pass" for r in rows)
     inputs = {"demo_fail": args.demo_fail}
     results = {"all_pass": all_pass, "rows": rows}
     provenance = [["rows", "reference-anchor-regression"]]
-    return _envelope("paper-check", inputs, results, provenance), 0 if all_pass else 1
+    return inputs, results, provenance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -530,51 +487,50 @@ def _build_parser() -> argparse.ArgumentParser:
             group.add_argument("--t", type=float, default=None)
             group.add_argument("--xbar", type=float, default=None)
 
-    p_report = sub.add_parser("report", parents=[common], help="both verdicts for one problem")
+    def with_scale(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--tau", type=float, default=None)
+        group.add_argument("--tau-equals-sigma", action="store_true")
+
+    # --format is shared by every subparser through common, so each one's
+    # default format is its own dest, read when --format is absent
+    def add(name, handler, default_format, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler, default_format=default_format)
+        return p
+
+    p_report = add("report", cmd_report, "json", "both verdicts for one problem")
     with_problem(p_report)
-    scale = p_report.add_mutually_exclusive_group()
-    scale.add_argument("--tau", type=float, default=None)
-    scale.add_argument("--tau-equals-sigma", action="store_true")
+    with_scale(p_report)
     p_report.add_argument("--rho0", type=float, default=0.5)
     p_report.add_argument("--alpha", type=float, default=0.05)
-    p_report.set_defaults(handler=cmd_report)
 
-    p_paradox = sub.add_parser(
-        "paradox", parents=[common], help="crossing sample size and bracketing table"
-    )
+    p_paradox = add("paradox", cmd_paradox, "csv", "crossing sample size and bracketing table")
     p_paradox.add_argument("--t", type=float, required=True)
     p_paradox.add_argument("--target", type=float, default=0.95)
     p_paradox.add_argument("--rho0", type=float, default=0.5)
     p_paradox.add_argument("--alpha", type=float, default=0.05)
-    p_paradox.set_defaults(handler=cmd_paradox)
 
-    p_sev = sub.add_parser(
-        "severity", parents=[common], help="severity curve and warranted discrepancy"
-    )
+    p_sev = add("severity", cmd_severity, "csv", "severity curve and warranted discrepancy")
     with_problem(p_sev, xbar_only=True)
     p_sev.add_argument("--level", type=float, default=0.9)
     p_sev.add_argument("--grid-lo", type=float, default=None)
     p_sev.add_argument("--grid-hi", type=float, default=None)
     p_sev.add_argument("--grid-points", type=int, default=13)
-    p_sev.set_defaults(handler=cmd_severity)
 
-    p_bin = sub.add_parser("binomial", parents=[common], help="count-data point-null test")
+    p_bin = add("binomial", cmd_binomial, "json", "count-data point-null test")
     p_bin.add_argument("--n", type=int, required=True)
     p_bin.add_argument("--x", type=int, required=True)
     p_bin.add_argument("--theta0", type=float, required=True)
-    p_bin.set_defaults(handler=cmd_binomial)
 
-    p_score = sub.add_parser("score", parents=[common], help="scoring-rule comparison")
+    p_score = add("score", cmd_score, "json", "scoring-rule comparison")
     p_score.add_argument("--rule", choices=("log", "hyvarinen", "sprenger-kl"), required=True)
     with_problem(p_score)
     p_score.add_argument("--alt", choices=("flat", "conjugate"), default=None)
-    scale2 = p_score.add_mutually_exclusive_group()
-    scale2.add_argument("--tau", type=float, default=None)
-    scale2.add_argument("--tau-equals-sigma", action="store_true")
+    with_scale(p_score)
     p_score.add_argument("--c", type=float, default=None)
-    p_score.set_defaults(handler=cmd_score)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo sweeps")
+    p_sim = add("simulate", cmd_simulate, "csv", "seeded Monte Carlo sweeps")
     p_sim.add_argument(
         "--kind", choices=("consistency", "uniformity", "score-consistency"), required=True
     )
@@ -586,13 +542,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--noncentrality", type=float, default=0.0)
     p_sim.add_argument("--tau", type=float, default=None)
-    p_sim.set_defaults(handler=cmd_simulate)
 
-    p_check = sub.add_parser(
-        "paper-check", parents=[common], help="regression over built-in reference anchors"
+    p_check = add(
+        "paper-check", cmd_paper_check, "table", "regression over built-in reference anchors"
     )
     p_check.add_argument("--demo-fail", action="store_true")
-    p_check.set_defaults(handler=cmd_paper_check)
 
     return parser
 
@@ -639,13 +593,17 @@ def main(argv: list[str] | None = None) -> int:
     if not 0 <= args.seed < 2**64:
         print("error: --seed must fit in an unsigned 64-bit integer", file=sys.stderr)
         return 2
-    fmt = args.format or _DEFAULT_FORMATS[args.command]
-    handler: Callable = args.handler
-    _load(*_COMMAND_MODULES[args.command])
     try:
-        env, code = handler(args)
-        _check_finite(env["results"])
-        text = _render(env, fmt, args.digits)
+        inputs, results, provenance = args.handler(args)
+        _check_finite(results)
+        env = {
+            "format_version": FORMAT_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "provenance": provenance,
+        }
+        text = _render(env, args.format or args.default_format, args.digits)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -653,11 +611,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
-    return code
+    # only paper-check reports all_pass; a failed anchor exits 1
+    return 0 if results.get("all_pass", True) else 1
 
 
 if __name__ == "__main__":

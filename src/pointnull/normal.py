@@ -15,11 +15,9 @@ import sys
 
 from . import _EXPORTS
 from ._record import Record
-from .numerics import log_normal_pdf
+from .numerics import _SQRT2, log_normal_pdf
 
 __all__ = _EXPORTS["normal"]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class NormalProblem(Record):

@@ -26,7 +26,8 @@ from .normal import (
     posterior_prob_null,
 )
 # find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
-from .numerics import RngStream, find_crossing
+# _SQRT2 is p_value's divisor, so the sweeps' p-values are the doubles it returns
+from .numerics import _SQRT2, RngStream, find_crossing
 
 if TYPE_CHECKING:
     # numpy itself is imported inside the sweep functions, the only ones
@@ -38,9 +39,6 @@ __all__ = _EXPORTS["paradox"]
 # Replicates whose Bayes factor (and, for the joint rate, p-value) falls
 # below this count as collapsed in the consistency sweep.
 _COLLAPSE_TOL = 1e-6
-
-# p_value's divisor: the sweeps' p-values must be the same doubles it returns.
-_SQRT2 = math.sqrt(2.0)
 
 # math.erfc falls as its argument grows, apart from one-ulp rises in libm
 # (the largest known is 1.4e-17, near x = 1.25): for x1 <= x2,

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pointnull
 from pointnull.cli import FORMAT_VERSION, main
 from pointnull.normal import (
     AlternativePrior,
@@ -26,6 +31,26 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 0, err
     return json.loads(out)
+
+
+def run_capped(argv):
+    """pointnull in a child process whose address space is capped at 64 GiB,
+    so an oversized array is refused whatever the host's overcommit policy."""
+    src = str(Path(pointnull.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 1 << 36 if hard == resource.RLIM_INFINITY else min(1 << 36, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from pointnull.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def csv_rows(out):
@@ -369,6 +394,17 @@ class TestSimulate:
         assert code == 2
         assert "n-grid" in err
 
+    @pytest.mark.parametrize("kind", ["uniformity", "consistency", "score-consistency"])
+    def test_reps_beyond_memory_is_one_error_line(self, kind):
+        # numpy refuses 1e12 doubles (7.3 TiB) before it touches memory
+        code, out, err = run_capped(
+            ["simulate", "--kind", kind, "--n-grid", "10", "--reps", "1000000000000"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --reps 1000000000000 is too large: ")
+        assert err.count("\n") == 1
+
 
 class TestPaperCheck:
     def test_fresh_run_passes(self, capsys):
@@ -406,6 +442,14 @@ class TestPlumbing:
         assert out == ""
         _, direct, _ = run(capsys, ["paradox", "--t", "1.96"])
         assert target.read_text(encoding="utf-8") == direct
+
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["report", "--t", "1", "--n", "4", "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write --out {target}: No such file or directory\n"
+        assert not target.parent.exists()
 
     def test_digits_control_csv_not_json(self, capsys):
         _, narrow, _ = run(capsys, ["paradox", "--t", "1.96", "--digits", "3"])

@@ -5,9 +5,9 @@ std_normal_quantile and json inside render_json, so a module-level import
 of any of them puts its load time back on calls that never use it. The
 records are plain classes, so no call loads dataclasses or the inspect
 machinery it pulls in. The package namespace and cli's library names are
-lazy: ``import pointnull`` loads no submodule, and each subcommand loads
-only the modules cli's table lists for it. Each case runs in a fresh
-interpreter, since this test process has long since imported everything.
+lazy: ``import pointnull`` loads no submodule, and each call loads only the
+modules its handler binds. Each case runs in a fresh interpreter, since
+this test process has long since imported everything.
 """
 
 import os
@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import pointnull
-from pointnull import cli
 
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -35,6 +34,27 @@ CLOSED_FORM = [
     ["score", "--rule", "hyvarinen", "--t", "1.5", "--n", "40", "--alt", "flat"],
     ["paper-check"],
 ]
+
+
+def simulate_argv(kind: str) -> list[str]:
+    return ["simulate", "--kind", kind, "--reps", "100", "--n-grid", "10,100"]
+
+
+# The library modules each call loads beyond cli, the record helper, numerics
+# and normal, which every library module builds on: report loads none of
+# paradox, scores, severity and binomial, and only a score-consistency
+# sweep loads scores.
+OWN_MODULES = {
+    "report": (CLOSED_FORM[0], ()),
+    "paradox": (CLOSED_FORM[1], ("paradox",)),
+    "severity": (CLOSED_FORM[2], ("severity",)),
+    "binomial": (CLOSED_FORM[3], ("binomial",)),
+    "score": (CLOSED_FORM[4], ("scores",)),
+    "paper-check": (CLOSED_FORM[5], ("binomial", "paradox", "scores")),
+    "simulate-uniformity": (simulate_argv("uniformity"), ("paradox",)),
+    "simulate-consistency": (simulate_argv("consistency"), ("paradox",)),
+    "simulate-score-consistency": (simulate_argv("score-consistency"), ("paradox", "scores")),
+}
 
 
 def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
@@ -94,12 +114,10 @@ def test_package_import_loads_no_submodule():
     assert loaded_after("import pointnull", SUBMODULES) == []
 
 
-@pytest.mark.parametrize("argv", CLOSED_FORM[:5], ids=lambda a: a[0])
-def test_subcommand_loads_only_its_table_modules(argv):
-    # every library module builds on normal, numerics and the record helper,
-    # so report loads none of paradox, scores, severity and binomial
+@pytest.mark.parametrize("argv, own", OWN_MODULES.values(), ids=list(OWN_MODULES))
+def test_subcommand_loads_only_its_table_modules(argv, own):
     expected = {"pointnull.cli", "pointnull._record", "pointnull.numerics", "pointnull.normal"}
-    expected |= {f"pointnull.{name}" for name in cli._COMMAND_MODULES[argv[0]]}
+    expected |= {f"pointnull.{name}" for name in own}
     assert set(after_main(argv, SUBMODULES)) == expected
 
 
@@ -110,8 +128,7 @@ def test_severity_loads_statistics_only():
 
 @pytest.mark.parametrize("kind", ["consistency", "score-consistency", "uniformity"])
 def test_simulate_loads_numpy(kind):
-    argv = ["simulate", "--kind", kind, "--reps", "100", "--n-grid", "10,100"]
-    assert "numpy" in after_main(argv)
+    assert "numpy" in after_main(simulate_argv(kind))
 
 
 def test_rng_stream_works_after_a_bare_import():

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numerics": (
         "NoCrossingError", "QuadratureError", "RngStream", "find_crossing", "log_beta",
-        "log_normal_pdf", "quadrature", "std_normal_cdf", "std_normal_quantile", "std_normal_sf",
+        "log_normal_pdf", "quadrature", "std_normal_cdf", "std_normal_quantile",
     ),
     "normal": (
         "AlternativePrior", "EQUAL_WEIGHTS", "HypothesisWeights", "NormalProblem", "TestReport",

@@ -338,12 +338,9 @@ def cmd_score(args: argparse.Namespace) -> tuple[dict, dict, list]:
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
-        grid = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--n-grid needs comma-separated integers, got {text!r}") from exc
-    if not grid:
-        raise UsageError("--n-grid must be non-empty")
-    return grid
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict, list]:

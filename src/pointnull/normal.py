@@ -47,6 +47,8 @@ class NormalProblem(Record):
         """Problem whose observed mean sits t standard errors above theta0."""
         # validate theta0, sigma and n, in the constructor's order, before sqrt(n)
         cls(theta0, sigma, n, theta0)
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
         return cls(theta0, sigma, n, theta0 + t * sigma / math.sqrt(n))
 
     @property

@@ -34,11 +34,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_sf(x: float) -> float:
-    """Upper tail 1 - Phi(x), without the cancellation of literal 1 - cdf."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1)."""
     if not 0.0 < p < 1.0:
@@ -169,13 +164,16 @@ def find_crossing(
             b = mid
 
 
+# Halvings of one of quadrature's 16 starting panels before it gives up; the
+# finest panel then spans 2^-52 of [a, b].
+_MAX_DEPTH = 48
+
+
 def quadrature(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-10,
-    *,
-    max_depth: int = 48,
 ) -> float:
     """Integrate f over [a, b] by adaptive Simpson refinement.
 
@@ -203,7 +201,7 @@ def quadrature(
         xm = 0.5 * (x0 + x1)
         f0, fm, f1 = f(x0), f(xm), f(x1)
         whole = _simpson(f0, fm, f1, x1 - x0)
-        total += _refine(f, x0, f0, x1, f1, xm, fm, whole, share, max_depth)
+        total += _refine(f, x0, f0, x1, f1, xm, fm, whole, share, _MAX_DEPTH)
     return sign * total
 
 

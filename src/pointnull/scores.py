@@ -64,9 +64,8 @@ class PredictiveDensity(Record):
     @classmethod
     def conjugate(cls, problem: NormalProblem, prior: AlternativePrior) -> "PredictiveDensity":
         """Marginal density of the mean under the conjugate alternative."""
-        if not prior.is_conjugate:
-            raise ValueError("conjugate predictive needs a conjugate prior")
-        # refused there, naming the input, when sigma^2/n or tau^2 leaves the doubles
+        # refused there, naming the input, when the prior is not conjugate or
+        # sigma^2/n or tau^2 leaves the doubles
         s2, tau2 = _conjugate_variances(problem, prior)
         return cls(kind="conjugate", location=problem.theta0, variance=s2 + tau2)
 
@@ -93,9 +92,6 @@ class PredictiveDensity(Record):
         base = log_normal_pdf(x, self.location, self.variance)
         return base if self.c == 1.0 else base + math.log(self.c)
 
-    def density(self, x: float) -> float:
-        return math.exp(self.log_density(x))
-
     @property
     def c_dependent(self) -> bool:
         """Whether log-score output moves with the arbitrary constant c."""
@@ -103,7 +99,7 @@ class PredictiveDensity(Record):
 
 
 class ScoreReport(Record):
-    """Two penalties and their difference under one rule.
+    """Two penalties under one rule, and the selection their difference makes.
 
     Penalty convention throughout: smaller is better, so diff = s0 - s1 < 0
     selects the null and diff = 0 is a tie. The gain form of the log score
@@ -115,37 +111,32 @@ class ScoreReport(Record):
     rule: str
     s0: float
     s1: float
-    diff: float
-    select_null: bool
-    tie: bool = False
     c_dependent: bool = False
 
     def __post_init__(self) -> None:
-        if self.diff != self.s0 - self.s1:
-            raise ValueError("diff must equal s0 - s1")
-        if self.tie != (self.diff == 0.0):
-            raise ValueError("tie must mark exactly the diff = 0 boundary")
-        if self.select_null != (self.diff < 0.0):
-            raise ValueError("select_null must mean diff < 0")
+        if math.isnan(self.s0 - self.s1):
+            raise ValueError(
+                f"{self.rule} penalties s0 = {self.s0!r} and s1 = {self.s1!r} "
+                "have no difference s0 - s1"
+            )
+
+    @property
+    def diff(self) -> float:
+        return self.s0 - self.s1
+
+    @property
+    def select_null(self) -> bool:
+        return self.diff < 0.0
+
+    @property
+    def tie(self) -> bool:
+        return self.diff == 0.0
 
     @property
     def selection(self) -> str:
         if self.tie:
             return "tie"
         return "H0" if self.select_null else "H1"
-
-
-def _report(rule: str, s0: float, s1: float, c_dependent: bool = False) -> ScoreReport:
-    diff = s0 - s1
-    return ScoreReport(
-        rule=rule,
-        s0=s0,
-        s1=s1,
-        diff=diff,
-        select_null=diff < 0.0,
-        tie=diff == 0.0,
-        c_dependent=c_dependent,
-    )
 
 
 def log_score(x: float, m: PredictiveDensity) -> float:
@@ -164,7 +155,7 @@ def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     # which the point null would only call an invalid variance
     m1 = PredictiveDensity.from_prior(problem, prior)
     m0 = PredictiveDensity.point_null(problem)
-    return _report(
+    return ScoreReport(
         "log",
         log_score(problem.xbar, m0),
         log_score(problem.xbar, m1),
@@ -182,12 +173,16 @@ def hyvarinen_score(x: float, m: PredictiveDensity) -> float:
     """
     if m.kind == "improper-flat":
         return 0.0
-    d = x - m.location
-    v = m.variance
-    v2 = v * v
-    if v2 == 0.0:
-        raise ValueError("variance too small to score: its square underflows to 0")
-    return -2.0 / v + (d * d) / v2
+    # d and v are scaled by the power of two that brings v into [0.5, 1):
+    # exact, and d^2/v^2 is unchanged, but d^2 now overflows only where the
+    # quotient does and underflows only where it is below 2^-1020, and v^2
+    # never leaves the doubles. Where both unscaled squares are normal the
+    # quotient is the same double. Below v = 2^-1023 the power itself would
+    # overflow; -2/v is -inf there, so the power is capped.
+    k = math.ldexp(1.0, min(-math.frexp(m.variance)[1], 1023))
+    d = (x - m.location) * k
+    v = m.variance * k
+    return -2.0 / m.variance + (d * d) / (v * v)
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -200,7 +195,7 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     """
     m1 = PredictiveDensity.from_prior(problem, prior)
     m0 = PredictiveDensity.point_null(problem)
-    return _report(
+    return ScoreReport(
         "hyvarinen",
         hyvarinen_score(problem.xbar, m0),
         hyvarinen_score(problem.xbar, m1),
@@ -230,7 +225,7 @@ def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> Score
     value nominally points away from the null. Where to draw the acceptance
     bound is exactly the calibration the rule does not supply.
     """
-    return _report("sprenger-kl", sprenger_kl_score(problem, prior), 0.0)
+    return ScoreReport("sprenger-kl", sprenger_kl_score(problem, prior), 0.0)
 
 
 class ScoreSelectionSummary(Record):
@@ -268,11 +263,13 @@ def score_consistency_sim(
         m0 = PredictiveDensity.point_null(problem)
         # inf and nan are judged below, silently, as Python floats were
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = hyvarinen_score(xbar, m0) - hyvarinen_score(xbar, m1)
-        # m0's finite variance bounds sem, so every xbar is finite here; a nan
-        # difference is the one replicate ScoreReport would refuse
-        if np.isnan(diff).any():
-            raise ValueError("diff must equal s0 - s1")
+            s0, s1 = np.broadcast_arrays(hyvarinen_score(xbar, m0), hyvarinen_score(xbar, m1))
+            diff = s0 - s1
+        # m0's finite variance bounds sem, so every xbar is finite here; the
+        # first replicate whose difference is nan is refused by its report
+        nan = np.flatnonzero(np.isnan(diff))
+        if nan.size:
+            ScoreReport("hyvarinen", float(s0[nan[0]]), float(s1[nan[0]]))
         null = int(np.count_nonzero(diff < 0.0))
         ties = int(np.count_nonzero(diff == 0.0))
         reps = run.replications

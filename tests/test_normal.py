@@ -57,6 +57,12 @@ class TestNormalProblem:
         with pytest.raises(ValueError, match="^sigma must be positive$"):
             NormalProblem.from_t(1.0, 0, sigma=-1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_from_t_refuses_non_finite_t_by_its_name(self, t):
+        # xbar is derived from t, so "xbar must be finite" named a value never given
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            NormalProblem.from_t(t, 4)
+
     def test_sem(self):
         assert NormalProblem(0.0, 2.0, 16, 0.1).sem == 0.5
 

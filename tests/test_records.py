@@ -68,8 +68,8 @@ CASES = [
     ),
     (
         ScoreReport,
-        {"rule": "log", "s0": 1.0, "s1": 2.0, "diff": -1.0, "select_null": True},
-        {"tie": False, "c_dependent": False},
+        {"rule": "log", "s0": 1.0, "s1": 2.0},
+        {"c_dependent": False},
     ),
     (
         ScoreSelectionSummary,

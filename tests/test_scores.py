@@ -1,9 +1,13 @@
 """Predictive densities, log/Hyvarinen/KL scoring rules, selection sweeps."""
 
 import math
+import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pointnull.normal import (
     AlternativePrior,
@@ -92,10 +96,6 @@ class TestPredictiveDensity:
             math.log(4.0),
             rel_tol=1e-15,
         )
-
-    def test_density_exponentiates(self):
-        m = PredictiveDensity(kind="point-null", location=0.0, variance=1.0)
-        assert m.density(0.0) == math.exp(m.log_density(0.0))
 
     def test_c_dependent_flag(self):
         assert PredictiveDensity.improper_flat().c_dependent
@@ -202,18 +202,85 @@ class TestHyvarinenScore:
         m = PredictiveDensity(kind="conjugate", location=0.4, variance=2.0)
         assert hyvarinen_score(1.1, m.scaled(k)) == hyvarinen_score(1.1, m)
 
-    def test_variance_whose_square_underflows_is_refused(self):
-        # 2.5e-201 squared is 0.0: the penalty divided by it
-        m = PredictiveDensity(kind="point-null", location=0.0, variance=2.5e-201)
-        with pytest.raises(ValueError, match="square underflows"):
-            hyvarinen_score(0.0, m)
-
     def test_flat_scores_zero_for_any_c(self):
         for c in (1e-9, 1.0, 123.0, 1e9):
             assert hyvarinen_score(0.7, PredictiveDensity.improper_flat(c)) == 0.0
 
     def test_flat_finite_difference_is_zero(self):
         assert fd_hyvarinen(0.5, PredictiveDensity.improper_flat(7.0)) == 0.0
+
+
+def unscaled_hyvarinen(x, m):
+    """The penalty as it was formed before its power-of-two scaling."""
+    d = x - m.location
+    return -2.0 / m.variance + (d * d) / (m.variance * m.variance)
+
+
+def is_normal(y):
+    return y == 0.0 or sys.float_info.min <= abs(y) <= sys.float_info.max
+
+
+def binades(lo, hi):
+    """Doubles m 2^e with m in [0.5, 1), spread evenly over the exponents."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+def signed(magnitudes):
+    signs = st.sampled_from((-1.0, 1.0))
+    return st.one_of(st.just(0.0), st.builds(lambda s, y: s * y, signs, magnitudes))
+
+
+def array_agrees(x, m, got):
+    # the sweep scores an array of means with the same elementwise arithmetic
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        element = hyvarinen_score(np.array([x, x]), m)[1]
+    assert float(element).hex() == got.hex()
+
+
+class TestHyvarinenScoreAcrossScales:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(binades(-511, 512), signed(binades(-1074, 1024)), signed(binades(-511, 512)))
+    def test_unscaled_form_bit_for_bit_where_both_squares_are_normal(self, v, mu, d):
+        x = mu + d
+        assume(math.isfinite(x))
+        d = x - mu
+        assume(is_normal(d * d) and is_normal(v * v))
+        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
+        got = hyvarinen_score(x, m)
+        assert got.hex() == unscaled_hyvarinen(x, m).hex()
+        array_agrees(x, m, got)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(binades(-1073, 1024), signed(binades(-1074, 1024)), signed(binades(-1074, 1024)))
+    def test_mpmath_at_every_scale(self, v, mu, d):
+        x = mu + d
+        assume(math.isfinite(x) and math.isfinite(x - mu))
+        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
+        got = hyvarinen_score(x, m)
+        array_agrees(x, m, got)
+        with mpmath.workprec(200):
+            diff = mpmath.mpf(x) - mpmath.mpf(mu)
+            terms = (-2 / mpmath.mpf(v), diff * diff / (mpmath.mpf(v) ** 2))
+            want = terms[0] + terms[1]
+            if abs(want) > sys.float_info.max:
+                return
+            tol = 1e-15 * max(abs(t) for t in terms)
+            assert abs(got - want) <= tol, (got, float(want))
+            assert abs(want) <= tol or (got > 0.0) == (want > 0.0)
+
+    @pytest.mark.parametrize("v", [5e-324, 1e-320, math.nextafter(2.0**-1023, 0.0)])
+    def test_below_two_to_minus_1023_the_penalty_leaves_the_doubles(self, v):
+        # -2/v overflows to -inf, and with d^2/v^2 overflowing too, inf - inf is nan
+        m = PredictiveDensity(kind="point-null", location=0.0, variance=v)
+        assert hyvarinen_score(0.0, m) == -math.inf
+        assert math.isnan(hyvarinen_score(1.0, m))
+        array_agrees(1.0, m, hyvarinen_score(1.0, m))
+
+    def test_subnormal_variance_above_two_to_minus_1023_is_scored(self):
+        v = 1.5 * 2.0**-1023
+        m = PredictiveDensity(kind="point-null", location=0.0, variance=v)
+        assert hyvarinen_score(0.0, m) == -2.0 / v
+        assert math.isfinite(hyvarinen_score(0.0, m))
 
 
 class TestHyvarinenCompare:
@@ -266,6 +333,24 @@ class TestHyvarinenCompare:
         m1 = PredictiveDensity.conjugate(p, prior)
         assert rep.s1 == hyvarinen_score(0.5, m1)
         assert rep.s0 == hyvarinen_score(0.5, PredictiveDensity.point_null(p))
+
+    @pytest.mark.parametrize(
+        "sigma, n, xbar, selection",
+        [
+            # v^2 overflowed and the data term was dropped: s0 = -2e-200, H0
+            (1e100, 1, 3e100, "H1"),
+            # v^2 was subnormal and lost digits: s0 = 2.50025e159
+            (1e-80, 1, 1.5e-80, "H1"),
+            # v^2 underflowed to 0 and the penalty was refused
+            (1e-100, 4, 0.0, "H0"),
+        ],
+    )
+    def test_extreme_scales_match_mpmath(self, sigma, n, xbar, selection):
+        rep = hyvarinen_compare(NormalProblem(0.0, sigma, n, xbar), AlternativePrior.flat())
+        v = mpmath.mpf(sigma) ** 2 / n
+        want = -2 / v + mpmath.mpf(xbar) ** 2 / v**2
+        assert abs(rep.s0 - want) <= 1e-15 * abs(want)
+        assert rep.selection == selection
 
     def test_c_never_matters(self):
         p = NormalProblem(theta0=0.0, sigma=1.0, n=25, xbar=0.5)
@@ -350,24 +435,35 @@ class TestSprengerKlScore:
 
 
 class TestScoreReport:
-    def test_selection_labels(self):
-        null = ScoreReport(rule="log", s0=1.0, s1=2.0, diff=-1.0, select_null=True)
-        alt = ScoreReport(rule="log", s0=2.0, s1=1.0, diff=1.0, select_null=False)
-        tie = ScoreReport(rule="log", s0=1.0, s1=1.0, diff=0.0, select_null=False, tie=True)
-        assert (null.selection, alt.selection, tie.selection) == ("H0", "H1", "tie")
-
     @pytest.mark.parametrize(
-        "kwargs",
+        "s0, s1, selection",
         [
-            {"s0": 1.0, "s1": 2.0, "diff": 0.5, "select_null": True},
-            {"s0": 1.0, "s1": 2.0, "diff": -1.0, "select_null": False},
-            {"s0": 1.0, "s1": 1.0, "diff": 0.0, "select_null": False, "tie": False},
-            {"s0": 1.0, "s1": 2.0, "diff": -1.0, "select_null": True, "tie": True},
+            (1.0, 2.0, "H0"),
+            (2.0, 1.0, "H1"),
+            (1.0, 1.0, "tie"),
+            (-math.inf, 0.0, "H0"),
+            (math.inf, 1e308, "H1"),
         ],
     )
-    def test_internal_consistency_enforced(self, kwargs):
-        with pytest.raises(ValueError):
-            ScoreReport(rule="log", **kwargs)
+    def test_verdict_derives_from_the_penalties(self, s0, s1, selection):
+        rep = ScoreReport("log", s0, s1)
+        assert rep.diff == s0 - s1
+        assert (rep.select_null, rep.tie) == (selection == "H0", selection == "tie")
+        assert rep.selection == selection
+
+    @pytest.mark.parametrize(
+        "s0, s1", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf)]
+    )
+    def test_nan_difference_is_refused_naming_rule_and_penalties(self, s0, s1):
+        want = f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} have no difference s0 - s1"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            ScoreReport("hyvarinen", s0, s1)
+
+    def test_overflowing_penalties_are_refused_by_compare(self):
+        # d^2/v^2 overflows under both predictives: inf - inf
+        p = NormalProblem(theta0=0.0, sigma=1e-50, n=4, xbar=1e100)
+        with pytest.raises(ValueError, match="s0 = inf and s1 = inf"):
+            hyvarinen_compare(p, AlternativePrior.conjugate(1e-50))
 
 
 class TestScoreConsistencySim:

@@ -86,10 +86,10 @@ class TestSeverityAt:
 
     def test_at_null_is_one_minus_one_sided_p(self):
         # Phi(t) = 1 - P(T > t) under the null
-        from pointnull.numerics import std_normal_sf
+        from pointnull.numerics import std_normal_cdf
 
         got = severity_at(UNIT, 0.0)
-        assert math.isclose(got, 1.0 - std_normal_sf(1.96), rel_tol=1e-12)
+        assert math.isclose(got, 1.0 - std_normal_cdf(-1.96), rel_tol=1e-12)
 
     def test_reflection_about_xbar(self):
         # theta1 mirrored across xbar flips the severity about one half

@@ -139,6 +139,10 @@ RUNS = [
     run_of(999, theta0=1.0, theta_true=1.05, sigma=2.0, seed=11),
     run_of(11, n_grid=(1, 10**20), theta_true=1e-9),
     run_of(12, n_grid=(3, 10**20)),
+    # (sigma^2 / n)^2 underflows to 0, which the Hyvarinen penalty once refused
+    run_of(10, n_grid=(4,), sigma=1e-100),
+    # the variance squared overflows, which once turned the penalty's data term to nan
+    run_of(10, n_grid=(1,), theta_true=1e160, sigma=1e100),
 ]
 
 
@@ -188,11 +192,11 @@ FAILING_RUNS = [
     run_of(10, n_grid=(1,), theta_true=1e308, theta0=-1e308),
     # sigma^2 / n underflows to 0
     run_of(10, n_grid=(4,), sigma=1e-200),
-    # (sigma^2 / n)^2 underflows to 0
-    run_of(10, n_grid=(4,), sigma=1e-100),
-    # (xbar - theta0)^2 and the variance squared both overflow: diff is nan
-    run_of(10, n_grid=(1,), theta_true=1e160, sigma=1e100),
 ]
+# sigma^2 / n = 1e-308 is below 2^-1023, so -2/v is -inf; d^2/v^2 = z^2/v also
+# overflows, making the null's penalty nan, once |z| > 1.34: the first replicate
+# with such a draw is the one refused (the 9th at seed 0, 1st at seed 1, 4th at seed 2)
+FAILING_RUNS += [run_of(10, n_grid=(1,), sigma=1e-154, seed=s) for s in range(3)]
 # xbar overflows in about one replicate in six, sigma^2 in all: whether the
 # first replicate overflows decides which error comes first
 FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed=s) for s in range(6)]
@@ -204,6 +208,17 @@ def test_failures_match_reference(run):
     for prior in (None, AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_nan_replicate_is_the_one_refused(seed):
+    # with tau = 1e-154 the alternative's penalty differs by replicate, so the
+    # message names which replicate was refused
+    run = run_of(10, n_grid=(1,), sigma=1e-154, seed=seed)
+    prior = AlternativePrior.conjugate(1e-154)
+    got = outcome(score_consistency_sim, run, prior)
+    assert got == outcome(reference_score_consistency, run, prior)
+    assert got[1].startswith("hyvarinen penalties s0 = nan and s1 = ")
 
 
 def test_failure_runs_reach_every_error():
@@ -222,8 +237,10 @@ def test_failure_runs_reach_every_error():
         # the conjugate alternative's predictive is built first and names the cause
         (ValueError, "sigma^2/n underflows to 0 at sigma = 1e-200, n = 4"),
         (ValueError, "sigma^2/n overflows to inf at sigma = 1e+307, n = 1"),
-        (ValueError, "variance too small to score: its square underflows to 0"),
-        (ValueError, "diff must equal s0 - s1"),
+        (ValueError, "hyvarinen penalties s0 = nan and s1 = 0.0 have no difference s0 - s1"),
+        (ValueError, "hyvarinen penalties s0 = nan and s1 = -2.0 have no difference s0 - s1"),
+        # xbar - theta0 = 2e308 overflows, so both conjugate-prior penalties are inf
+        (ValueError, "hyvarinen penalties s0 = inf and s1 = inf have no difference s0 - s1"),
         (ValueError, "xbar must be finite"),
     }
 

@@ -138,7 +138,13 @@ class TestReport(Record):
 
 
 def t_statistic(problem: NormalProblem) -> float:
-    return math.sqrt(problem.n) * (problem.xbar - problem.theta0) / problem.sigma
+    d = problem.xbar - problem.theta0
+    if math.isinf(d):
+        # both are finite and at least 2^970 in size, so their halves are
+        # exact; each later step can overflow only where t itself does
+        half = 0.5 * problem.xbar - 0.5 * problem.theta0
+        return half / problem.sigma * math.sqrt(problem.n) * 2.0
+    return math.sqrt(problem.n) * d / problem.sigma
 
 
 def p_value(t: float) -> float:

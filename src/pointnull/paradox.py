@@ -41,17 +41,25 @@ __all__ = _EXPORTS["paradox"]
 _COLLAPSE_TOL = 1e-6
 
 # math.erfc falls as its argument grows, apart from one-ulp rises in libm
-# (the largest known is 1.4e-17, near x = 1.25): for x1 <= x2,
-# erfc(x2) <= erfc(x1) + _ERFC_SLACK. Every sweep decision taken from
-# x = |t|/sqrt(2) alone holds with this margin; a test in
-# tests/test_sweep_reference.py fails loudly on a libm that breaks it.
+# (the largest known is 1.8e-16 of p, near x = 1.25): for x1 <= x2,
+# erfc(x2) <= erfc(x1) + _erfc_slack(erfc(x1)), which is _ERFC_SLACK times
+# p, and never less than _ERFC_SLACK_FLOOR, since a subnormal p's ulp is
+# large relative to p. As p <= 1, _ERFC_SLACK is also an absolute bound.
+# Every sweep decision taken from x = |t|/sqrt(2) alone holds with this
+# margin; a test in tests/test_sweep_reference.py fails loudly on a libm
+# that breaks it.
 _ERFC_SLACK = 2.0**-40
+_ERFC_SLACK_FLOOR = 2.0**-1062
 
 # math.erfc is exactly 0.0 from here on.
 _ERFC_ZERO = 30.0
 
 # The KS step bounds p's order statistics in blocks of this many ranks.
 _KS_BLOCK = 64
+
+# The medians read ranks (n-1)//2 and n//2 with this many ranks of margin
+# on each side.
+_MEDIAN_MARGIN = 8
 
 # math.erfc is mapped over at most this many elements at a time, so no list
 # of Python floats as long as the sweep is ever built.
@@ -216,16 +224,19 @@ class ConsistencyRun(Record):
         """(n, sem, xbar) for each grid point, in grid order.
 
         xbar holds the replicates' sample means theta_true + sem * z, with z
-        drawn from grid point i's own stream (seed, stream_id=i). Every sweep
-        over a run draws through here, so the same seed gives identical draws.
+        drawn from grid point i's own stream (seed, stream_id=i), built in the
+        draws' own buffer, which the caller may reuse. Every sweep over a run
+        draws through here, so the same seed gives identical draws.
         """
         import numpy as np
 
         for i, n in enumerate(self.n_grid):
             stream = RngStream(self.seed, stream_id=i)
             sem = self.sigma / math.sqrt(n)
+            xbar = stream.normals(self.replications)
             with np.errstate(over="ignore"):
-                xbar = self.theta_true + sem * stream.normals(self.replications)
+                xbar *= sem
+                xbar += self.theta_true
             yield n, sem, xbar
 
 
@@ -247,13 +258,15 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     joint_collapse_rate additionally requires the p-value below it, the
     both-measures-agree reading of consistency under the alternative.
 
-    Each summary is the double that mapping p_value over every replicate
-    would give, but math.erfc runs only where a p-value can change it. The
-    rates read p through thresholds: replicates outside a narrow band of
-    |t| around each threshold are decided from |t| alone. The median reads p
-    at its middle ranks: erfc runs on a window of |t|'s middle ranks, or on
-    every replicate when one outside the window might sort inside it (ties,
-    or p-values packed closer than erfc's rises, far off the null).
+    Each summary is the double that mapping log_bayes_factor_lindley and
+    p_value over every replicate would give. A grid point works in the one
+    buffer its stream draws: xbar, t, |t| and x = |t|/sqrt(2) replace each
+    other in place. One partition of |t| puts its middle ranks in place,
+    and both medians read them there: log B01 is even in t and falls as |t|
+    grows, exactly, and p as x grows, up to libm's rises. math.erfc runs
+    only where a p-value can change a summary: on x's middle ranks (on
+    every replicate if one outside them might sort among them, as ties
+    can), and on a narrow band of |t| around each rate's threshold.
     """
     import numpy as np
 
@@ -263,20 +276,32 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     # p < 1e-6 is p <= the double below it
     below_tol = math.nextafter(_COLLAPSE_TOL, 0.0)
     summaries = []
-    for n, sem, xbar in run.sample_means():
+    for n, sem, t in run.sample_means():
         if sem == 0.0:
             raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
-        # t may overflow to inf, which _erfc_args refuses; Python float
+        # t may overflow to inf, which _abs_t refuses; Python float
         # arithmetic never warned about it, so numpy must not either
         with np.errstate(over="ignore"):
-            t = (xbar - run.theta0) / sem
-            log_bfs = log_bayes_factor_lindley(t, n)
-        x = _erfc_args(t)
+            t -= run.theta0
+            t /= sem
+        a = _abs_t(t)
+        _sort_middle(a)
+        with np.errstate(over="ignore"):
+            log_bfs = log_bayes_factor_lindley(a, n)
         below = log_bfs < log_tol
+        # (n*t)*t is even in t and every step rounds monotonically, so log
+        # B01 never rises with |t| and its middle ranks sit at |t|'s; only
+        # where 2(1 + n) overflows does a large |t| make it nan
+        if 2.0 * (1.0 + n) < math.inf:
+            log_bfs = log_bfs[(a.size - 1) // 2 : a.size // 2 + 1]
+        median_log_bf = float(np.median(log_bfs))
+        del log_bfs
+        x = a
+        x /= _SQRT2
         summaries.append(
             ConsistencySummary(
                 n=n,
-                median_log_bf=float(np.median(log_bfs)),
+                median_log_bf=median_log_bf,
                 median_p_value=_median_p(x),
                 reject_rate=_count_p_at_most(x, alpha) / x.size,
                 bf_collapse_rate=float(np.mean(below)),
@@ -309,26 +334,36 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
 
     The result is the double uniform_ks_distance gives on p_value of every
     draw, but math.erfc runs at the ends of each block of 64 ranks and on
-    windows around the few blocks whose bound can reach the maximum.
+    windows around the few blocks whose bound can reach the maximum. The
+    draws' buffer is the only array of their size: the shift, |t|, the
+    division by sqrt(2) and the sort all happen in it.
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    # no name holds the draws, so they are freed before the sort copies x
-    return _ks_distance_p(_erfc_args(RngStream(seed).normals(replications) + noncentrality))
+    t = RngStream(seed).normals(replications)
+    t += noncentrality
+    x = _abs_t(t)
+    x /= _SQRT2
+    return _ks_distance_p(x)
 
 
 # The helpers below take x = |t|/sqrt(2), so that p = erfc(x) is p_value(t).
 
 
-def _erfc_args(t: np.ndarray) -> np.ndarray:
-    """|t|/sqrt(2) elementwise, the argument p_value hands math.erfc."""
+def _abs_t(t: np.ndarray) -> np.ndarray:
+    """|t| elementwise, in place, refused unless every t is finite."""
     import numpy as np
 
-    if not np.isfinite(t).all():
+    a = np.abs(t, out=t)
+    # a nan fails this comparison too, and no boolean array of t's size is built
+    if not a.max() < math.inf:
         raise ValueError("t must be finite")
-    x = np.abs(t)
-    x /= _SQRT2
-    return x
+    return a
+
+
+def _erfc_slack(p: float) -> float:
+    """How far math.erfc can rise above p = erfc(x1) at any x2 >= x1."""
+    return max(p * _ERFC_SLACK, _ERFC_SLACK_FLOOR)
 
 
 def _exact_p(x: np.ndarray) -> np.ndarray:
@@ -380,45 +415,61 @@ def _settled_ranks(window: np.ndarray, lo: int, hi: int, above: bool, below: boo
     window[0] must be the window's largest x and window[-1] its smallest.
     above (below) says some element outside has x >= window[0]
     (x <= window[-1]): by the slack bound its p is at most
-    erfc(window[0]) + slack (at least erfc(window[-1]) - slack), which must
-    not pass the ranks' values for them to be ranks of the whole array.
+    erfc(window[0]) + _erfc_slack of it (at least erfc(window[-1]) less
+    _erfc_slack of it), which must not pass the ranks' values for them to
+    be ranks of the whole array. The slack is relative to p, so p-values
+    far off the null, packed far closer than 2^-40, still settle.
     """
     import numpy as np
 
     p = _exact_p(window)
     ranks = np.sort(p)[lo : hi + 1]
-    if above and p[0] + _ERFC_SLACK > ranks[0]:
+    if above and p[0] + _erfc_slack(p[0]) > ranks[0]:
         return None
-    if below and p[-1] - _ERFC_SLACK < ranks[-1]:
+    if below and p[-1] - _erfc_slack(p[-1]) < ranks[-1]:
         return None
     return ranks
+
+
+def _median_window(n: int) -> tuple[int, int]:
+    """(lo, hi): ranks lo..hi-1 of n values hold the median ranks
+    (n-1)//2 and n//2 with _MEDIAN_MARGIN ranks each side, or all n."""
+    return max(0, (n - 1) // 2 - _MEDIAN_MARGIN), min(n, n // 2 + _MEDIAN_MARGIN + 1)
+
+
+def _sort_middle(a: np.ndarray) -> None:
+    """Partition a in place so that a[lo:hi] holds a's ranks lo..hi-1 in
+    ascending order, for (lo, hi) = _median_window(a.size)."""
+    lo, hi = _median_window(a.size)
+    if hi - lo < a.size:
+        a.partition((lo, hi - 1))
+    a[lo:hi].sort()
 
 
 def _median_p(x: np.ndarray) -> float:
     """np.median of erfc(x), as the same double, from erfc on x's middle ranks.
 
-    erfc falls as x grows, so p's middle ranks are x's middle ranks
-    mirrored: one partition of x finds them with a margin of 8 ranks each
-    side. Where that window is not settled (ties, or p-values packed closer
-    than the slack) it widens to the whole array.
+    x must have been through _sort_middle. erfc falls as x grows, so p's
+    middle ranks are x's middle ranks mirrored, and erfc runs on those with
+    their margin. Where that window is not settled (an element outside
+    might sort inside it, as ties can) erfc maps the whole array instead.
     """
     import numpy as np
 
     n = x.size
-    k1, k2 = (n - 1) // 2, n // 2
-    w = 8
-    if 4 * w < n:
-        part = np.partition(x, (k1 - w, k2 + w))
-        # reversed, so the window's largest x comes first
-        window = part[k1 - w : k2 + w + 1][::-1]
-        middle = _settled_ranks(window, w, w + k2 - k1, above=True, below=True)
-        if middle is not None:
-            return float(np.median(middle))
-    return float(np.median(_exact_p(x)))
+    lo, hi = _median_window(n)
+    # reversed, so the window's largest x comes first; the n - hi elements
+    # above the window hold p's lowest ranks
+    middle = _settled_ranks(
+        x[lo:hi][::-1], (n - 1) // 2 - (n - hi), n // 2 - (n - hi), above=hi < n, below=lo > 0
+    )
+    if middle is None:
+        middle = _exact_p(x)
+    return float(np.median(middle))
 
 
 def _ks_distance_p(x: np.ndarray) -> float:
-    """uniform_ks_distance of erfc(x), as the same double.
+    """uniform_ks_distance of erfc(x), as the same double; sorts x in place.
 
     With x sorted descending, p's k-th smallest value lies within the slack
     of erfc(x[k]). erfc at the two ends of each block of ranks then bounds
@@ -428,7 +479,8 @@ def _ks_distance_p(x: np.ndarray) -> float:
     import numpy as np
 
     n = x.size
-    xd = np.sort(x)[::-1]
+    x.sort()
+    xd = x[::-1]
     starts = np.arange(0, n, _KS_BLOCK)
     ends = np.minimum(starts + (_KS_BLOCK - 1), n - 1)
     q0, q1 = _exact_p(xd[starts]), _exact_p(xd[ends])

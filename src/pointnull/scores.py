@@ -180,9 +180,28 @@ def hyvarinen_score(x: float, m: PredictiveDensity) -> float:
     # quotient is the same double. Below v = 2^-1023 the power itself would
     # overflow; -2/v is -inf there, so the power is capped.
     k = math.ldexp(1.0, min(-math.frexp(m.variance)[1], 1023))
-    d = (x - m.location) * k
+    d = _scaled_difference(x, m.location, k)
     v = m.variance * k
     return -2.0 / m.variance + (d * d) / (v * v)
+
+
+def _scaled_difference(x, mu: float, k: float):
+    """(x - mu) * k for a float or elementwise for an array x.
+
+    Where x - mu overflows, x and mu have opposite signs and are both at
+    least 2^970 in size, so x * k and mu * k are exact (or overflow only
+    where the scaled difference does) and their difference is taken instead.
+    """
+    d = x - mu
+    if isinstance(d, float):
+        return d * k if math.isfinite(d) else x * k - mu * k
+    import numpy as np
+
+    over = np.isinf(d)
+    d *= k
+    if over.any():
+        d[over] = x[over] * k - mu * k
+    return d
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:

@@ -8,6 +8,7 @@ randomized sweeps re-derive the agreement properties on fresh seeded grids.
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,27 @@ class TestTStatistic:
         # binomial example recast with sigma = sqrt(theta0 (1 - theta0))
         problem = NormalProblem(0.2, 0.4, 527135, 0.2016526)
         assert t_statistic(problem) == pytest.approx(3.000, abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "theta0, xbar, sigma, n",
+        [
+            (-1.5e308, 1.5e308, 1e154, 1),
+            (1.7e308, -1.2e308, 3.0, 10**6),
+            (-1e308, 1e308, 1e10, 4),
+            (-1.7976931348623157e308, 1.7976931348623157e308, 2.0, 1),
+            (-1.5e308, 1.5e308, 0.5, 1),
+        ],
+    )
+    def test_overflowing_difference(self, theta0, xbar, sigma, n):
+        # xbar - theta0 leaves the doubles while t need not: within two ulps
+        # of mpmath, and inf exactly where the true t overflows
+        with mpmath.workprec(200):
+            want = mpmath.sqrt(n) * (mpmath.mpf(xbar) - mpmath.mpf(theta0)) / mpmath.mpf(sigma)
+        got = t_statistic(NormalProblem(theta0, sigma, n, xbar))
+        if abs(want) > sys.float_info.max:
+            assert got == math.copysign(math.inf, want)
+        else:
+            assert abs(got - want) <= 4.5e-16 * abs(want), (got, float(want))
 
 
 class TestPValue:

@@ -268,6 +268,31 @@ class TestHyvarinenScoreAcrossScales:
             assert abs(got - want) <= tol, (got, float(want))
             assert abs(want) <= tol or (got > 0.0) == (want > 0.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(binades(-1021, 1024), binades(1024, 1024), binades(1022, 1024), st.booleans())
+    def test_mpmath_where_x_minus_mu_overflows(self, v, x, mu, x_positive):
+        # x - mu leaves the doubles, yet the penalty need not; v stays above
+        # 2^-1023, where -2/v is finite (below it, see the next tests)
+        x, mu = (x, -mu) if x_positive else (-x, mu)
+        assume(math.isinf(x - mu))
+        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
+        got = hyvarinen_score(x, m)
+        array_agrees(x, m, got)
+        with mpmath.workprec(200):
+            diff = mpmath.mpf(x) - mpmath.mpf(mu)
+            want = -2 / mpmath.mpf(v) + diff * diff / (mpmath.mpf(v) ** 2)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= 1e-15 * want, (got, float(want))
+
+    def test_overflowing_difference_is_scored(self):
+        # the CLI's --theta0=-1.5e308 --xbar=1.5e308 --sigma=1e154 --n 1:
+        # 3e308^2 / 1e308^2 - 2e-308 rounds to 9 (mpmath at 200 bits)
+        problem = NormalProblem(theta0=-1.5e308, sigma=1e154, n=1, xbar=1.5e308)
+        report = hyvarinen_compare(problem, AlternativePrior.flat())
+        assert (report.s0, report.s1, report.selection) == (9.0, 0.0, "H1")
+
     @pytest.mark.parametrize("v", [5e-324, 1e-320, math.nextafter(2.0**-1023, 0.0)])
     def test_below_two_to_minus_1023_the_penalty_leaves_the_doubles(self, v):
         # -2/v overflows to -inf, and with d^2/v^2 overflowing too, inf - inf is nan

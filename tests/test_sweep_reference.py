@@ -9,9 +9,11 @@ exception type with the same message.
 
 The p-value sweeps call math.erfc only where a p-value can change an output
 and decide the rest from |t|, trusting erfc to fall with its argument up to
-paradox._ERFC_SLACK. The last part of this file checks that bound on this
-platform's libm and replays crafted draws on the points where it is tight:
-erfc's own one-ulp rises, the alpha and 1e-6 thresholds, and ties.
+paradox._erfc_slack. Runs far off the null check that the median then never
+maps erfc over every replicate. The last part of this file checks that
+bound on this platform's libm and replays crafted draws on the points where
+it is tight: erfc's own one-ulp rises, the alpha and 1e-6 thresholds, and
+ties.
 """
 
 import math
@@ -144,6 +146,17 @@ RUNS = [
     # the variance squared overflows, which once turned the penalty's data term to nan
     run_of(10, n_grid=(1,), theta_true=1e160, sigma=1e100),
 ]
+# far off the null: |t| reaches 6 to 30 at the top grid point, where the
+# p-values around the median lie far closer together than 2^-40
+FAR_RUNS = [
+    run_of(1000, n_grid=(100, 3600), theta_true=0.1, seed=4),
+    run_of(1001, n_grid=(10, 1000, 10000), theta_true=-0.08, seed=5),
+    run_of(999, n_grid=(100, 10000), theta_true=0.3, seed=6),
+    run_of(2000, n_grid=(50, 40000), theta_true=-0.1, seed=7),
+    run_of(1500, n_grid=(20, 2000), theta0=1.0, theta_true=1.3, sigma=2.0, seed=8),
+    run_of(501, n_grid=(1, 250), theta0=-2.0, theta_true=-2.9, sigma=1.5, seed=9),
+]
+RUNS += FAR_RUNS
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.1])
@@ -152,6 +165,24 @@ def test_consistency_matches_reference(run, alpha):
     got = outcome(consistency_simulation, run, alpha=alpha)
     assert got == outcome(reference_consistency, run, alpha)
     assert isinstance(got, str)
+
+
+@pytest.mark.parametrize("run", FAR_RUNS, ids=repr)
+def test_far_off_the_null_never_maps_erfc_over_every_replicate(run, monkeypatch):
+    sizes = []
+    exact_p = paradox._exact_p
+
+    def recording(x):
+        sizes.append(x.size)
+        return exact_p(x)
+
+    monkeypatch.setattr(paradox, "_exact_p", recording)
+    top = run.n_grid[-1]
+    assert 6.0 <= abs(run.theta_true - run.theta0) * math.sqrt(top) / run.sigma <= 30.0
+    consistency_simulation(run)
+    # the median's 17- or 18-element window settles at every grid point
+    assert sizes.count(18 - run.replications % 2) >= len(run.n_grid)
+    assert max(sizes) < run.replications
 
 
 @pytest.mark.parametrize("on_null", [True, False])
@@ -239,7 +270,8 @@ def test_failure_runs_reach_every_error():
         (ValueError, "sigma^2/n overflows to inf at sigma = 1e+307, n = 1"),
         (ValueError, "hyvarinen penalties s0 = nan and s1 = 0.0 have no difference s0 - s1"),
         (ValueError, "hyvarinen penalties s0 = nan and s1 = -2.0 have no difference s0 - s1"),
-        # xbar - theta0 = 2e308 overflows, so both conjugate-prior penalties are inf
+        # xbar - theta0 = 2e308, whose square over v^2 overflows, so both
+        # conjugate-prior penalties are inf
         (ValueError, "hyvarinen penalties s0 = inf and s1 = inf have no difference s0 - s1"),
         (ValueError, "xbar must be finite"),
     }
@@ -284,27 +316,38 @@ def adjacent_doubles(x, count):
 
 
 def erfc_rises(xs):
-    """(x, rise) wherever math.erfc goes up from one element of ascending xs
-    to the next."""
+    """(x, rise, p) wherever math.erfc goes up from one element of ascending
+    xs to the next: the later x, the rise, and erfc at the earlier x."""
     p = np.array([math.erfc(x) for x in xs.tolist()])
     rise = np.diff(p)
     up = rise > 0.0
-    return xs[1:][up], rise[up]
+    return xs[1:][up], rise[up], p[:-1][up]
 
 
 # libm's rises next to x = 1.25: math.erfc(x) > math.erfc(previous double)
-WOBBLE_X, WOBBLE_RISE = erfc_rises(adjacent_doubles(1.25, 200_000))
+WOBBLE_X, WOBBLE_RISE, WOBBLE_P = erfc_rises(adjacent_doubles(1.25, 200_000))
 
 
 def test_erfc_rises_stay_far_below_the_slack():
-    """The sweeps decide p-values from |t| alone with margin _ERFC_SLACK; a
-    libm whose erfc rises by more than a thousandth of it fails here."""
-    scans = [adjacent_doubles(1.25, 200_000), np.linspace(0.0, 27.0, 1_000_001)]
-    scans += [adjacent_doubles(float(x), 2_000) for x in np.linspace(0.0, 27.0, 271)]
-    largest = max(float(erfc_rises(xs)[1].max(initial=0.0)) for xs in scans)
-    assert largest < SLACK / 1e3
-    # the scan does see the known rises, so it is not vacuous
-    assert len(WOBBLE_X) > 0 and largest >= float(WOBBLE_RISE.max()) > 0.0
+    """The sweeps decide p-values from |t| alone with margin _erfc_slack(p),
+    2^-40 of p with a floor for subnormal p; a libm whose erfc rises by more
+    than a thousandth of it fails here. The scan runs through the subnormal
+    p-values, and past x = 27.3 where erfc reaches 0."""
+    scans = [adjacent_doubles(1.25, 200_000), np.linspace(0.0, 27.5, 1_000_001)]
+    scans += [adjacent_doubles(float(x), 2_000) for x in np.linspace(0.0, 27.5, 276)]
+    worst = largest_relative = 0.0
+    for xs in scans:
+        _, rise, p = erfc_rises(xs)
+        slack = np.array([paradox._erfc_slack(v) for v in p.tolist()])
+        worst = max(worst, float((rise / slack).max(initial=0.0)))
+        normal = p >= sys.float_info.min
+        largest_relative = max(largest_relative, float((rise[normal] / p[normal]).max(initial=0.0)))
+    assert worst < 1e-3
+    # as p <= 1, the absolute margin the bands and KS bounds use holds too
+    assert all(paradox._erfc_slack(p) <= SLACK for p in (1.0, 0.5, 1e-300, 5e-324, 0.0))
+    # the scan does see the known rises, so it is not vacuous: the largest
+    # relative rise is about 1.8e-16, next to x = 1.25
+    assert len(WOBBLE_X) > 0 and largest_relative >= float((WOBBLE_RISE / WOBBLE_P).max()) > 1e-16
 
 
 class CraftedStream:
@@ -451,5 +494,6 @@ def test_helpers_match_the_full_erfc_map(x, level):
     x = np.concatenate([x, ends])
     p = np.array([math.erfc(v) for v in x.tolist()])
     assert paradox._count_p_at_most(x, level) == int(np.count_nonzero(p <= level))
+    paradox._sort_middle(x)
     assert repr(paradox._median_p(x)) == repr(float(np.median(p)))
     assert repr(paradox._ks_distance_p(x)) == repr(uniform_ks_distance(p))

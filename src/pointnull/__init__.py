@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # nor cli has to import a submodule to know what it exports.
 _EXPORTS = {
     "numerics": (
-        "NoCrossingError", "QuadratureError", "RngStream", "find_crossing", "log_beta",
-        "log_normal_pdf", "quadrature", "std_normal_cdf", "std_normal_quantile",
+        "NoCrossingError", "RngStream", "find_crossing", "log_beta", "log_normal_pdf",
+        "std_normal_cdf", "std_normal_quantile",
     ),
     "normal": (
         "AlternativePrior", "EQUAL_WEIGHTS", "HypothesisWeights", "NormalProblem", "TestReport",

@@ -269,7 +269,7 @@ def cmd_severity(args: argparse.Namespace) -> tuple[dict, dict, list]:
     }
     results = {"warranted_gamma": g, "rows": rows}
     provenance = [
-        ["warranted_gamma", "closed-form+root-finder-cross-check"],
+        ["warranted_gamma", "closed-form"],
         ["rows", "closed-form; final row is the warranted point"],
     ]
     return inputs, results, provenance

@@ -163,7 +163,11 @@ def log_bayes_factor_lindley(t: float, n: float) -> float:
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
-    return 0.5 * math.log1p(n) - n * t * t / (2.0 * (1.0 + n))
+    denom = 2.0 * (1.0 + n)
+    if denom == math.inf:
+        # n above about 9e307: 1 + 1/n rounds to 1, so n / (2(1 + n)) is one half
+        return 0.5 * math.log1p(n) - t * t / 2.0
+    return 0.5 * math.log1p(n) - n * t * t / denom
 
 
 def bayes_factor_lindley(t: float, n: float) -> float:

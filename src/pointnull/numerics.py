@@ -1,8 +1,9 @@
 """Numeric substrate shared by every other module.
 
-Normal special functions, log-beta, bracketed root finding, adaptive
-quadrature, and seeded random streams. Everything here is deterministic
-and self-contained.
+Normal special functions, log-beta, seeded random streams, and
+find_crossing, a bracketed root finder that no library function calls: the
+tests solve with it as a reference, and the benchmark's tracer wraps it.
+Everything here is deterministic and self-contained.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 class NoCrossingError(RuntimeError):
     """Bracket expansion exhausted without the function crossing the target."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement hit the depth limit before reaching the tolerance."""
 
 
 def std_normal_cdf(x: float) -> float:
@@ -162,68 +159,6 @@ def find_crossing(
             a, g_a = mid, g_mid
         else:
             b = mid
-
-
-# Halvings of one of quadrature's 16 starting panels before it gives up; the
-# finest panel then spans 2^-52 of [a, b].
-_MAX_DEPTH = 48
-
-
-def quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> float:
-    """Integrate f over [a, b] by adaptive Simpson refinement.
-
-    The interval starts as 16 uniform panels so narrow features cannot hide
-    from the first error estimate; each panel then halves until its share of
-    tol is met, with the usual |S_half - S| / 15 Richardson control.
-    QuadratureError flags an integrand the refinement cannot settle
-    (singular, wildly oscillatory, or NaN somewhere in the interval).
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("quadrature needs finite endpoints")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    panels = 16
-    edges = [a + (b - a) * i / panels for i in range(panels + 1)]
-    edges[-1] = b
-    total = 0.0
-    share = tol / panels
-    for x0, x1 in zip(edges, edges[1:]):
-        xm = 0.5 * (x0 + x1)
-        f0, fm, f1 = f(x0), f(xm), f(x1)
-        whole = _simpson(f0, fm, f1, x1 - x0)
-        total += _refine(f, x0, f0, x1, f1, xm, fm, whole, share, _MAX_DEPTH)
-    return sign * total
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _refine(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(f"refinement depth exhausted on [{a}, {b}]")
-    half = 0.5 * tol
-    return _refine(f, a, fa, m, fm, lm, flm, left, half, depth - 1) + _refine(
-        f, m, fm, b, fb, rm, frm, right, half, depth - 1
-    )
 
 
 class RngStream:

@@ -8,6 +8,7 @@ to also see the measured values.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,14 +26,13 @@ from pointnull.normal import (
     NormalProblem,
     bayes_factor_conjugate,
     bayes_factor_lindley,
-    log_normal_pdf,
     p_value,
     posterior_prob_null,
     reinterpret_as_prior_scale,
     savage_dickey_bf,
     conjugate_posterior,
 )
-from pointnull.numerics import quadrature, std_normal_cdf
+from pointnull.numerics import std_normal_cdf
 from pointnull.paradox import (
     ConsistencyRun,
     ParadoxQuery,
@@ -241,14 +241,13 @@ def test_criterion_09_scoring_rules():
     prior = AlternativePrior.conjugate(1.0)
     s = sprenger_kl_score(p25, prior)
     mu_n, omega2 = conjugate_posterior(p25, prior)
-    w = math.sqrt(omega2)
-    q = quadrature(
-        lambda th: 25.0 * th * th / 2.0 * math.exp(log_normal_pdf(th, mu_n, omega2)),
-        mu_n - 12.0 * w,
-        mu_n + 12.0 * w,
-        tol=1e-12,
-    )
-    assert abs(s - q) < 1e-8
+    with mpmath.workdps(40):
+        mu, w = mpmath.mpf(mu_n), mpmath.sqrt(omega2)
+        q = float(
+            mpmath.quad(lambda th: 25 * th**2 / 2 * mpmath.npdf(th, mu, w),
+                        [-mpmath.inf, mu, mpmath.inf])
+        )
+    assert abs(s - q) <= 1e-14 * s
 
     run = ConsistencyRun(
         theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=(1000,), replications=2000, seed=77
@@ -258,7 +257,7 @@ def test_criterion_09_scoring_rules():
     _verdict(
         9,
         f"scaling exact; FD worst {worst_fd:.2e}; log-rule identity worst "
-        f"{worst_log:.2e}; KL vs quadrature {abs(s - q):.2e}; plateau "
+        f"{worst_log:.2e}; KL vs mpmath.quad {abs(s - q):.2e}; plateau "
         f"{plateau.select_null_rate:.4f}",
     )
 

@@ -31,7 +31,6 @@ from pointnull.normal import (
     t_statistic,
     weight_compensation,
 )
-from pointnull.numerics import quadrature
 
 
 def random_problem(rng):
@@ -213,6 +212,27 @@ class TestBayesFactorLindley:
         with pytest.raises(ValueError):
             bayes_factor_lindley(1.0, 0)
 
+    # 2(1 + n) overflows from the double after max/2, about 9e307
+    @pytest.mark.parametrize(
+        "n", [math.nextafter(sys.float_info.max / 2.0, math.inf), 10**308, sys.float_info.max]
+    )
+    @pytest.mark.parametrize("t", [0.0, 1e-3, -1.0897, 3.0, 1e100])
+    def test_mpmath_where_two_times_one_plus_n_overflows(self, t, n):
+        got = log_bayes_factor_lindley(t, n)
+        with mpmath.workdps(40):
+            n_mp, t_mp = mpmath.mpf(n), mpmath.mpf(t)
+            want = mpmath.log1p(n_mp) / 2 - n_mp * t_mp**2 / (2 * (1 + n_mp))
+        assert abs(got - want) <= 1e-15 * abs(want), (got, float(want))
+
+    def test_never_rises_with_abs_t_where_two_times_one_plus_n_overflows(self):
+        # the consistency sweep reads its median at |t|'s middle ranks
+        a = np.sort(np.abs(np.random.default_rng(41).standard_normal(2001)) * 4.0)
+        a = np.concatenate([[0.0], a, [1e154, 1.3e154, 1e200]])
+        with np.errstate(over="ignore"):
+            vals = log_bayes_factor_lindley(a, 10**308)
+        assert not np.isnan(vals).any()
+        assert (np.diff(vals) <= 0.0).all()
+
 
 class TestBayesFactorConjugate:
     def test_tau_equal_sigma_reproduces_lindley(self):
@@ -233,17 +253,18 @@ class TestBayesFactorConjugate:
     def test_matches_quadrature_marginal(self):
         problem = NormalProblem(0.0, 1.0, 25, 0.5)
         prior = AlternativePrior.conjugate(2.0)
-        # oracle: adaptive quadrature of the alternative marginal
-        s2 = problem.sampling_var
-
-        def integrand(th):
-            lik = math.exp(-((problem.xbar - th) ** 2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-            pri = math.exp(-(th * th) / (2 * prior.tau**2)) / math.sqrt(2 * math.pi * prior.tau**2)
-            return lik * pri
-
-        m1 = quadrature(integrand, -25.0, 25.0, 1e-12)
-        m0 = math.exp(-(problem.xbar**2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-        assert bayes_factor_conjugate(problem, prior) == pytest.approx(m0 / m1, abs=1e-8)
+        # oracle: mpmath.quad of the alternative marginal at 40 digits
+        with mpmath.workdps(40):
+            xbar = mpmath.mpf(problem.xbar)
+            sem = mpmath.sqrt(mpmath.mpf(problem.sampling_var))
+            tau = mpmath.mpf(prior.tau)
+            m1 = mpmath.quad(
+                lambda th: mpmath.npdf(xbar, th, sem) * mpmath.npdf(th, 0, tau),
+                [-mpmath.inf, xbar, mpmath.inf],
+            )
+            m0 = mpmath.npdf(xbar, 0, sem)
+            want = float(m0 / m1)
+        assert bayes_factor_conjugate(problem, prior) == pytest.approx(want, rel=1e-14)
         assert bayes_factor_conjugate(problem, prior) == pytest.approx(0.45543642336144708, rel=1e-12)
 
     def test_requires_conjugate(self):

@@ -1,5 +1,5 @@
 """Substrate checks: special functions against a high-precision oracle,
-solver and quadrature behavior, stream determinism."""
+solver behavior, stream determinism."""
 
 import math
 
@@ -9,12 +9,10 @@ import pytest
 
 from pointnull.numerics import (
     NoCrossingError,
-    QuadratureError,
     RngStream,
     find_crossing,
     log_beta,
     log_normal_pdf,
-    quadrature,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -181,48 +179,6 @@ class TestFindCrossing:
             find_crossing(lambda x: x, 1.0, math.inf)
         with pytest.raises(ValueError):
             find_crossing(lambda x: x, 1.0, 0.0, initial_step=0.0)
-
-
-class TestQuadrature:
-    def test_constant(self):
-        assert math.isclose(quadrature(lambda x: 1.0, 0.0, 1.0, 1e-12), 1.0, abs_tol=1e-13)
-
-    def test_beta_integral(self):
-        got = quadrature(lambda th: th**2 * (1 - th) ** 3, 0.0, 1.0, 1e-12)
-        assert abs(got - math.exp(log_beta(3, 4))) <= 1e-10
-
-    def test_gaussian_convolution_matches_closed_form(self):
-        # marginal of xbar: N(0.5; theta, 1/25) mixed over theta ~ N(0, 4)
-        # equals N(0.5; 0, 1/25 + 4); oracle value from mpmath
-        def integrand(th):
-            s2 = 1.0 / 25.0
-            lik = math.exp(-((0.5 - th) ** 2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-            pri = math.exp(-th * th / 8.0) / math.sqrt(8.0 * math.pi)
-            return lik * pri
-
-        got = quadrature(integrand, -10.0, 11.0, 1e-12)
-        assert abs(got - 0.19243410929013014) <= 1e-10
-
-    def test_empty_interval(self):
-        assert quadrature(lambda x: x, 2.0, 2.0, 1e-10) == 0.0
-
-    def test_orientation(self):
-        fwd = quadrature(lambda x: x * x, 0.0, 2.0, 1e-12)
-        assert quadrature(lambda x: x * x, 2.0, 0.0, 1e-12) == -fwd
-
-    def test_oscillatory_singularity_raises(self):
-        with pytest.raises(QuadratureError):
-            quadrature(lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 0.1, 1e-12)
-
-    def test_nan_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            quadrature(lambda x: math.nan, 0.0, 1.0, 1e-10)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            quadrature(lambda x: x, 0.0, math.inf, 1e-10)
-        with pytest.raises(ValueError):
-            quadrature(lambda x: x, 0.0, 1.0, 0.0)
 
 
 class TestRngStream:

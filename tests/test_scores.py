@@ -16,7 +16,7 @@ from pointnull.normal import (
     conjugate_posterior,
     improper_bf,
 )
-from pointnull.numerics import log_normal_pdf, quadrature
+from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
     PredictiveDensity,
@@ -35,6 +35,9 @@ from pointnull.scores import (
 SPRENGER_25 = 3.370007396449704142
 # 1 - p_value(sqrt(2)) = P(chi-square_1 < 2), mpmath erfc oracle
 CHI2_BELOW_2 = 0.84270079294971487
+# relative bound on the Sprenger KL score against kl_by_quad; the cases
+# below reach 2e-16
+TOL_QUAD = 1e-14
 
 
 def random_problem(rng):
@@ -45,6 +48,18 @@ def random_problem(rng):
     return NormalProblem(
         theta0=theta0, sigma=sigma, n=n, xbar=theta0 + t * sigma / math.sqrt(n)
     )
+
+
+def kl_by_quad(p, mu_n, omega2):
+    """E[n (theta - theta0)^2 / (2 sigma^2)] under N(mu_n, omega2): the
+    Sprenger KL score, by mpmath.quad at 30 digits."""
+    with mpmath.workdps(30):
+        theta0, mu, w = mpmath.mpf(p.theta0), mpmath.mpf(mu_n), mpmath.sqrt(omega2)
+        c = p.n / (2 * mpmath.mpf(p.sigma) ** 2)
+        return float(
+            mpmath.quad(lambda th: c * (th - theta0) ** 2 * mpmath.npdf(th, mu, w),
+                        [-mpmath.inf, mu, mpmath.inf])
+        )
 
 
 def fd_hyvarinen(x, m, h=1e-4):
@@ -401,14 +416,7 @@ class TestSprengerKlScore:
         prior = AlternativePrior.conjugate(1.0)
         s = sprenger_kl_score(self.P25, prior)
         mu_n, omega2 = conjugate_posterior(self.P25, prior)
-        w = math.sqrt(omega2)
-
-        def integrand(theta):
-            kl_rep = 25.0 * theta * theta / 2.0
-            return kl_rep * math.exp(log_normal_pdf(theta, mu_n, omega2))
-
-        q = quadrature(integrand, mu_n - 12.0 * w, mu_n + 12.0 * w, tol=1e-12)
-        assert abs(s - q) < 1e-8
+        assert abs(s - kl_by_quad(self.P25, mu_n, omega2)) <= TOL_QUAD * s
 
     def test_quadrature_oracle_randomized(self):
         rng = np.random.default_rng(102)
@@ -417,17 +425,7 @@ class TestSprengerKlScore:
             prior = AlternativePrior.conjugate(float(rng.uniform(0.1, 3)))
             s = sprenger_kl_score(p, prior)
             mu_n, omega2 = conjugate_posterior(p, prior)
-            w = math.sqrt(omega2)
-            sig2 = p.sigma * p.sigma
-
-            def integrand(theta):
-                d = theta - p.theta0
-                return p.n * d * d / (2.0 * sig2) * math.exp(
-                    log_normal_pdf(theta, mu_n, omega2)
-                )
-
-            q = quadrature(integrand, mu_n - 12.0 * w, mu_n + 12.0 * w, tol=1e-11)
-            assert abs(s - q) <= 1e-8 * max(1.0, abs(s))
+            assert abs(s - kl_by_quad(p, mu_n, omega2)) <= TOL_QUAD * s
 
     def test_centered_case_reduces_to_posterior_variance_term(self):
         p = NormalProblem(theta0=0.0, sigma=1.0, n=25, xbar=0.0)

@@ -1,9 +1,12 @@
 """Severity evaluation, warranted discrepancy, curves."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pointnull.binomial import STONE_EXAMPLE, as_normal_problem
 from pointnull.normal import NormalProblem
@@ -15,6 +18,7 @@ from pointnull.severity import (
     severity_curve,
     warranted_discrepancy,
 )
+from test_scores import binades, signed
 
 # mpmath oracle (dps 40): Phi(1.96)
 PHI_196 = 0.97500210485177956586
@@ -23,6 +27,43 @@ STONE_GAMMA_90 = 0.00094655049906139274
 
 UNIT = NormalProblem(theta0=0.0, sigma=1.0, n=1, xbar=1.96)
 STONE_SCALE = NormalProblem(theta0=0.2, sigma=0.4, n=527135, xbar=0.2 + 0.0016526)
+
+
+def mp_quantile(level):
+    """z = sqrt(2) erfinv(2 level - 1) at 50 digits.
+
+    Below one half z is solved as log erfc(-z/sqrt(2)) = log(2 level), the
+    same root: 2 level - 1 would need hundreds of digits to keep a subnormal
+    level, and erfinv's own solve at that precision is slow.
+    """
+    with mpmath.workdps(50):
+        level = mpmath.mpf(level)
+        if level >= 0.5:
+            return mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1)
+        u = mpmath.findroot(
+            lambda u: mpmath.log(mpmath.erfc(u)) - mpmath.log(2 * level),
+            mpmath.sqrt(-mpmath.log(2 * level)),
+        )
+        return -mpmath.sqrt(2) * u
+
+
+def mp_warranted(p, level):
+    """The closed form at 50 digits and max(|xbar - theta0|, |z| sem)."""
+    z = mp_quantile(level)
+    with mpmath.workdps(50):
+        d = mpmath.mpf(p.xbar) - mpmath.mpf(p.theta0)
+        sem = mpmath.mpf(p.sigma) / mpmath.sqrt(p.n)
+        return d - z * sem, max(abs(d), abs(z) * sem)
+
+
+# Relative bound of warranted_discrepancy against mp_warranted, on the larger
+# of |xbar - theta0| and |z| sem; 20000 random draws of the property's
+# strategies reach 6.9e-16, about what z, sem, their product and the
+# difference lose at half an ulp to a few ulps each. Below
+# 2^-1022 sem and z sem round to multiples of 2^-1074, which |z| <= 38.5
+# turns into at most about 20 of them: TINY allows that much absolute error.
+TOL_GAMMA = 1e-15
+TINY = 40 * 2.0**-1074
 
 
 def random_problem(rng):
@@ -104,8 +145,14 @@ class TestSeverityAt:
 
 class TestWarrantedDiscrepancy:
     def test_level_half_is_observed_discrepancy(self):
-        # z at level one half is exactly zero
-        assert warranted_discrepancy(UNIT, 0.5) == UNIT.xbar - UNIT.theta0
+        # z at level one half is exactly zero, so gamma is xbar - theta0 to
+        # the bit at every scale
+        for p in [
+            UNIT,
+            NormalProblem(theta0=0.0, sigma=67102145626.49337, n=5, xbar=-4.714575711559233),
+            NormalProblem(theta0=0.0, sigma=1.4591152174168513e254, n=3, xbar=5.988348671222782e195),
+        ]:
+            assert warranted_discrepancy(p, 0.5) == p.xbar - p.theta0
 
     def test_stone_scale_anchor(self):
         g = warranted_discrepancy(STONE_SCALE, 0.9)
@@ -142,12 +189,39 @@ class TestWarrantedDiscrepancy:
             )
             assert abs((root - p.theta0) - g) < 1e-8 * max(1.0, abs(g))
 
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        signed(binades(-1073, 1024)),
+        signed(binades(-1073, 1024)),
+        binades(-1073, 1024),
+        binades(1, 1024).map(int),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_closed_form_against_mpmath(self, theta0, d, sigma, n, level):
+        xbar = theta0 + d
+        assume(math.isfinite(xbar))
+        p = NormalProblem(theta0=theta0, sigma=sigma, n=n, xbar=xbar)
+        got = warranted_discrepancy(p, level)
+        want, scale = mp_warranted(p, level)
+        if abs(want) > sys.float_info.max:
+            assert got == float(want), (got, want)
+        else:
+            assert abs(got - want) <= TOL_GAMMA * scale + TINY, (got, float(want))
+
+    def test_overflowing_intermediates_are_answered(self):
+        # xbar - theta0 = 3.4e308 and z sem = 2.3e308 overflow, gamma = 1.07e308 does not
+        p = NormalProblem(theta0=-1.7e308, sigma=1e308, n=1, xbar=1.7e308)
+        g = warranted_discrepancy(p, 0.99)
+        want, _ = mp_warranted(p, 0.99)
+        assert math.isfinite(g)
+        assert abs(g - want) <= TOL_GAMMA * abs(want)
+
     def test_decreasing_in_level(self):
         gs = [warranted_discrepancy(UNIT, lvl) for lvl in (0.1, 0.5, 0.9, 0.99)]
         assert all(b < a for a, b in zip(gs, gs[1:]))
 
-    def test_extreme_level_skips_vacuous_probe(self):
-        # quantile beyond 8 sigma: closed form only, still finite and ordered
+    def test_extreme_level_stays_finite_and_ordered(self):
+        # quantile beyond 8 standard errors, where severity_at is saturated
         g_hi = warranted_discrepancy(UNIT, 1.0 - 1e-16)
         assert math.isfinite(g_hi)
         assert g_hi < warranted_discrepancy(UNIT, 0.99)

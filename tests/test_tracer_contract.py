@@ -1,11 +1,14 @@
-"""The benchmark tracer's contract with the lazy CLI namespace.
+"""The benchmark tracer's contract with the library's module attributes.
 
-bench/tracer.py replaces attributes of pointnull.cli with counting wrappers
-and counts a call only when cli makes it through that attribute. cli binds
-its library names on first use, so every name the tracer wraps must still
-resolve as a cli attribute, loading must never rebind a replaced one, and
-the handlers must call what the attribute holds. Were any of these lost,
-the per-layer counts would read 0 while every other test passed.
+bench/tracer.py replaces attributes of pointnull's modules with counting
+wrappers, one per (caller, name) pair in its WRAPPED table, plus RngStream
+on each module in RNG_USERS, and counts a call only when the caller makes it
+through that attribute. Every such attribute must therefore still resolve
+on its module, even where the module keeps the import only for the tracer.
+cli binds its library names on first use, so there loading must never
+rebind a replaced one, and the handlers must call what the attribute holds.
+Were any of these lost, the per-layer counts would read 0, or installing
+the tracer would fail, while every other test passed.
 """
 
 import ast
@@ -23,22 +26,28 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
 
 
-def wrapped_cli_names() -> list[str]:
-    """The cli attributes in the tracer's WRAPPED table, read without running it."""
+def tracer_table(name: str) -> tuple:
+    """A module-level table of bench/tracer.py, read without running it."""
     for node in ast.parse(TRACER.read_text("utf-8")).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
-            return [name for caller, name, _ in ast.literal_eval(node.value) if caller == "cli"]
-    raise AssertionError("WRAPPED not found in bench/tracer.py")
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in bench/tracer.py")
 
 
-def test_every_wrapped_cli_name_resolves_in_a_fresh_interpreter():
-    names = wrapped_cli_names()
-    assert "crossing_sample_size" in names and "main" in names
+def wrapped_pairs() -> list[tuple[str, str]]:
+    """Every (caller module, attribute) the tracer replaces."""
+    pairs = [(caller, name) for caller, name, _ in tracer_table("WRAPPED")]
+    return pairs + [(caller, "RngStream") for caller in tracer_table("RNG_USERS")]
+
+
+def test_every_wrapped_attribute_resolves_in_a_fresh_interpreter():
+    pairs = wrapped_pairs()
+    assert ("cli", "main") in pairs and ("paradox", "RngStream") in pairs
     probe = (
-        "import pointnull.cli as cli\n"
-        f"for name in {names!r}:\n"
-        "    fn = getattr(cli, name)\n"
-        "    assert callable(fn) and fn.__module__.startswith('pointnull.'), name\n"
+        "import importlib\n"
+        f"for caller, name in {pairs!r}:\n"
+        "    fn = getattr(importlib.import_module('pointnull.' + caller), name)\n"
+        "    assert callable(fn) and fn.__module__.startswith('pointnull.'), (caller, name)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,

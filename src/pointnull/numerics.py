@@ -1,9 +1,9 @@
 """Numeric substrate shared by every other module.
 
-Normal special functions, log-beta, seeded random streams, and
+Normal special functions (the quantile is statistics.NormalDist's C
+routine, loaded without statistics), log-beta, seeded random streams, and
 find_crossing, a bracketed root finder that no library function calls: the
 tests solve with it as a reference, and the benchmark's tracer wraps it.
-Everything here is deterministic and self-contained.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile needs 0 < p < 1, got {p}")
-    # imported here: severity is its only caller, and the other subcommands
-    # should not pay for loading statistics at start-up
-    import statistics
-
-    return statistics.NormalDist().inv_cdf(p)
+    # NormalDist().inv_cdf's routine, taken from where statistics takes it:
+    # severity, its one caller, then loads neither statistics nor fractions
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import _normal_dist_inv_cdf
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def log_normal_pdf(x: float, mean: float, var: float) -> float:

@@ -1,23 +1,29 @@
 """Start-up guard: a closed-form call loads only what its subcommand runs.
 
-numpy is imported inside the sweep functions, statistics inside
-std_normal_quantile and json inside render_json, so a module-level import
-of any of them puts its load time back on calls that never use it. The
+numpy is imported inside the sweep functions and json inside render_json,
+so a module-level import of either puts its load time back on calls that
+never use it. std_normal_quantile takes NormalDist's routine from
+_statistics, so no call loads statistics (with fractions and decimal). The
 records are plain classes, so no call loads dataclasses or the inspect
 machinery it pulls in. The package namespace and cli's library names are
 lazy: ``import pointnull`` loads no submodule, and each call loads only the
-modules its handler binds. Each case runs in a fresh interpreter, since
-this test process has long since imported everything.
+modules its handler binds, and only its own handler module. With no
+bytecode cache, every loaded line is compiled on every call. Each case runs
+in a fresh interpreter, since this test process has long since imported
+everything.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pointnull
+from pointnull.numerics import std_normal_quantile
 
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -34,6 +40,11 @@ CLOSED_FORM = [
     ["score", "--rule", "hyvarinen", "--t", "1.5", "--n", "40", "--alt", "flat"],
     ["paper-check"],
 ]
+
+
+# pointnull source a report call loads, summed over its loaded modules'
+# files: 1260 lines when cli.py held every handler.
+REPORT_SOURCE_LINES = 1050
 
 
 def simulate_argv(kind: str) -> list[str]:
@@ -57,24 +68,44 @@ OWN_MODULES = {
 }
 
 
-def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
-    """The watched modules present in sys.modules after code runs in a fresh
-    interpreter, read from the last stdout line (space-separated, so the
-    probe itself imports nothing)."""
-    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
+def last_line(code: str) -> str:
+    """The last stdout line of code run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env=ENV,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    return proc.stdout.splitlines()[-1]
+
+
+def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> list[str]:
+    """The watched modules present in sys.modules after code runs in a fresh
+    interpreter, read from the last stdout line (space-separated, so the
+    probe itself imports nothing)."""
+    return last_line(
+        f"{code}\nimport sys\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
+    ).split()
 
 
 def after_main(argv: list[str], watched: tuple[str, ...] = WATCHED) -> list[str]:
     return loaded_after(f"from pointnull import cli\nassert cli.main({argv!r}) == 0", watched)
+
+
+def pointnull_after_module_run(argv: list[str]) -> set[str]:
+    """The pointnull modules in sys.modules after argv runs the way
+    ``python -m pointnull.cli`` runs it: through runpy, as __main__."""
+    return set(last_line(
+        "import runpy, sys\n"
+        f"sys.argv = ['pointnull', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('pointnull.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('pointnull')))"
+    ).split())
 
 
 def imported_by_module_run(argv: list[str]) -> set[str]:
@@ -98,7 +129,7 @@ def test_import_loads_neither(module):
     assert loaded_after(f"import {module}") == []
 
 
-@pytest.mark.parametrize("argv", [a for a in CLOSED_FORM if a[0] != "severity"], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", CLOSED_FORM, ids=lambda a: a[0])
 def test_closed_form_subcommand_loads_neither(argv):
     assert after_main(argv) == []
 
@@ -121,9 +152,35 @@ def test_subcommand_loads_only_its_table_modules(argv, own):
     assert set(after_main(argv, SUBMODULES)) == expected
 
 
-def test_severity_loads_statistics_only():
-    # std_normal_quantile, severity's level-to-z step, is statistics' one user
-    assert after_main(["severity", "--n", "100", "--xbar", "0.2"]) == ["statistics"]
+@pytest.mark.parametrize("argv", [a for a, _ in OWN_MODULES.values()], ids=list(OWN_MODULES))
+def test_subcommand_loads_only_its_handler_module(argv):
+    own = f"pointnull.commands.{argv[0].replace('-', '_')}"
+    loaded = pointnull_after_module_run(argv)
+    assert {m for m in loaded if m.startswith("pointnull.commands.")} == {own}
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in OWN_MODULES.values()], ids=list(OWN_MODULES))
+def test_module_run_compiles_cli_once(argv):
+    # the running cli is __main__; a pointnull.cli module would be a second copy
+    loaded = pointnull_after_module_run(argv)
+    assert "pointnull.numerics" in loaded and "pointnull.cli" not in loaded
+
+
+def test_report_loads_at_most_its_source_line_budget():
+    code = (
+        "from pointnull import cli\n"
+        "assert cli.main(['report', '--t', '1.96', '--n', '16818', '--format', 'csv']) == 0\n"
+        "import sys\n"
+        "mods = [m for name, m in sys.modules.items() if name.partition('.')[0] == 'pointnull']\n"
+        "print(sum(len(open(m.__file__, 'rb').read().splitlines()) for m in mods))"
+    )
+    assert int(last_line(code)) <= REPORT_SOURCE_LINES
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_quantile_is_normal_dist_inv_cdf_bit_for_bit(p):
+    assert std_normal_quantile(p).hex() == statistics.NormalDist().inv_cdf(p).hex()
 
 
 @pytest.mark.parametrize("kind", ["consistency", "score-consistency", "uniformity"])

@@ -1,8 +1,6 @@
 """Flat-prior Bayes factor and normal-approximation p-value for a binomial
 point null, kept in the log domain so half-million-trial inputs stay finite."""
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -6,16 +6,16 @@ verdicts), paradox (crossing sample size plus a bracketing table), severity
 (scoring-rule comparisons), simulate (seeded Monte Carlo sweeps), and
 paper-check (regression over the built-in reference anchors). Every command
 emits a versioned envelope as JSON, CSV, or an aligned table; all output is
-deterministic given the full flag set. This module holds the parser, main
-and the renderers; each handler is a module of pointnull.commands.
+deterministic given the full flag set. This module holds the flag table,
+its parser, main and the renderers; each handler is a module of
+pointnull.commands. A valid call parses from the flag table; argparse is
+imported only to print help or a usage error.
 """
 
-from __future__ import annotations
-
-import argparse
 import importlib
 import math
 import sys
+from types import SimpleNamespace
 from typing import Any
 
 from . import __getattr__ as _package_getattr
@@ -143,103 +143,123 @@ def _check_finite(results: dict) -> None:
             raise ValueError(f"result {name} is {value!r}, not a finite number")
 
 
-def _problem_from_args(args: argparse.Namespace) -> NormalProblem:
+def _problem_from_args(args) -> "NormalProblem":
     if args.t is not None:
         return NormalProblem.from_t(args.t, args.n, theta0=args.theta0, sigma=args.sigma)
     return NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
 
 
-def _prior_from_args(args: argparse.Namespace, sigma: float) -> AlternativePrior:
-    # the parser's group already refuses --tau with --tau-equals-sigma
-    scale_given = args.tau is not None or args.tau_equals_sigma
-    if args.alt == "flat" and scale_given:
-        raise UsageError("--alt flat conflicts with a conjugate scale flag")
-    if scale_given or args.alt == "conjugate":
-        if args.c is not None:
-            raise UsageError("--c applies only to the flat alternative")
-        return AlternativePrior.conjugate(sigma if args.tau is None else args.tau)
-    return AlternativePrior.flat(c=1.0 if args.c is None else args.c)
+# The flag table. A flag is (name, type, default, required, choices,
+# metavar), its type "int", "float" or "str", or None for a store_true
+# switch. An entry that starts with a bool is a mutually exclusive group of
+# the flags after it, required when the bool is true.
+def _flag(name, kind="float", default=None, required=False, choices=None, metavar=None):
+    return name, kind, default, required, choices, metavar
 
 
-# Each subcommand's default format and help line. A call adds flags only to
-# the subparser of the subcommand it runs, and imports only its handler.
+_TYPES = {"int": int, "float": float, "str": str}
+_OUTPUT = (
+    _flag("--format", "str", choices=("json", "csv", "table")),
+    _flag("--out", "str", metavar="PATH"),
+    _flag("--seed", "int", 42, metavar="UINT64"),
+    _flag("--digits", "int", 6, metavar="N"),
+)
+_THETA0, _SIGMA = _flag("--theta0", default=0.0), _flag("--sigma", default=1.0)
+_N, _TAU = _flag("--n", "int", required=True), _flag("--tau")
+_T_OR_XBAR = (True, _flag("--t"), _flag("--xbar"))
+_SCALE = (False, _TAU, _flag("--tau-equals-sigma", None, False))
+_RHO0, _ALPHA = _flag("--rho0", default=0.5), _flag("--alpha", default=0.05)
+
+# Each subcommand's default format, help line and flags, in help order.
 _SUBCOMMANDS = {
-    "report": ("json", "both verdicts for one problem"),
-    "paradox": ("csv", "crossing sample size and bracketing table"),
-    "severity": ("csv", "severity curve and warranted discrepancy"),
-    "binomial": ("json", "count-data point-null test"),
-    "score": ("json", "scoring-rule comparison"),
-    "simulate": ("csv", "seeded Monte Carlo sweeps"),
-    "paper-check": ("table", "regression over built-in reference anchors"),
+    "report": ("json", "both verdicts for one problem", (
+        *_OUTPUT, _THETA0, _SIGMA, _N, _T_OR_XBAR, _SCALE, _RHO0, _ALPHA,
+    )),
+    "paradox": ("csv", "crossing sample size and bracketing table", (
+        *_OUTPUT, _flag("--t", required=True), _flag("--target", default=0.95), _RHO0, _ALPHA,
+    )),
+    "severity": ("csv", "severity curve and warranted discrepancy", (
+        *_OUTPUT, _THETA0, _SIGMA, _N, _flag("--xbar", required=True),
+        _flag("--level", default=0.9), _flag("--grid-lo"), _flag("--grid-hi"),
+        _flag("--grid-points", "int", 13),
+    )),
+    "binomial": ("json", "count-data point-null test", (
+        *_OUTPUT, _N, _flag("--x", "int", required=True), _flag("--theta0", required=True),
+    )),
+    "score": ("json", "scoring-rule comparison", (
+        *_OUTPUT, _flag("--rule", "str", required=True, choices=("log", "hyvarinen", "sprenger-kl")),
+        _THETA0, _SIGMA, _N, _T_OR_XBAR, _flag("--alt", "str", choices=("flat", "conjugate")),
+        _SCALE, _flag("--c"),
+    )),
+    "simulate": ("csv", "seeded Monte Carlo sweeps", (
+        *_OUTPUT,
+        _flag("--kind", "str", required=True, choices=("consistency", "uniformity", "score-consistency")),
+        _flag("--reps", "int", required=True), _flag("--theta-true", default=0.0), _THETA0, _SIGMA,
+        _flag("--n-grid", "str", "100,1000,10000"), _ALPHA, _flag("--noncentrality", default=0.0),
+        _TAU,
+    )),
+    "paper-check": ("table", "regression over built-in reference anchors", (
+        *_OUTPUT, _flag("--demo-fail", None, False),
+    )),
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--seed", type=int, default=42, metavar="UINT64")
-    p.add_argument("--digits", type=int, default=6, metavar="N")
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a valid call of --flag value and --flag=value
+    after a subcommand name, read from the flag table; None for any other
+    call, which argparse then parses.
 
-    def with_problem(xbar_only=False):
-        p.add_argument("--theta0", type=float, default=0.0)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--n", type=int, required=True)
-        if xbar_only:
-            p.add_argument("--xbar", type=float, required=True)
+    None covers every call argparse refuses, and every token argparse may
+    read other than as written: an abbreviated or repeated flag, a value of
+    "--" (argparse strips it even from --out=--, storing []), and a
+    space-form value that starts with "-".
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    flags = {}  # each flag by name, with its exclusive group or None
+    for entry in _SUBCOMMANDS[argv[0]][2]:
+        group = entry if isinstance(entry[0], bool) else None
+        flags.update((flag[0], (flag, group)) for flag in (entry[1:] if group else (entry,)))
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in flags or name in given:
+            return None
+        (_, kind, _, _, choices, _), _ = flags[name]
+        if kind is None:
+            if eq:
+                return None
+            value = True
         else:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--t", type=float, default=None)
-            group.add_argument("--xbar", type=float, default=None)
-
-    def with_scale():
-        scale = p.add_mutually_exclusive_group()
-        scale.add_argument("--tau", type=float, default=None)
-        scale.add_argument("--tau-equals-sigma", action="store_true")
-
-    if command == "report":
-        with_problem()
-        with_scale()
-        p.add_argument("--rho0", type=float, default=0.5)
-        p.add_argument("--alpha", type=float, default=0.05)
-    elif command == "paradox":
-        p.add_argument("--t", type=float, required=True)
-        p.add_argument("--target", type=float, default=0.95)
-        p.add_argument("--rho0", type=float, default=0.5)
-        p.add_argument("--alpha", type=float, default=0.05)
-    elif command == "severity":
-        with_problem(xbar_only=True)
-        p.add_argument("--level", type=float, default=0.9)
-        p.add_argument("--grid-lo", type=float, default=None)
-        p.add_argument("--grid-hi", type=float, default=None)
-        p.add_argument("--grid-points", type=int, default=13)
-    elif command == "binomial":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--x", type=int, required=True)
-        p.add_argument("--theta0", type=float, required=True)
-    elif command == "score":
-        p.add_argument("--rule", choices=("log", "hyvarinen", "sprenger-kl"), required=True)
-        with_problem()
-        p.add_argument("--alt", choices=("flat", "conjugate"), default=None)
-        with_scale()
-        p.add_argument("--c", type=float, default=None)
-    elif command == "simulate":
-        p.add_argument(
-            "--kind", choices=("consistency", "uniformity", "score-consistency"), required=True
-        )
-        p.add_argument("--reps", type=int, required=True)
-        p.add_argument("--theta-true", type=float, default=0.0)
-        p.add_argument("--theta0", type=float, default=0.0)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--n-grid", type=str, default="100,1000,10000")
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--noncentrality", type=float, default=0.0)
-        p.add_argument("--tau", type=float, default=None)
-    elif command == "paper-check":
-        p.add_argument("--demo-fail", action="store_true")
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            try:
+                value = _TYPES[kind](value)
+            except ValueError:
+                return None
+            if value == "--" or choices is not None and value not in choices:
+                return None
+        given[name] = value
+    namespace = {"command": argv[0]}
+    for (name, _, default, required, _, _), group in flags.values():
+        if required and name not in given:
+            return None
+        if group is not None:
+            present = sum(flag[0] in given for flag in group[1:])
+            if present > 1 or group[0] and not present:
+                return None
+        namespace[name[2:].replace("-", "_")] = given.get(name, default)
+    namespace["default_format"] = _SUBCOMMANDS[argv[0]][0]
+    return SimpleNamespace(**namespace)
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with flags on command's subparser, or on all when None."""
+def _build_parser() -> "argparse.ArgumentParser":
+    """argparse's parser over the flag table, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pointnull",
         description="Point-null testing calculus: Bayes factors, p-values, "
@@ -247,11 +267,21 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # --format defaults to None, so each subcommand's own default is read then
-    for name, (default_format, help) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help)
+    for command, (default_format, help, entries) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.set_defaults(default_format=default_format)
-        if command in (None, name):
-            _add_flags(p, name)
+        for entry in entries:
+            target, flags = p, (entry,)
+            if isinstance(entry[0], bool):
+                target, flags = p.add_mutually_exclusive_group(required=entry[0]), entry[1:]
+            for name, kind, default, required, choices, metavar in flags:
+                if kind is None:
+                    target.add_argument(name, action="store_true")
+                else:
+                    target.add_argument(
+                        name, type=_TYPES[kind], default=default, required=required,
+                        choices=choices, metavar=metavar,
+                    )
     return parser
 
 
@@ -284,15 +314,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    # a first token naming a subcommand is the subcommand, so only it needs
-    # flags; any other (-h, or an unknown flag before the name) gets them all
-    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for usage faults; keep both
-        code = exc.code
-        return int(code) if code is not None else 0
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help and 2 for usage faults; keep both
+            code = exc.code
+            return int(code) if code is not None else 0
     if not 1 <= args.digits <= 17:
         print("error: --digits must be between 1 and 17", file=sys.stderr)
         return 2

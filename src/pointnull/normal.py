@@ -8,8 +8,6 @@ Bayes factor is computed in the log domain first; sample sizes up to 1e9
 appear in the consistency sweeps.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -166,8 +164,12 @@ def log_bayes_factor_lindley(t: float, n: float) -> float:
     denom = 2.0 * (1.0 + n)
     if denom == math.inf:
         # n above about 9e307: 1 + 1/n rounds to 1, so n / (2(1 + n)) is one half
-        return 0.5 * math.log1p(n) - t * t / 2.0
-    return 0.5 * math.log1p(n) - n * t * t / denom
+        return 0.5 * math.log1p(n) - t * 0.5 * t
+    # n t^2 overflows where the quotient need not. Scaling n and 2(1 + n) by
+    # the same power of two keeps every rounding of n t t / (2(1 + n)), bar
+    # a subnormal step, which only a t term far below log1p(n)'s ulp takes.
+    frac, exp = math.frexp(denom)
+    return 0.5 * math.log1p(n) - math.ldexp(n, -exp) * t * t / frac
 
 
 def bayes_factor_lindley(t: float, n: float) -> float:

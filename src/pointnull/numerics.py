@@ -6,8 +6,6 @@ find_crossing, a bracketed root finder that no library function calls: the
 tests solve with it as a reference, and the benchmark's tracer wraps it.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, Callable
 
@@ -187,7 +185,7 @@ class RngStream:
         key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
         self._gen = np.random.Generator(np.random.Philox(key))
 
-    def normals(self, size: int) -> np.ndarray:
+    def normals(self, size: int) -> "np.ndarray":
         return self._gen.standard_normal(size)
 
     def __repr__(self) -> str:

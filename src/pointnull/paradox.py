@@ -8,8 +8,6 @@ grows without bound while p-values stay uniform, and off the null both
 measures collapse together.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -220,7 +218,7 @@ class ConsistencyRun(Record):
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
-    def sample_means(self) -> Iterator[tuple[int, float, np.ndarray]]:
+    def sample_means(self) -> Iterator[tuple[int, float, "np.ndarray"]]:
         """(n, sem, xbar) for each grid point, in grid order.
 
         xbar holds the replicates' sample means theta_true + sem * z, with z
@@ -347,7 +345,7 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
 # The helpers below take x = |t|/sqrt(2), so that p = erfc(x) is p_value(t).
 
 
-def _abs_t(t: np.ndarray) -> np.ndarray:
+def _abs_t(t: "np.ndarray") -> "np.ndarray":
     """|t| elementwise, in place, refused unless every t is finite."""
     import numpy as np
 
@@ -363,7 +361,7 @@ def _erfc_slack(p: float) -> float:
     return max(p * _ERFC_SLACK, _ERFC_SLACK_FLOOR)
 
 
-def _exact_p(x: np.ndarray) -> np.ndarray:
+def _exact_p(x: "np.ndarray") -> "np.ndarray":
     """math.erfc of each element, one exact libm call each, rather than any
     vectorised erfc whose last bits could differ from p_value's."""
     import numpy as np
@@ -396,7 +394,7 @@ def _erfc_band(level: float) -> tuple[float, float]:
     return x_lo, x_hi
 
 
-def _count_p_at_most(x: np.ndarray, level: float) -> int:
+def _count_p_at_most(x: "np.ndarray", level: float) -> int:
     """How many elements have erfc(x) <= level; erfc runs on _erfc_band only."""
     import numpy as np
 
@@ -405,7 +403,7 @@ def _count_p_at_most(x: np.ndarray, level: float) -> int:
     return int(np.count_nonzero(x >= x_hi)) + int(np.count_nonzero(_exact_p(undecided) <= level))
 
 
-def _settled_ranks(window: np.ndarray, lo: int, hi: int, above: bool, below: bool) -> np.ndarray | None:
+def _settled_ranks(window: "np.ndarray", lo: int, hi: int, above: bool, below: bool) -> "np.ndarray | None":
     """Ranks lo..hi of the sorted erfc(window), or None when an element
     outside the window might sort among them.
 
@@ -434,7 +432,7 @@ def _median_window(n: int) -> tuple[int, int]:
     return max(0, (n - 1) // 2 - _MEDIAN_MARGIN), min(n, n // 2 + _MEDIAN_MARGIN + 1)
 
 
-def _sort_middle(a: np.ndarray) -> None:
+def _sort_middle(a: "np.ndarray") -> None:
     """Partition a in place so that a[lo:hi] holds a's ranks lo..hi-1 in
     ascending order, for (lo, hi) = _median_window(a.size)."""
     lo, hi = _median_window(a.size)
@@ -443,7 +441,7 @@ def _sort_middle(a: np.ndarray) -> None:
     a[lo:hi].sort()
 
 
-def _median_p(x: np.ndarray) -> float:
+def _median_p(x: "np.ndarray") -> float:
     """np.median of erfc(x), as the same double, from erfc on x's middle ranks.
 
     x must have been through _sort_middle. erfc falls as x grows, so p's
@@ -465,7 +463,7 @@ def _median_p(x: np.ndarray) -> float:
     return float(np.median(middle))
 
 
-def _ks_distance_p(x: np.ndarray) -> float:
+def _ks_distance_p(x: "np.ndarray") -> float:
     """uniform_ks_distance of erfc(x), as the same double; sorts x in place.
 
     With x sorted descending, p's k-th smallest value lies within the slack

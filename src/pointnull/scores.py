@@ -10,8 +10,6 @@ s0 - s1 selects the null, and the zero boundary is reported as a tie rather
 than broken by fiat.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import _EXPORTS

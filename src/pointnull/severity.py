@@ -7,8 +7,6 @@ favorable to the claim if it were false at theta1. Includes the largest
 discrepancy gamma from theta0 warranted at a given severity level.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Sequence
 

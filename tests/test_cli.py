@@ -1,5 +1,7 @@
 """Command-line behavior: envelopes, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pointnull
+from pointnull import cli
 from pointnull.cli import FORMAT_VERSION, main
 from pointnull.normal import (
     AlternativePrior,
@@ -502,3 +506,139 @@ class TestPlumbing:
         assert code == 0
         assert "crossing_n = 16818" in out
         assert "post_prob0" in out
+
+
+# The flag table's parser against argparse over the same table. A draw is a
+# valid call, its flags in any order and in either form, with at most one
+# change that argparse may refuse or read otherwise. Plain values include
+# forms int and float read loosely: nan, -inf, 1_000, " 7 ", 1e999.
+PLAIN = {
+    "int": ["3", "100", " 7 ", "1_000", "-2", "12"],
+    "float": ["0.5", "nan", "-inf", "1_000", " 7 ", "1e3", "-2.5", "-3.1e-05", "1e999"],
+    "str": ["a=b", "x", "100,1000", ""],
+}
+ODD = ["0x10", "2.5", "", "-", "--", "a=b", "bogus", "-x", "--t", "1.5.2"]
+DASHED = ["-", "--", "-x", "--t", "-3", "--out"]
+CHANGES = ["none"] * 4 + ["odd value", "dashed --out", "switch", "drop", "group", "abbreviate"]
+CHANGES += ["repeat", "-h", "--help", "--", "x"]
+PARSER = cli._build_parser()
+
+
+@st.composite
+def table_argvs(draw):
+    command = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+
+    def pair(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    def chunk(flag):
+        name, kind, _, _, choices, _ = flag
+        return [name] if kind is None else pair(name, draw(st.sampled_from(choices or PLAIN[kind])))
+
+    chunks, groups, switches = [], [], []
+    for entry in cli._SUBCOMMANDS[command][2]:
+        if isinstance(entry[0], bool):
+            groups.append(entry[1:])
+            switches += [flag[0] for flag in entry[1:] if flag[1] is None]
+            if entry[0] or draw(st.booleans()):
+                chunks.append(chunk(draw(st.sampled_from(entry[1:]))))
+        elif entry[3] or draw(st.integers(0, 2)) == 0:
+            chunks.append(chunk(entry))
+        switches += [entry[0]] if entry[1] is None else []
+    change = draw(st.sampled_from(CHANGES))
+    i = draw(st.integers(0, len(chunks) - 1)) if chunks else None
+    name = chunks[i][0].partition("=")[0] if chunks else None
+    if change == "odd value" and chunks:
+        chunks[i] = pair(name, draw(st.sampled_from(ODD)))
+    elif change == "dashed --out" or change == "switch" and switches:
+        name = "--out" if change == "dashed --out" else draw(st.sampled_from(switches))
+        chunks = [c for c in chunks if c[0].partition("=")[0] != name]
+        chunks.append(pair(name, draw(st.sampled_from(DASHED if name == "--out" else ODD))))
+    elif change == "drop" and chunks:
+        del chunks[i]
+    elif change == "group" and groups:
+        chunks.append(chunk(draw(st.sampled_from(draw(st.sampled_from(groups))))))
+    elif change == "abbreviate" and chunks:
+        short = name[: draw(st.integers(3, max(3, len(name) - 1)))]
+        chunks[i] = [short + chunks[i][0][len(name) :], *chunks[i][1:]]
+    elif change == "repeat" and chunks:
+        chunks.append(list(chunks[i]))
+    elif change in ("-h", "--help", "--", "x"):
+        chunks.append([change])
+    order = draw(st.permutations(range(len(chunks))))
+    return cli._join_negative_values([command, *(t for j in order for t in chunks[j])])
+
+
+def argparse_namespace(argv):
+    """argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def table_parse(argv):
+    """The flag table's namespace for argv, checked against argparse's:
+    argparse never exits where the table's parser answers, and sets the same
+    values (compared by repr, so nan equals nan)."""
+    fast = cli._parse(argv)
+    if fast is not None:
+        slow = argparse_namespace(argv)
+        assert slow is not None, argv
+        as_repr = lambda ns: {k: repr(v) for k, v in vars(ns).items()}  # noqa: E731
+        assert as_repr(fast) == as_repr(slow), argv
+    return fast
+
+
+def test_flag_table_parser_matches_argparse():
+    taken = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(table_argvs())
+    def check(argv):
+        taken.append(table_parse(argv) is not None)
+
+    check()
+    # both paths are well exercised
+    assert 0.2 < sum(taken) / len(taken) < 0.8, sum(taken) / len(taken)
+
+
+REPORT = ["report", "--t", "1", "--n", "4"]
+UNIFORMITY = ["simulate", "--kind", "uniformity", "--reps", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["report", "--t=nan", "--n", " 7 ", "--sigma=1_000", "--theta0=-inf", "--tau", "1e999"], True),
+        ([*UNIFORMITY, "--n-grid=a=b", "--out", ""], True),
+        ([*REPORT, "--tau-equals-sigma"], True),
+        (["paper-check", "--demo-fail"], True),
+        ([*REPORT, "--out=--"], False),  # argparse stores []
+        ([*REPORT, "--out", "--"], False),
+        ([*REPORT, "--out", "-"], False),
+        ([*REPORT, "--out=-x"], True),
+        ([*REPORT, "--tau-equals-sigma=x"], False),
+        ([*REPORT, "--tau-equals-sigma="], False),
+        (["paper-check", "--demo-fail", "x"], False),
+        ([*REPORT, "--rh", "0.5"], False),
+        ([*REPORT, "--th", "1"], False),
+        ([*UNIFORMITY, "--n", "10"], False),
+        ([*REPORT, "--xbar", "2"], False),
+        ([*REPORT, "--tau", "2", "--tau-equals-sigma"], False),
+        (["report", "--n", "4"], False),
+        (["report", "--t", "1"], False),
+        ([*REPORT, "--t", "2"], False),
+        (["report", "--t", "0x10", "--n", "4"], False),
+        (["report", "--t", "1", "--n", "2.5"], False),
+        ([*REPORT, "--format", "xml"], False),
+        ([*REPORT, "-h"], False),
+        ([*REPORT, "--"], False),
+        (["--t", "1", "--n", "4"], False),
+        ([], False),
+    ],
+    ids=lambda a: " ".join(map(repr, a)) if isinstance(a, list) else None,
+)
+def test_flag_table_parser_edges(argv, taken):
+    assert (table_parse(cli._join_negative_values(argv)) is not None) is taken

@@ -224,6 +224,35 @@ class TestBayesFactorLindley:
             want = mpmath.log1p(n_mp) / 2 - n_mp * t_mp**2 / (2 * (1 + n_mp))
         assert abs(got - want) <= 1e-15 * abs(want), (got, float(want))
 
+    # n t^2 overflows while 2(1 + n) and the quotient stay finite: from
+    # n = max/t^2 up, and at any n once |t| passes about 1.3e154
+    @pytest.mark.parametrize(
+        "t, n",
+        [
+            (2.0, 5e307), (3.0, 2.1e307), (-1.5, 8.9e307), (1e100, 5e307),
+            (1.5e154, 1), (-1e154, 10**40), (1e154, 3e200),
+        ],
+    )
+    def test_mpmath_where_n_t_squared_overflows(self, t, n):
+        with np.errstate(over="ignore"):
+            assert n * t * t == math.inf
+        got = log_bayes_factor_lindley(t, n)
+        with np.errstate(over="ignore"):
+            (got_array,) = log_bayes_factor_lindley(np.array([t]), n)
+        with mpmath.workdps(40):
+            n_mp, t_mp = mpmath.mpf(n), mpmath.mpf(t)
+            want = mpmath.log1p(n_mp) / 2 - n_mp * t_mp**2 / (2 * (1 + n_mp))
+        assert abs(got - want) <= 1e-15 * abs(want), (got, float(want))
+        assert got_array == got
+
+    def test_never_rises_with_abs_t_where_n_t_squared_overflows(self):
+        a = np.sort(np.abs(np.random.default_rng(43).standard_normal(2001)) * 4.0)
+        a = np.concatenate([[0.0], a, [1e154, 1.3e154, 1e200]])
+        with np.errstate(over="ignore"):
+            vals = log_bayes_factor_lindley(a, 5e307)
+        assert np.isfinite(vals[:-1]).all() and vals[-1] == -math.inf
+        assert (np.diff(vals) <= 0.0).all()
+
     def test_never_rises_with_abs_t_where_two_times_one_plus_n_overflows(self):
         # the consistency sweep reads its median at |t|'s middle ranks
         a = np.sort(np.abs(np.random.default_rng(41).standard_normal(2001)) * 4.0)

@@ -7,7 +7,8 @@ _statistics, so no call loads statistics (with fractions and decimal). The
 records are plain classes, so no call loads dataclasses or the inspect
 machinery it pulls in. The package namespace and cli's library names are
 lazy: ``import pointnull`` loads no submodule, and each call loads only the
-modules its handler binds, and only its own handler module. With no
+modules its handler binds, and only its own handler module. A valid call
+parses from cli's flag table without argparse. With no
 bytecode cache, every loaded line is compiled on every call. Each case runs
 in a fresh interpreter, since this test process has long since imported
 everything.
@@ -49,6 +50,12 @@ REPORT_SOURCE_LINES = 1050
 
 def simulate_argv(kind: str) -> list[str]:
     return ["simulate", "--kind", kind, "--reps", "100", "--n-grid", "10,100"]
+
+
+# A valid call parses from cli's flag table; argparse, and the gettext and
+# locale it loads, are for help and usage errors only.
+PARSER_MODULES = ("argparse", "gettext", "locale", "__future__")
+VALID_CALLS = CLOSED_FORM + [simulate_argv(k) for k in ("consistency", "uniformity", "score-consistency")]
 
 
 # The library modules each call loads beyond cli, the record helper, numerics
@@ -139,6 +146,27 @@ def test_closed_form_module_run_loads_no_dataclasses(argv):
     imported = imported_by_module_run(argv)
     assert "pointnull.numerics" in imported  # the probe sees the library's imports
     assert imported.isdisjoint({"dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=lambda a: a[0] if a[0] != "simulate" else a[2])
+def test_valid_call_loads_no_argparse(argv):
+    assert after_main(argv, PARSER_MODULES) == []
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=lambda a: a[0] if a[0] != "simulate" else a[2])
+def test_valid_module_run_imports_no_argparse(argv):
+    assert imported_by_module_run(argv).isdisjoint(PARSER_MODULES)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["report", "--t", "1.96"], 2)])
+def test_help_and_usage_error_load_argparse(argv, code):
+    quiet = "contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())"
+    loaded = loaded_after(
+        f"import contextlib, io\nfrom pointnull import cli\nwith {quiet}:\n"
+        f"    assert cli.main({argv!r}) == {code}",
+        PARSER_MODULES,
+    )
+    assert loaded == ["argparse", "gettext", "locale"]
 
 
 def test_package_import_loads_no_submodule():

@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         try:
             args = _build_parser().parse_args(argv)
+            # argparse strips "--" even out of --flag=--, storing []: refuse it as a bare --flag
+            for dest in (k for k, v in vars(args).items() if isinstance(v, list)):
+                _build_parser().parse_args([args.command, "--" + dest.replace("_", "-")])
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage faults; keep both
             code = exc.code

@@ -135,14 +135,27 @@ class TestReport(Record):
         return self.reject_frequentist and self.favor_null_bayes
 
 
+def _over_sem(a: float, b: float, problem: NormalProblem) -> tuple[float, int]:
+    """(a - b) / sem = sqrt(n) (a - b) / sigma as (m, e), worth m * 2**e,
+    rounded on mantissas so that no step leaves the doubles. Where a - b
+    overflows, a and b are at least 2^970 in size and their halves exact."""
+    d = a - b
+    half = math.isinf(d)
+    mx, ex = math.frexp(0.5 * a - 0.5 * b if half else d)
+    ms, es = math.frexp(problem.sigma)
+    m, e = math.frexp(mx * math.sqrt(problem.n) / ms)
+    return m, e + ex - es + half
+
+
+def _ldexp(m: float, e: int) -> float:
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
 def t_statistic(problem: NormalProblem) -> float:
-    d = problem.xbar - problem.theta0
-    if math.isinf(d):
-        # both are finite and at least 2^970 in size, so their halves are
-        # exact; each later step can overflow only where t itself does
-        half = 0.5 * problem.xbar - 0.5 * problem.theta0
-        return half / problem.sigma * math.sqrt(problem.n) * 2.0
-    return math.sqrt(problem.n) * d / problem.sigma
+    return _ldexp(*_over_sem(problem.xbar, problem.theta0, problem))
 
 
 def p_value(t: float) -> float:
@@ -177,37 +190,26 @@ def bayes_factor_lindley(t: float, n: float) -> float:
     return math.exp(log_bayes_factor_lindley(t, n))
 
 
-def _conjugate_variances(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
-    """(sigma^2/n, tau^2), refused when either, or their sum, leaves the
-    positive doubles.
+def _shrinkage(problem: NormalProblem, prior: AlternativePrior) -> tuple:
+    """t, r = tau / sem and c^2 = tau^2 / (sem^2 + tau^2) as (m, e) pairs.
 
-    Each input is finite and positive, yet its square can overflow to inf or
-    underflow to 0; the message names the inputs and the direction, where
-    the arithmetic downstream would only see an invalid variance.
+    In units of sem the prior is N(0, r^2) and the posterior N(t c^2, c^2),
+    so the conjugate algebra meets the scale only through t and r.
     """
     if not prior.is_conjugate:
         raise ValueError("this operation requires a conjugate-normal prior")
-    s2 = problem.sampling_var
-    if s2 == 0.0 or s2 == math.inf:
-        way = "underflows to 0" if s2 == 0.0 else "overflows to inf"
-        raise ValueError(f"sigma^2/n {way} at sigma = {problem.sigma:.6g}, n = {problem.n}")
-    tau2 = prior.tau * prior.tau
-    if tau2 == 0.0 or tau2 == math.inf:
-        way = "underflows to 0" if tau2 == 0.0 else "overflows to inf"
-        raise ValueError(f"tau^2 {way} at tau = {prior.tau:.6g}")
-    if s2 + tau2 == math.inf:
-        raise ValueError(
-            f"sigma^2/n + tau^2 overflows to inf at sigma = {problem.sigma:.6g}, "
-            f"n = {problem.n}, tau = {prior.tau:.6g}"
-        )
-    return s2, tau2
+    rm, re = _over_sem(prior.tau, 0.0, problem)
+    # past r = 2^64, c^2 = r^2 / (1 + r^2) rounds to 1 and log1p(r^2) / 2 to log r
+    c2 = (rm * rm / (1.0 + math.ldexp(rm * rm, 2 * re)), 2 * re) if re <= 64 else (1.0, 0)
+    return _over_sem(problem.xbar, problem.theta0, problem), (rm, re), c2
 
 
 def log_bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> float:
-    s2, tau2 = _conjugate_variances(problem, prior)
-    log_m0 = log_normal_pdf(problem.xbar, problem.theta0, s2)
-    log_m1 = log_normal_pdf(problem.xbar, problem.theta0, s2 + tau2)
-    return log_m0 - log_m1
+    (tm, te), (rm, re), (cm, ce) = _shrinkage(problem, prior)
+    # log(hypot(sem, tau) / sem) - (t c)^2 / 2, where hypot(sem, tau) / sem = hypot(1, r)
+    r2 = math.ldexp(rm * rm, 2 * min(re, 64))
+    log_h = 0.5 * math.log1p(r2) if re <= 64 else math.log(rm) + re * math.log(2.0)
+    return log_h - _ldexp(0.5 * tm * tm * cm, 2 * te + ce)
 
 
 def bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> float:
@@ -220,28 +222,33 @@ def bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> f
 
 
 def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
-    """Posterior mean and variance of theta under the conjugate alternative."""
-    s2, tau2 = _conjugate_variances(problem, prior)
-    denom = tau2 + s2
-    mu_n = (tau2 * problem.xbar + s2 * problem.theta0) / denom
-    omega2 = s2 * tau2 / denom
-    return mu_n, omega2
+    """Posterior mean and variance of theta under the conjugate alternative:
+    theta0 + (xbar - theta0) c^2 and (sem c)^2, c^2 = tau^2 / (sem^2 + tau^2)."""
+    _, (rm, re), (cm, ce) = _shrinkage(problem, prior)
+    ms, es = math.frexp(problem.sigma)
+    sm, se = math.frexp(ms / math.sqrt(problem.n))  # sem = sm * 2**(se + es)
+    var = _ldexp(sm * sm * cm, 2 * (se + es) + ce)
+    d, c2 = problem.xbar - problem.theta0, math.ldexp(cm, ce)
+    if math.isinf(d):  # opposite signs: a weighted mean of the two stays in range
+        return problem.theta0 * math.ldexp(cm / (rm * rm), ce - 2 * re) + problem.xbar * c2, var
+    return problem.theta0 + d * c2, var
 
 
 def log_savage_dickey_bf(problem: NormalProblem, prior: AlternativePrior) -> float:
-    mu_n, omega2 = conjugate_posterior(problem, prior)
-    log_post_at_null = log_normal_pdf(problem.theta0, mu_n, omega2)
-    log_prior_at_null = log_normal_pdf(problem.theta0, problem.theta0, prior.tau * prior.tau)
-    return log_post_at_null - log_prior_at_null
+    (tm, te), (rm, re), (cm, ce) = _shrinkage(problem, prior)
+    # in units of sem: the posterior's mean t c^2 over its sd c, and log(r / c)
+    sd_m, sd_e = math.sqrt(cm), ce // 2
+    z = _ldexp(tm * cm / sd_m, te + ce - sd_e)
+    return math.log(rm / sd_m) + (re - sd_e) * math.log(2.0) - 0.5 * z * z
 
 
 def savage_dickey_bf(problem: NormalProblem, prior: AlternativePrior) -> float:
     """Posterior-to-prior density ratio at theta0.
 
     An algebraically independent route to the conjugate Bayes factor, kept
-    as a cross-check throughout the tests. Uses the continuous version of
-    the alternative prior density at theta0; the ratio is only defined up
-    to that versioning choice.
+    as a cross-check throughout the tests; it reads the posterior through
+    its mean and sd. Uses the continuous version of the alternative prior
+    density at theta0; the ratio is only defined up to that versioning choice.
     """
     return math.exp(log_savage_dickey_bf(problem, prior))
 

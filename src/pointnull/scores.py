@@ -14,7 +14,8 @@ import math
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import AlternativePrior, NormalProblem, _conjugate_variances, conjugate_posterior
+from .normal import AlternativePrior, NormalProblem, _ldexp, _shrinkage
+from .normal import conjugate_posterior  # no caller here; the benchmark's tracer wraps it
 from .numerics import (
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
     log_normal_pdf,
@@ -62,10 +63,15 @@ class PredictiveDensity(Record):
     @classmethod
     def conjugate(cls, problem: NormalProblem, prior: AlternativePrior) -> "PredictiveDensity":
         """Marginal density of the mean under the conjugate alternative."""
-        # refused there, naming the input, when the prior is not conjugate or
-        # sigma^2/n or tau^2 leaves the doubles
-        s2, tau2 = _conjugate_variances(problem, prior)
-        return cls(kind="conjugate", location=problem.theta0, variance=s2 + tau2)
+        if not prior.is_conjugate:
+            raise ValueError("this operation requires a conjugate-normal prior")
+        variance = problem.sampling_var + prior.tau * prior.tau
+        if not 0.0 < variance < math.inf:
+            raise ValueError(
+                f"the conjugate predictive variance sigma^2/n + tau^2 is {variance} at "
+                f"sigma = {problem.sigma:.6g}, n = {problem.n}, tau = {prior.tau:.6g}"
+            )
+        return cls(kind="conjugate", location=problem.theta0, variance=variance)
 
     @classmethod
     def improper_flat(cls, c: float = 1.0) -> "PredictiveDensity":
@@ -149,8 +155,8 @@ def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     for finite predictives, and inherits the arbitrary-constant defect
     against the improper flat alternative, where B01 itself is m0 / c.
     """
-    # the alternative first: a conjugate one names an underflowing sigma^2/n,
-    # which the point null would only call an invalid variance
+    # the alternative first: a conjugate one names its variance and inputs
+    # where it leaves the doubles, which the point null would only call invalid
     m1 = PredictiveDensity.from_prior(problem, prior)
     m0 = PredictiveDensity.point_null(problem)
     return ScoreReport(
@@ -223,15 +229,17 @@ def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
     """Posterior-expected KL divergence of the null from a size-n replicate.
 
     n (omega^2 + (mu_n - theta0)^2) / (2 sigma^2) with the conjugate
-    posterior mean mu_n and variance omega^2. Nonnegative, approaching zero
-    only as tau collapses the posterior onto theta0. The replication unit is
-    a full sample of n; divide by n for the single-observation reading.
+    posterior mean mu_n and variance omega^2, read in units of sem as
+    (c^2 + (t c^2)^2) / 2 with c^2 = tau^2 / (sem^2 + tau^2), so it answers
+    at every scale. Nonnegative, approaching zero only as tau collapses the
+    posterior onto theta0. The replication unit is a full sample of n;
+    divide by n for the single-observation reading.
     """
     if not prior.is_conjugate:
         raise ValueError("posterior-expected KL score needs a conjugate prior")
-    mu_n, omega2 = conjugate_posterior(problem, prior)
-    d = mu_n - problem.theta0
-    return problem.n * (omega2 + d * d) / (2.0 * problem.sigma * problem.sigma)
+    (tm, te), _, (cm, ce) = _shrinkage(problem, prior)
+    mean = _ldexp(tm * cm, te + ce)
+    return 0.5 * math.ldexp(cm, ce) + 0.5 * mean * mean
 
 
 def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:

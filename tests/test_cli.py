@@ -148,6 +148,36 @@ class TestReport:
         assert err == "error: alpha must lie strictly between 0 and 1\n"
 
 
+def report_results(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())["results"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-900, 900),
+    st.floats(-8.0, 8.0),
+    st.integers(1, 10**9),
+    st.tuples(st.floats(0.125, 8.0), st.floats(1e-3, 1e3), st.floats(-4.0, 4.0)),
+)
+def test_report_is_invariant_under_power_of_two_scaling(k, t, n, base):
+    # 2^k times sigma, tau and theta0 at fixed t scales sem, tau and
+    # xbar - theta0 alike, exactly, so every verdict reads the same bits
+    sigma, tau_ratio, theta0 = base
+
+    def report(j):
+        scaled = (math.ldexp(sigma, j), math.ldexp(sigma * tau_ratio, j), math.ldexp(theta0, j))
+        flags = [f"--{name}={value!r}" for name, value in zip(("sigma", "tau", "theta0"), scaled)]
+        return report_results(["report", f"--t={t!r}", f"--n={n}", *flags])
+
+    want, got = report(0), report(k)
+    for name in ("bf01", "post_prob0", "t", "p_value"):
+        assert got[name] == want[name], name
+    assert math.isclose(got["bf01_savage_dickey"], got["bf01"], rel_tol=1e-12)
+
+
 class TestParadox:
     def test_equal_weights_crossing(self, capsys):
         env = run_json(capsys, ["paradox", "--t", "1.96"])

@@ -265,9 +265,14 @@ def test_failure_runs_reach_every_error():
     assert errors == {
         (ValueError, "t must be finite"),
         (ValueError, "variance must be positive and finite"),
-        # the conjugate alternative's predictive is built first and names the cause
-        (ValueError, "sigma^2/n underflows to 0 at sigma = 1e-200, n = 4"),
-        (ValueError, "sigma^2/n overflows to inf at sigma = 1e+307, n = 1"),
+        # the conjugate alternative's predictive is built first and names its
+        # variance where that leaves the doubles; where only sigma^2/n
+        # underflows, its variance is tau^2 and the point null refuses above
+        (
+            ValueError,
+            "the conjugate predictive variance sigma^2/n + tau^2 is inf"
+            " at sigma = 1e+307, n = 1, tau = 1",
+        ),
         (ValueError, "hyvarinen penalties s0 = nan and s1 = 0.0 have no difference s0 - s1"),
         (ValueError, "hyvarinen penalties s0 = nan and s1 = -2.0 have no difference s0 - s1"),
         # xbar - theta0 = 2e308, whose square over v^2 overflows, so both

@@ -260,11 +260,14 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     p_value over every replicate would give. A grid point works in the one
     buffer its stream draws: xbar, t, |t| and x = |t|/sqrt(2) replace each
     other in place. One partition of |t| puts its middle ranks in place,
-    and both medians read them there: log B01 is even in t and falls as |t|
-    grows, exactly, and p as x grows, up to libm's rises. math.erfc runs
-    only where a p-value can change a summary: on x's middle ranks (on
-    every replicate if one outside them might sort among them, as ties
-    can), and on a narrow band of |t| around each rate's threshold.
+    and both medians read them there: log B01 is even in t and never rises
+    with |t|, exactly, and p falls as x grows, up to libm's rises. So log
+    B01 runs on |t|'s one or two middle ranks, and a replicate's factor is
+    below 1e-6 exactly where |t| >= a*, the first double at which the
+    scalar kernel puts it there. math.erfc runs only where a p-value can
+    change a summary: on x's middle ranks (on every replicate if one
+    outside them might sort among them, as ties can), and on a narrow band
+    of |t| around each rate's threshold.
     """
     import numpy as np
 
@@ -273,6 +276,7 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     log_tol = math.log(_COLLAPSE_TOL)
     # p < 1e-6 is p <= the double below it
     below_tol = math.nextafter(_COLLAPSE_TOL, 0.0)
+    alpha_band, tol_band = _erfc_band(alpha), _erfc_band(below_tol)
     summaries = []
     for n, sem, t in run.sample_means():
         if sem == 0.0:
@@ -284,23 +288,27 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
             t /= sem
         a = _abs_t(t)
         _sort_middle(a)
-        with np.errstate(over="ignore"):
-            log_bfs = log_bayes_factor_lindley(a, n)
-        below = log_bfs < log_tol
         # the t term is even in t and every step rounds monotonically, so
         # log B01 never rises with |t| and its middle ranks sit at |t|'s
-        median_log_bf = float(np.median(log_bfs[(a.size - 1) // 2 : a.size // 2 + 1]))
-        del log_bfs
+        with np.errstate(over="ignore"):
+            middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
+        # a* from the closed form, then settled on the doubles
+        a_star = math.sqrt((0.5 * math.log1p(n) - log_tol) * 2.0 * (1.0 + 1.0 / n))
+        while log_bayes_factor_lindley(a_star, n) < log_tol:
+            a_star = math.nextafter(a_star, 0.0)
+        while not log_bayes_factor_lindley(a_star, n) < log_tol:
+            a_star = math.nextafter(a_star, math.inf)
+        below = a >= a_star
         x = a
         x /= _SQRT2
         summaries.append(
             ConsistencySummary(
                 n=n,
-                median_log_bf=median_log_bf,
+                median_log_bf=_median(middle_log_bfs),
                 median_p_value=_median_p(x),
-                reject_rate=_count_p_at_most(x, alpha) / x.size,
-                bf_collapse_rate=float(np.mean(below)),
-                joint_collapse_rate=_count_p_at_most(x[below], below_tol) / x.size,
+                reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
+                bf_collapse_rate=int(np.count_nonzero(below)) / x.size,
+                joint_collapse_rate=_count_p_at_most(x[below], below_tol, tol_band) / x.size,
             )
         )
     return summaries
@@ -394,11 +402,11 @@ def _erfc_band(level: float) -> tuple[float, float]:
     return x_lo, x_hi
 
 
-def _count_p_at_most(x: "np.ndarray", level: float) -> int:
-    """How many elements have erfc(x) <= level; erfc runs on _erfc_band only."""
+def _count_p_at_most(x: "np.ndarray", level: float, band: tuple[float, float]) -> int:
+    """How many elements have erfc(x) <= level; erfc runs only inside band = _erfc_band(level)."""
     import numpy as np
 
-    x_lo, x_hi = _erfc_band(level)
+    x_lo, x_hi = band
     undecided = x[(x > x_lo) & (x < x_hi)]
     return int(np.count_nonzero(x >= x_hi)) + int(np.count_nonzero(_exact_p(undecided) <= level))
 
@@ -437,7 +445,9 @@ def _sort_middle(a: "np.ndarray") -> None:
     ascending order, for (lo, hi) = _median_window(a.size)."""
     lo, hi = _median_window(a.size)
     if hi - lo < a.size:
-        a.partition((lo, hi - 1))
+        # one kth at a time: numpy partitions at two kth five times slower
+        a.partition(lo)
+        a[lo:].partition(hi - 1 - lo)
     a[lo:hi].sort()
 
 
@@ -449,8 +459,6 @@ def _median_p(x: "np.ndarray") -> float:
     their margin. Where that window is not settled (an element outside
     might sort inside it, as ties can) erfc maps the whole array instead.
     """
-    import numpy as np
-
     n = x.size
     lo, hi = _median_window(n)
     # reversed, so the window's largest x comes first; the n - hi elements
@@ -458,9 +466,15 @@ def _median_p(x: "np.ndarray") -> float:
     middle = _settled_ranks(
         x[lo:hi][::-1], (n - 1) // 2 - (n - hi), n // 2 - (n - hi), above=hi < n, below=lo > 0
     )
-    if middle is None:
-        middle = _exact_p(x)
-    return float(np.median(middle))
+    return _median(_exact_p(x) if middle is None else middle)
+
+
+def _median(v: "np.ndarray") -> float:
+    """np.median of v, which holds no nan, as the same double: the mean of
+    its one or two middle ranks. np.median's nan check imports numpy.ma."""
+    k = ((v.size - 1) // 2, v.size // 2)
+    v.partition(k)
+    return float(v[k[0] : k[1] + 1].mean())
 
 
 def _ks_distance_p(x: "np.ndarray") -> float:

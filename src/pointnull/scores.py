@@ -58,7 +58,13 @@ class PredictiveDensity(Record):
     @classmethod
     def point_null(cls, problem: NormalProblem) -> "PredictiveDensity":
         """Sampling density of the mean with theta pinned at theta0."""
-        return cls(kind="point-null", location=problem.theta0, variance=problem.sampling_var)
+        variance = problem.sampling_var
+        if not 0.0 < variance < math.inf:
+            raise ValueError(
+                f"the point-null predictive variance sigma^2/n is {variance} at "
+                f"sigma = {problem.sigma:.6g}, n = {problem.n}"
+            )
+        return cls(kind="point-null", location=problem.theta0, variance=variance)
 
     @classmethod
     def conjugate(cls, problem: NormalProblem, prior: AlternativePrior) -> "PredictiveDensity":

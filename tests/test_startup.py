@@ -216,6 +216,14 @@ def test_simulate_loads_numpy(kind):
     assert "numpy" in after_main(simulate_argv(kind))
 
 
+@pytest.mark.parametrize("kind", ["consistency", "score-consistency", "uniformity"])
+def test_simulate_loads_no_numpy_ma(kind):
+    # np.median's nan check reads np.ma, whose import costs about as much as
+    # a warm 3e5-replicate consistency sweep; the sweeps take medians without it
+    assert after_main(simulate_argv(kind), ("numpy.ma",)) == []
+    assert "numpy.ma" not in imported_by_module_run(simulate_argv(kind))
+
+
 def test_rng_stream_works_after_a_bare_import():
     code = "import pointnull\nassert pointnull.RngStream(1).normals(3).shape == (3,)"
     assert "numpy" in loaded_after(code)

@@ -185,6 +185,26 @@ def test_far_off_the_null_never_maps_erfc_over_every_replicate(run, monkeypatch)
     assert max(sizes) < run.replications
 
 
+@pytest.mark.parametrize("run", [run_of(1001), run_of(2000, theta_true=0.3)] + FAR_RUNS, ids=repr)
+def test_consistency_never_maps_log_bf_over_every_replicate(run, monkeypatch):
+    array_sizes, scalar_calls = [], 0
+
+    def recording(t, n):
+        nonlocal scalar_calls
+        if isinstance(t, float):
+            scalar_calls += 1
+        else:
+            array_sizes.append(t.size)
+        return log_bayes_factor_lindley(t, n)
+
+    monkeypatch.setattr(paradox, "log_bayes_factor_lindley", recording)
+    assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
+    # one array call per grid point, on the median's one or two middle ranks;
+    # the scalar calls settle a* from its closed form in a few steps
+    assert array_sizes == [2 - run.replications % 2] * len(run.n_grid)
+    assert 2 * len(run.n_grid) <= scalar_calls <= 8 * len(run.n_grid)
+
+
 @pytest.mark.parametrize("on_null", [True, False])
 def test_consistency_above_chunk_matches_reference(on_null):
     run = run_of(ABOVE_CHUNK, n_grid=(50, 5000), theta_true=0.0 if on_null else 0.03, seed=5)
@@ -264,7 +284,9 @@ def test_failure_runs_reach_every_error():
                 errors.add(got)
     assert errors == {
         (ValueError, "t must be finite"),
-        (ValueError, "variance must be positive and finite"),
+        # the point null names its variance where sigma^2/n leaves the doubles
+        (ValueError, "the point-null predictive variance sigma^2/n is 0.0 at sigma = 1e-200, n = 4"),
+        (ValueError, "the point-null predictive variance sigma^2/n is inf at sigma = 1e+307, n = 1"),
         # the conjugate alternative's predictive is built first and names its
         # variance where that leaves the doubles; where only sigma^2/n
         # underflows, its variance is tau^2 and the point null refuses above
@@ -368,16 +390,16 @@ class CraftedStream:
         return np.array(self.draws, dtype=float)
 
 
+def craft(monkeypatch, draws):
+    """Make the sweep and the reference loops above draw the given values."""
+    stream = type("Crafted", (CraftedStream,), {"draws": list(draws)})
+    monkeypatch.setattr(paradox, "RngStream", stream)
+    monkeypatch.setattr(sys.modules[__name__], "RngStream", stream)
+
+
 @pytest.fixture
 def crafted(monkeypatch):
-    """Make the sweep and the reference loops above draw the given values."""
-
-    def use(draws):
-        stream = type("Crafted", (CraftedStream,), {"draws": list(draws)})
-        monkeypatch.setattr(paradox, "RngStream", stream)
-        monkeypatch.setattr(sys.modules[__name__], "RngStream", stream)
-
-    return use
+    return lambda draws: craft(monkeypatch, draws)
 
 
 def t_on(x):
@@ -453,6 +475,43 @@ def test_crafted_uniformity_matches_reference(crafted, name):
     assert isinstance(got, str)
 
 
+def first_abs_t_below_tol(n):
+    """The least double |t| at which log B01 at n is below log 1e-6, by
+    bisection over the values, apart from the sweep's own search."""
+    lo, hi = 0.0, sys.float_info.max
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if log_bayes_factor_lindley(mid, n) < math.log(1e-6) else (mid, hi)
+    return hi
+
+
+# 2(1 + n) overflows at the last two, where log B01 takes its other branch
+A_STAR = {n: first_abs_t_below_tol(n) for n in (1, 2, 2**1023, int(sys.float_info.max))}
+
+
+@st.composite
+def ties_at_a_star(draw):
+    """(n, draws): runs of ties at a* and the doubles beside it, among |t|
+    log-uniform up to 1e308, where log B01 is -inf."""
+    n = draw(st.sampled_from(list(A_STAR)))
+    t = [v for v in around(A_STAR[n], 2) for _ in range(draw(st.integers(0, 6)))]
+    t += draw(st.lists(st.floats(-300.0, 308.0).map(lambda e: 10.0**e), max_size=25))
+    t += [A_STAR[n]] * (not t)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, (rng.permutation(t) * rng.choice([-1.0, 1.0], len(t))).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ties_at_a_star())
+def test_collapse_threshold_matches_the_full_log_bf_map(case):
+    n, draws = case
+    assert A_STAR[n] > 5.0 and log_bayes_factor_lindley(1e308, n) == -math.inf
+    # sigma = sqrt(n) makes sem exactly 1.0, so every t is its draw
+    run = run_of(len(draws), n_grid=(n,), sigma=math.sqrt(n))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        craft(monkeypatch, draws)
+        assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
+
+
 @pytest.mark.parametrize("reps", [1, 2, 3, 32, 33, 34, 64, 65, 129])
 def test_small_and_odd_even_reps_match_reference(reps):
     run = run_of(reps, n_grid=(2, 20, 2000), theta_true=0.01, seed=reps)
@@ -495,10 +554,12 @@ LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_fr
 @given(erfc_args(), LEVELS)
 def test_helpers_match_the_full_erfc_map(x, level):
     # the band's own ends, where x alone decides, are replicates too
-    ends = [v for v in paradox._erfc_band(level) if 0.0 <= v < math.inf]
+    band = paradox._erfc_band(level)
+    ends = [v for v in band if 0.0 <= v < math.inf]
     x = np.concatenate([x, ends])
     p = np.array([math.erfc(v) for v in x.tolist()])
-    assert paradox._count_p_at_most(x, level) == int(np.count_nonzero(p <= level))
+    # the sweeps bisect each level's band once per call and reuse it
+    assert paradox._count_p_at_most(x, level, band) == int(np.count_nonzero(p <= level))
     paradox._sort_middle(x)
     assert repr(paradox._median_p(x)) == repr(float(np.median(p)))
     assert repr(paradox._ks_distance_p(x)) == repr(uniform_ks_distance(p))

@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # nor cli has to import a submodule to know what it exports.
 _EXPORTS = {
     "numerics": (
-        "NoCrossingError", "RngStream", "find_crossing", "log_beta", "log_normal_pdf",
-        "std_normal_cdf", "std_normal_quantile",
+        "NoCrossingError", "RngStream", "find_crossing", "log_normal_pdf", "std_normal_cdf",
+        "std_normal_quantile",
     ),
     "normal": (
         "AlternativePrior", "EQUAL_WEIGHTS", "HypothesisWeights", "NormalProblem", "TestReport",
@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "binomial": (
         "BinomialProblem", "STONE_EXAMPLE", "as_normal_problem", "binomial_bf_flat",
-        "binomial_bf_laplace", "binomial_p_value", "binomial_z", "log_binomial_bf_flat",
+        "binomial_bf_laplace", "binomial_p_value", "binomial_z", "log_beta", "log_binomial_bf_flat",
     ),
     "paradox": (
         "ConsistencyRun", "ConsistencySummary", "ParadoxQuery", "UnreachableTargetError",
@@ -41,9 +41,8 @@ _EXPORTS = {
         "SeverityCurve", "SeverityQuery", "severity_at", "severity_curve", "warranted_discrepancy",
     ),
     "scores": (
-        "PredictiveDensity", "ScoreReport", "ScoreSelectionSummary", "hyvarinen_compare",
-        "hyvarinen_score", "log_score", "log_score_compare", "score_consistency_sim",
-        "sprenger_kl_report", "sprenger_kl_score",
+        "ScoreReport", "ScoreSelectionSummary", "hyvarinen_compare", "log_score_compare",
+        "score_consistency_sim", "sprenger_kl_report", "sprenger_kl_score",
     ),
 }
 

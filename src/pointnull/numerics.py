@@ -1,7 +1,7 @@
 """Numeric substrate shared by every other module.
 
 Normal special functions (the quantile is statistics.NormalDist's C
-routine, loaded without statistics), log-beta, seeded random streams, and
+routine, loaded without statistics), seeded random streams, and
 find_crossing, a bracketed root finder that no library function calls: the
 tests solve with it as a reference, and the benchmark's tracer wraps it.
 """
@@ -48,62 +48,6 @@ def log_normal_pdf(x: float, mean: float, var: float) -> float:
         raise ValueError("variance must be positive")
     d = x - mean
     return -0.5 * (d * d / var + math.log(var)) - _LOG_SQRT_2PI
-
-
-# Stirling tail of log-gamma: coefficients of 1/z^(2k-1) in B_2k/(2k(2k-1)).
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-)
-
-
-def _stirling_tail(z: float) -> float:
-    r = 1.0 / (z * z)
-    s = 0.0
-    for c in reversed(_STIRLING[1:]):
-        s = (s + c) * r
-    return (s + _STIRLING[0]) / z
-
-
-def _log_beta_both_large(a: float, b: float) -> float:
-    # Both arguments in the Stirling regime. The direct lgamma difference
-    # cancels three huge values and loses ~1e-11 relative at half-million
-    # arguments; this arrangement keeps every term modest and same-signed.
-    s = a + b
-    ratio = a / s
-    # log1p on the large side: b/s sits within an ulp of 1 when a << b, and
-    # a bare log there throws away the digits that (b - 0.5) then magnifies
-    return (
-        (a - 0.5) * math.log(ratio)
-        + (b - 0.5) * math.log1p(-ratio)
-        - 0.5 * math.log(s)
-        + 0.5 * math.log(2.0 * math.pi)
-        + _stirling_tail(a)
-        + _stirling_tail(b)
-        - _stirling_tail(s)
-    )
-
-
-def log_beta(a: float, b: float) -> float:
-    """log Beta(a, b), exactly symmetric in (a, b) and 1e-12-accurate
-    through the half-million-argument regime the binomial tests hit."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("log_beta needs positive arguments")
-    if a > b:
-        a, b = b, a
-    if b < 10.0:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    # lift the small argument into the Stirling regime one unit at a time:
-    # Beta(a, b) = Beta(a+1, b) * (a+b)/a
-    shift = 0.0
-    while a < 10.0:
-        shift += math.log((a + b) / a)
-        a += 1.0
-    return _log_beta_both_large(a, b) + shift
 
 
 # Bracket doublings before find_crossing gives up: the step reaches 2^200

@@ -34,8 +34,8 @@ if TYPE_CHECKING:
 
 __all__ = _EXPORTS["paradox"]
 
-# Replicates whose Bayes factor (and, for the joint rate, p-value) falls
-# below this count as collapsed in the consistency sweep.
+# Replicates whose Bayes factor falls below this count as collapsed in the
+# consistency sweep; their p-values all lie below it too.
 _COLLAPSE_TOL = 1e-6
 
 # math.erfc falls as its argument grows, apart from one-ulp rises in libm
@@ -254,7 +254,10 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
 
     bf_collapse_rate counts replicates with BF below 1e-6;
     joint_collapse_rate additionally requires the p-value below it, the
-    both-measures-agree reading of consistency under the alternative.
+    both-measures-agree reading of consistency under the alternative. Every
+    replicate whose BF collapses meets that too, at every n (a*/sqrt(2) is
+    at least 4.01, past where erfc falls below 1e-6, about 3.46), so the
+    two rates are one count.
 
     Each summary is the double that mapping log_bayes_factor_lindley and
     p_value over every replicate would give. A grid point works in the one
@@ -267,16 +270,13 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     scalar kernel puts it there. math.erfc runs only where a p-value can
     change a summary: on x's middle ranks (on every replicate if one
     outside them might sort among them, as ties can), and on a narrow band
-    of |t| around each rate's threshold.
+    of |t| around alpha's threshold.
     """
     import numpy as np
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    log_tol = math.log(_COLLAPSE_TOL)
-    # p < 1e-6 is p <= the double below it
-    below_tol = math.nextafter(_COLLAPSE_TOL, 0.0)
-    alpha_band, tol_band = _erfc_band(alpha), _erfc_band(below_tol)
+    alpha_band = _erfc_band(alpha)
     summaries = []
     for n, sem, t in run.sample_means():
         if sem == 0.0:
@@ -292,13 +292,7 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
         # log B01 never rises with |t| and its middle ranks sit at |t|'s
         with np.errstate(over="ignore"):
             middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
-        # a* from the closed form, then settled on the doubles
-        a_star = math.sqrt((0.5 * math.log1p(n) - log_tol) * 2.0 * (1.0 + 1.0 / n))
-        while log_bayes_factor_lindley(a_star, n) < log_tol:
-            a_star = math.nextafter(a_star, 0.0)
-        while not log_bayes_factor_lindley(a_star, n) < log_tol:
-            a_star = math.nextafter(a_star, math.inf)
-        below = a >= a_star
+        collapsed = int(np.count_nonzero(a >= _collapse_threshold(n))) / a.size
         x = a
         x /= _SQRT2
         summaries.append(
@@ -307,11 +301,23 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
                 median_log_bf=_median(middle_log_bfs),
                 median_p_value=_median_p(x),
                 reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
-                bf_collapse_rate=int(np.count_nonzero(below)) / x.size,
-                joint_collapse_rate=_count_p_at_most(x[below], below_tol, tol_band) / x.size,
+                bf_collapse_rate=collapsed,
+                joint_collapse_rate=collapsed,
             )
         )
     return summaries
+
+
+def _collapse_threshold(n: int) -> float:
+    """a*: the first double |t| at which log_bayes_factor_lindley(|t|, n)
+    falls below log 1e-6, from the closed form, then settled on the doubles."""
+    log_tol = math.log(_COLLAPSE_TOL)
+    a_star = math.sqrt((0.5 * math.log1p(n) - log_tol) * 2.0 * (1.0 + 1.0 / n))
+    while log_bayes_factor_lindley(a_star, n) < log_tol:
+        a_star = math.nextafter(a_star, 0.0)
+    while not log_bayes_factor_lindley(a_star, n) < log_tol:
+        a_star = math.nextafter(a_star, math.inf)
+    return a_star
 
 
 def uniform_ks_distance(values: Sequence[float]) -> float:

@@ -1,111 +1,35 @@
 """Scoring-rule alternatives to the Bayes factor.
 
-Prior predictive densities for the point null, the conjugate alternative,
-and the improper flat alternative; the log score whose pairwise difference
+Penalties of the point null and of the conjugate or improper flat
+alternative at the observed mean: the log score, whose pairwise difference
 is exactly the log Bayes factor; the Hyvarinen score, which depends only on
 derivatives of the log density and so survives the arbitrary constant of an
-improper prior; and the posterior-expected Kullback-Leibler score. Every
-rule is reported as a penalty: smaller is better, negative difference
-s0 - s1 selects the null, and the zero boundary is reported as a tie rather
-than broken by fiat.
+improper prior; and the posterior-expected Kullback-Leibler score. Each
+rule reads both hypotheses in units of sem, so it answers at every scale
+where its penalties are doubles. Every rule is reported as a penalty:
+smaller is better, negative difference s0 - s1 selects the null, and the
+zero boundary is reported as a tie rather than broken by fiat.
 """
 
 import math
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import AlternativePrior, NormalProblem, _ldexp, _shrinkage
+from .normal import (
+    AlternativePrior,
+    NormalProblem,
+    _difference,
+    _ldexp,
+    _log_score,
+    _shrinkage,
+)
 from .normal import conjugate_posterior  # no caller here; the benchmark's tracer wraps it
 from .numerics import (
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
-    log_normal_pdf,
+    log_normal_pdf,  # no caller here; the benchmark's tracer wraps scores.log_normal_pdf
 )
 
 __all__ = _EXPORTS["scores"]
-
-_KINDS = ("point-null", "conjugate", "improper-flat")
-
-
-class PredictiveDensity(Record):
-    """Prior predictive for the sample mean under one hypothesis.
-
-    Finite kinds are normal with a location and variance; improper-flat is
-    the constant density c that a flat prior with arbitrary multiplier c
-    induces on the sample mean. c also acts as a plain multiplier on the
-    finite kinds so that scale invariance of a rule is a testable statement,
-    not a vacuous one.
-    """
-
-    kind: str
-    location: float | None = None
-    variance: float | None = None
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be positive and finite")
-        if self.kind == "improper-flat":
-            if self.location is not None or self.variance is not None:
-                raise ValueError("improper-flat carries no location or variance")
-        else:
-            if self.location is None or self.variance is None:
-                raise ValueError(f"{self.kind} needs a location and a variance")
-            if not (math.isfinite(self.variance) and self.variance > 0.0):
-                raise ValueError("variance must be positive and finite")
-
-    @classmethod
-    def point_null(cls, problem: NormalProblem) -> "PredictiveDensity":
-        """Sampling density of the mean with theta pinned at theta0."""
-        variance = problem.sampling_var
-        if not 0.0 < variance < math.inf:
-            raise ValueError(
-                f"the point-null predictive variance sigma^2/n is {variance} at "
-                f"sigma = {problem.sigma:.6g}, n = {problem.n}"
-            )
-        return cls(kind="point-null", location=problem.theta0, variance=variance)
-
-    @classmethod
-    def conjugate(cls, problem: NormalProblem, prior: AlternativePrior) -> "PredictiveDensity":
-        """Marginal density of the mean under the conjugate alternative."""
-        if not prior.is_conjugate:
-            raise ValueError("this operation requires a conjugate-normal prior")
-        variance = problem.sampling_var + prior.tau * prior.tau
-        if not 0.0 < variance < math.inf:
-            raise ValueError(
-                f"the conjugate predictive variance sigma^2/n + tau^2 is {variance} at "
-                f"sigma = {problem.sigma:.6g}, n = {problem.n}, tau = {prior.tau:.6g}"
-            )
-        return cls(kind="conjugate", location=problem.theta0, variance=variance)
-
-    @classmethod
-    def improper_flat(cls, c: float = 1.0) -> "PredictiveDensity":
-        """Constant density c induced by the flat prior with multiplier c."""
-        return cls(kind="improper-flat", c=c)
-
-    @classmethod
-    def from_prior(cls, problem: NormalProblem, prior: AlternativePrior) -> "PredictiveDensity":
-        if prior.is_conjugate:
-            return cls.conjugate(problem, prior)
-        return cls.improper_flat(c=prior.c)
-
-    def scaled(self, k: float) -> "PredictiveDensity":
-        """The same shape with density multiplied by k > 0."""
-        if not (math.isfinite(k) and k > 0.0):
-            raise ValueError("scale factor must be positive and finite")
-        return type(self)(self.kind, self.location, self.variance, self.c * k)
-
-    def log_density(self, x: float) -> float:
-        if self.kind == "improper-flat":
-            return math.log(self.c)
-        base = log_normal_pdf(x, self.location, self.variance)
-        return base if self.c == 1.0 else base + math.log(self.c)
-
-    @property
-    def c_dependent(self) -> bool:
-        """Whether log-score output moves with the arbitrary constant c."""
-        return self.kind == "improper-flat"
 
 
 class ScoreReport(Record):
@@ -149,69 +73,100 @@ class ScoreReport(Record):
         return "H0" if self.select_null else "H1"
 
 
-def log_score(x: float, m: PredictiveDensity) -> float:
-    """Penalty -log m(x). Depends on c when m is improper-flat."""
-    return -m.log_density(x)
+def _spread(problem: NormalProblem, prior: AlternativePrior) -> tuple:
+    """w = 1 + r^2 as (m, e), r = tau / sem: in units of sem the conjugate
+    predictive N(theta0, sem^2 + tau^2) is N(0, w), and 1/w = 1 - c^2."""
+    rm, re = math.frexp(prior.tau)
+    ms, es = math.frexp(problem.sigma)
+    mn, en = math.frexp(problem.n)
+    r2m, r2e = rm * rm / (ms * ms) * mn, 2 * (re - es) + en
+    if r2e > 128:  # 1 + r^2 rounds to r^2
+        return r2m, r2e
+    return 1.0 + math.ldexp(r2m, r2e), 0
 
 
 def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
-    """Log-score penalties of null and alternative at the observed mean.
+    """Log-score penalties -log m(xbar) of null and alternative.
 
     diff equals -log B01 exactly: the rule reproduces Bayes-factor selection
     for finite predictives, and inherits the arbitrary-constant defect
-    against the improper flat alternative, where B01 itself is m0 / c.
+    against the improper flat alternative, whose predictive is the constant
+    c, so that s1 = -log c and B01 itself is m0 / c.
     """
-    # the alternative first: a conjugate one names its variance and inputs
-    # where it leaves the doubles, which the point null would only call invalid
-    m1 = PredictiveDensity.from_prior(problem, prior)
-    m0 = PredictiveDensity.point_null(problem)
-    return ScoreReport(
-        "log",
-        log_score(problem.xbar, m0),
-        log_score(problem.xbar, m1),
-        c_dependent=m1.c_dependent,
+    if prior.is_conjugate:
+        s1 = _log_score(problem, _spread(problem, prior))
+    else:
+        s1 = -math.log(prior.c)
+    return ScoreReport("log", _log_score(problem), s1, c_dependent=not prior.is_conjugate)
+
+
+def _product(a, b) -> tuple:
+    """a * b as hi + lo exactly (Dekker, with Veltkamp's split), for
+    doubles or elementwise for arrays, where no step leaves the doubles."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple, ldexp) -> tuple:
+    """-2/V + d^2/V^2 for V = sem^2 w and d = (m, e) = xbar - theta0, as
+    (m, e): n (n d^2 - 2 sigma^2 w) / (sigma^2 w)^2 on mantissas.
+
+    n d^2 and 2 sigma^2 w are formed to twice double precision, so their
+    difference keeps its digits where they nearly cancel, at the selection
+    boundary t^2 = 2 w. Past 2^60 times the second, the second lies below
+    half an ulp of the first, so the first's exponent is capped there and
+    the rest carried with the scale's.
+    """
+    (mx, ex), (wm, we) = d, w
+    ms, es = math.frexp(problem.sigma)
+    mn, en = math.frexp(problem.n)
+    d2, d2_lo = _product(mx, mx)
+    nd2, nd2_lo = _product(d2, mn)
+    nd2_lo += d2_lo * mn
+    s2, s2_lo = _product(ms, ms)
+    v, v_lo = _product(s2, wm)
+    v_lo += s2_lo * wm
+    e = 2 * (ex - es) + en - we
+    # max(e - 60, 0), where a difference of exactly 0 carries no exponent to cap
+    over = (e - 60) * ((e > 60) & (mx != 0.0))
+    top = (ldexp(nd2, e - over) - ldexp(2.0 * v, -over)) + (
+        ldexp(nd2_lo, e - over) - ldexp(2.0 * v_lo, -over)
     )
+    return top * mn / (v * v), over + en - 2 * es - we
 
 
-def hyvarinen_score(x: float, m: PredictiveDensity) -> float:
-    """Penalty 2 (log m)''(x) + ((log m)'(x))^2.
+def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=None) -> tuple:
+    """Hyvarinen penalties s0 and s1 at xbar, the problem's by default, and
+    whether they tie only because both underflowed.
 
-    Built from derivatives of log m, so any positive multiple of m scores
-    identically; the improper flat predictive scores exactly zero no matter
-    its constant. For a normal predictive the value is -2/v + (x - mu)^2/v^2.
-    x may be an array of means: the arithmetic is elementwise.
+    For a predictive N(theta0, V) the penalty 2 (log m)'' + ((log m)')^2 is
+    -2/V + (xbar - theta0)^2/V^2: in units of sem, (t^2 - 2) n/sigma^2 for
+    the point null and (t^2/w - 2) n/(sigma^2 w) for the conjugate
+    alternative, w = 1 + r^2. The improper flat predictive scores exactly 0,
+    whatever its constant. Each power of two is applied last. Given an
+    array of means xbar, numpy's ldexp and frexp stand in for _ldexp and
+    math.frexp around the same + - * /, elementwise.
     """
-    if m.kind == "improper-flat":
-        return 0.0
-    # d and v are scaled by the power of two that brings v into [0.5, 1):
-    # exact, and d^2/v^2 is unchanged, but d^2 now overflows only where the
-    # quotient does and underflows only where it is below 2^-1020, and v^2
-    # never leaves the doubles. Where both unscaled squares are normal the
-    # quotient is the same double. Below v = 2^-1023 the power itself would
-    # overflow; -2/v is -inf there, so the power is capped.
-    k = math.ldexp(1.0, min(-math.frexp(m.variance)[1], 1023))
-    d = _scaled_difference(x, m.location, k)
-    v = m.variance * k
-    return -2.0 / m.variance + (d * d) / (v * v)
+    ldexp, frexp = _ldexp, math.frexp
+    if xbar is None:
+        xbar = problem.xbar
+    else:
+        import numpy as np
 
-
-def _scaled_difference(x, mu: float, k: float):
-    """(x - mu) * k for a float or elementwise for an array x.
-
-    Where x - mu overflows, x and mu have opposite signs and are both at
-    least 2^970 in size, so x * k and mu * k are exact (or overflow only
-    where the scaled difference does) and their difference is taken instead.
-    """
-    d = x - mu
-    if isinstance(d, float):
-        return d * k if math.isfinite(d) else x * k - mu * k
-    import numpy as np
-
-    over = np.isinf(d)
-    d *= k
-    if over.any():
-        d[over] = x[over] * k - mu * k
-    return d
+        ldexp, frexp = np.ldexp, np.frexp
+    d = _difference(xbar, problem.theta0)
+    p0, p1 = _hyvarinen_penalty(problem, d, (1.0, 0), ldexp), (0.0, 0)
+    if prior.is_conjugate:
+        p1 = _hyvarinen_penalty(problem, d, _spread(problem, prior), ldexp)
+    s0, s1 = ldexp(*p0), ldexp(*p1)
+    # the last power of two is exact unless it underflows; a finite tie
+    # whose unscaled penalties differ is one that underflow made
+    (m0, e0), (m1, e1) = frexp(p0[0]), frexp(p1[0])
+    differ = (m0 != m1) | ((m0 != 0.0) & (e0 + p0[1] != e1 + p1[1]))
+    return s0, s1, (s0 == s1) & (abs(s0) < math.inf) & differ
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -222,13 +177,13 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     reported as-is. The magnitude carries no absolute calibration, so no
     acceptance bound is applied here.
     """
-    m1 = PredictiveDensity.from_prior(problem, prior)
-    m0 = PredictiveDensity.point_null(problem)
-    return ScoreReport(
-        "hyvarinen",
-        hyvarinen_score(problem.xbar, m0),
-        hyvarinen_score(problem.xbar, m1),
-    )
+    s0, s1, false_tie = _hyvarinen_penalties(problem, prior)
+    if false_tie:
+        raise ValueError(
+            f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
+            "their exact values differ"
+        )
+    return ScoreReport("hyvarinen", s0, s1)
 
 
 def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
@@ -287,20 +242,19 @@ def score_consistency_sim(
         prior = AlternativePrior.flat()
     summaries = []
     for n, _, xbar in run.sample_means():
-        # the first replicate's problem and the two predictives run the checks
-        # a per-replicate hyvarinen_compare would meet first, in its order
+        # the first replicate's problem runs the checks a per-replicate
+        # hyvarinen_compare would meet first, and carries sigma and n
         problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=float(xbar[0]))
-        m1 = PredictiveDensity.from_prior(problem, prior)
-        m0 = PredictiveDensity.point_null(problem)
         # inf and nan are judged below, silently, as Python floats were
         with np.errstate(over="ignore", invalid="ignore"):
-            s0, s1 = np.broadcast_arrays(hyvarinen_score(xbar, m0), hyvarinen_score(xbar, m1))
+            s0, s1, false_tie = _hyvarinen_penalties(problem, prior, xbar)
+            s0, s1 = np.broadcast_arrays(s0, s1)
             diff = s0 - s1
-        # m0's finite variance bounds sem, so every xbar is finite here; the
-        # first replicate whose difference is nan is refused by its report
-        nan = np.flatnonzero(np.isnan(diff))
-        if nan.size:
-            ScoreReport("hyvarinen", float(s0[nan[0]]), float(s1[nan[0]]))
+        # the same arithmetic on one replicate refuses the first that
+        # hyvarinen_compare refuses, with its error
+        refused = np.flatnonzero(np.isnan(diff) | false_tie)
+        if refused.size:
+            hyvarinen_compare(NormalProblem(run.theta0, run.sigma, n, float(xbar[refused[0]])), prior)
         null = int(np.count_nonzero(diff < 0.0))
         ties = int(np.count_nonzero(diff == 0.0))
         reps = run.replications

@@ -41,8 +41,7 @@ from pointnull.paradox import (
     pvalue_uniformity_check,
 )
 from pointnull.scores import (
-    PredictiveDensity,
-    hyvarinen_score,
+    hyvarinen_compare,
     log_score_compare,
     score_consistency_sim,
     sprenger_kl_score,
@@ -202,14 +201,23 @@ def test_criterion_08_severity():
 
 
 def test_criterion_09_scoring_rules():
-    # scale invariance is exact, not approximate
-    m = PredictiveDensity.point_null(NormalProblem(0.0, 1.0, 4, 0.5))
+    # scale invariance is exact, not approximate: the flat alternative's
+    # constant c never reaches a Hyvarinen penalty
+    p = NormalProblem(0.0, 1.0, 4, 0.5)
     for k in (1e-6, 1e6):
-        assert hyvarinen_score(0.5, m.scaled(k)) == hyvarinen_score(0.5, m)
+        assert hyvarinen_compare(p, AlternativePrior.flat(c=k)) == hyvarinen_compare(
+            p, AlternativePrior.flat()
+        )
 
-    # finite-difference probe of 2 (log m)'' + ((log m)')^2
-    def fd(x, mm, h=1e-4):
-        f = lambda y: mm.log_density(y)
+    # finite-difference probe of 2 (log m)'' + ((log m)')^2, with log m the
+    # conjugate predictive's, read from the log score's penalty -log m
+    def log_m(problem, x, prior):
+        moved = NormalProblem(problem.theta0, problem.sigma, problem.n, x)
+        return -log_score_compare(moved, prior).s1
+
+    def fd(problem, prior, h=1e-4):
+        f = lambda y: log_m(problem, y, prior)
+        x = problem.xbar
         d1 = (f(x + h) - f(x - h)) / (2 * h)
         d2 = (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
         return 2 * d2 + d1 * d1
@@ -218,10 +226,9 @@ def test_criterion_09_scoring_rules():
     worst_fd = 0.0
     for _ in range(25):
         p = NormalProblem(0.0, float(rng.uniform(0.5, 2)), int(rng.integers(1, 50)),
-                          float(rng.uniform(-1, 1)))
-        mm = PredictiveDensity.conjugate(p, AlternativePrior.conjugate(float(rng.uniform(0.5, 2))))
-        x = float(rng.uniform(-2, 2))
-        worst_fd = max(worst_fd, abs(hyvarinen_score(x, mm) - fd(x, mm)))
+                          float(rng.uniform(-2, 2)))
+        prior = AlternativePrior.conjugate(float(rng.uniform(0.5, 2)))
+        worst_fd = max(worst_fd, abs(hyvarinen_compare(p, prior).s1 - fd(p, prior)))
     assert worst_fd < 1e-6
 
     worst_log = 0.0

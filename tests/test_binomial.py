@@ -1,8 +1,10 @@
 """Binomial flat-prior testing: the Stone example anchors, exact Beta
-arithmetic, Laplace agreement, and the large-n consistency direction."""
+arithmetic and log-beta against a high-precision oracle, Laplace agreement,
+and the large-n consistency direction."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pointnull.binomial import (
     binomial_bf_laplace,
     binomial_p_value,
     binomial_z,
+    log_beta,
     log_binomial_bf_flat,
 )
 from pointnull.normal import t_statistic
@@ -169,3 +172,50 @@ class TestAsNormalProblem:
         assert t_statistic(as_normal_problem(problem)) == pytest.approx(
             binomial_z(problem), rel=1e-12
         )
+
+
+class TestLogBeta:
+    def test_beta_1_1_is_exactly_zero(self):
+        assert log_beta(1.0, 1.0) == 0.0
+
+    def test_named_values(self):
+        # ln(1/12) and ln(1/60), exact rationals via factorials
+        assert math.isclose(log_beta(2, 3), -2.4849066497880003102, rel_tol=1e-13)
+        assert math.isclose(math.exp(log_beta(3, 4)), 1.0 / 60.0, rel_tol=1e-12)
+
+    def test_large_argument_regime(self):
+        # the half-million-trial binomial case; oracle mpmath.beta at 40 digits
+        want = -264989.1876164982532
+        assert math.isclose(log_beta(106299, 420838), want, rel_tol=1e-12)
+
+    def test_symmetry_is_exact(self):
+        rng = np.random.default_rng(2)
+        pairs = [(1.0, 527136.0), (106299.0, 420838.0), (0.5, 0.5)]
+        pairs += [
+            (float(a), float(b))
+            for a, b in zip(rng.uniform(0.1, 1e6, 50), rng.uniform(0.1, 1e6, 50))
+        ]
+        for a, b in pairs:
+            assert log_beta(a, b) == log_beta(b, a)
+
+    def test_relative_error_across_regimes(self):
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(120):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                cases.append((rng.uniform(0.1, 9.0), rng.uniform(0.1, 9.0)))
+            elif kind == 1:
+                cases.append((rng.uniform(0.1, 9.0), rng.uniform(10.0, 1e6)))
+            else:
+                cases.append((rng.uniform(10.0, 1e6), rng.uniform(10.0, 1e6)))
+        for a, b in cases:
+            got = log_beta(float(a), float(b))
+            with mpmath.workdps(40):
+                want = mpmath.log(mpmath.beta(mpmath.mpf(float(a)), mpmath.mpf(float(b))))
+            assert abs((got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
+    def test_domain_errors(self, args):
+        with pytest.raises(ValueError):
+            log_beta(*args)

@@ -287,7 +287,7 @@ class TestBayesFactorConjugate:
         # oracle: mpmath.quad of the alternative marginal at 40 digits
         with mpmath.workdps(40):
             xbar = mpmath.mpf(problem.xbar)
-            sem = mpmath.sqrt(mpmath.mpf(problem.sampling_var))
+            sem = mpmath.mpf(problem.sigma) / mpmath.sqrt(problem.n)
             tau = mpmath.mpf(prior.tau)
             m1 = mpmath.quad(
                 lambda th: mpmath.npdf(xbar, th, sem) * mpmath.npdf(th, 0, tau),
@@ -326,7 +326,7 @@ class TestSavageDickey:
     def test_centered_case_closed_form(self):
         problem = NormalProblem(1.0, 2.0, 16, 1.0)
         prior = AlternativePrior.conjugate(3.0)
-        s2 = problem.sampling_var
+        s2 = problem.sigma**2 / problem.n
         want = math.sqrt((prior.tau**2 + s2) / s2)
         assert savage_dickey_bf(problem, prior) == pytest.approx(want, rel=1e-12)
 
@@ -516,6 +516,16 @@ class TestImproperBf:
     def test_requires_flat(self):
         with pytest.raises(ValueError):
             improper_bf(NormalProblem(0.0, 1.0, 4, 0.1), AlternativePrior.conjugate(1.0))
+
+    @pytest.mark.parametrize("sigma, n", [(1e-200, 100), (1e200, 1), (1e-10, 10**300)])
+    def test_answers_where_sigma_squared_over_n_leaves_the_doubles(self, sigma, n):
+        # sigma^2/n underflows (it was refused: "variance must be positive"),
+        # overflows (m0 read 0.0) or is subnormal; m0(xbar) is read in units of sem
+        problem = NormalProblem.from_t(1.5, n, sigma=sigma)
+        with mpmath.workprec(200):
+            sem = mpmath.mpf(sigma) / mpmath.sqrt(n)
+            want = mpmath.npdf(mpmath.mpf(problem.xbar), 0, sem) / 3
+        assert improper_bf(problem, AlternativePrior.flat(c=3.0)) == pytest.approx(float(want), rel=1e-13)
 
 
 class TestWeightCompensation:

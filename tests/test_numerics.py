@@ -11,7 +11,6 @@ from pointnull.numerics import (
     NoCrossingError,
     RngStream,
     find_crossing,
-    log_beta,
     log_normal_pdf,
     std_normal_cdf,
     std_normal_quantile,
@@ -73,52 +72,6 @@ class TestStdNormalQuantile:
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
             std_normal_quantile(p)
-
-
-class TestLogBeta:
-    def test_beta_1_1_is_exactly_zero(self):
-        assert log_beta(1.0, 1.0) == 0.0
-
-    def test_named_values(self):
-        # ln(1/12) and ln(1/60), exact rationals via factorials
-        assert math.isclose(log_beta(2, 3), -2.4849066497880003102, rel_tol=1e-13)
-        assert math.isclose(math.exp(log_beta(3, 4)), 1.0 / 60.0, rel_tol=1e-12)
-
-    def test_large_argument_regime(self):
-        # the half-million-trial binomial case; oracle mpmath.beta at 40 digits
-        want = -264989.1876164982532
-        assert math.isclose(log_beta(106299, 420838), want, rel_tol=1e-12)
-
-    def test_symmetry_is_exact(self):
-        rng = np.random.default_rng(2)
-        pairs = [(1.0, 527136.0), (106299.0, 420838.0), (0.5, 0.5)]
-        pairs += [
-            (float(a), float(b))
-            for a, b in zip(rng.uniform(0.1, 1e6, 50), rng.uniform(0.1, 1e6, 50))
-        ]
-        for a, b in pairs:
-            assert log_beta(a, b) == log_beta(b, a)
-
-    def test_relative_error_across_regimes(self):
-        rng = np.random.default_rng(3)
-        cases = []
-        for _ in range(120):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                cases.append((rng.uniform(0.1, 9.0), rng.uniform(0.1, 9.0)))
-            elif kind == 1:
-                cases.append((rng.uniform(0.1, 9.0), rng.uniform(10.0, 1e6)))
-            else:
-                cases.append((rng.uniform(10.0, 1e6), rng.uniform(10.0, 1e6)))
-        for a, b in cases:
-            got = log_beta(float(a), float(b))
-            want = mpmath.log(mpmath.beta(mpmath.mpf(float(a)), mpmath.mpf(float(b))))
-            assert abs((got - want) / want) <= 1e-12
-
-    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
-    def test_domain_errors(self, args):
-        with pytest.raises(ValueError):
-            log_beta(*args)
 
 
 class TestLogNormalPdf:

@@ -17,7 +17,7 @@ from pointnull.normal import (
     TestReport as Report,  # renamed, so pytest does not try to collect it
 )
 from pointnull.paradox import ConsistencyRun, ConsistencySummary, ParadoxQuery
-from pointnull.scores import PredictiveDensity, ScoreReport, ScoreSelectionSummary
+from pointnull.scores import ScoreReport, ScoreSelectionSummary
 from pointnull.severity import SeverityCurve, SeverityQuery
 
 PROBLEM = NormalProblem(0.0, 1.0, 100, 0.2)
@@ -60,11 +60,6 @@ CASES = [
             "joint_collapse_rate": 0.0,
         },
         {},
-    ),
-    (
-        PredictiveDensity,
-        {"kind": "improper-flat"},
-        {"location": None, "variance": None, "c": 1.0},
     ),
     (
         ScoreReport,
@@ -128,4 +123,4 @@ def test_post_init_still_validates():
     with pytest.raises(ValueError, match="n must be at least 1"):
         NormalProblem.from_t(1.96, 0)
     with pytest.raises(ValueError, match="c must be positive"):
-        PredictiveDensity.improper_flat().scaled(1.0).scaled(1e308).scaled(1e308)
+        AlternativePrior.flat(c=1e308 * 1e308)

@@ -1,5 +1,9 @@
-"""Predictive densities, log/Hyvarinen/KL scoring rules, selection sweeps."""
+"""Log, Hyvarinen and KL scoring rules, against mpmath at every scale, and
+their selection sweeps."""
 
+import contextlib
+import io
+import json
 import math
 import re
 import sys
@@ -7,8 +11,9 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pointnull import cli
 from pointnull.normal import (
     AlternativePrior,
     NormalProblem,
@@ -16,15 +21,12 @@ from pointnull.normal import (
     conjugate_posterior,
     improper_bf,
 )
-from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
-    PredictiveDensity,
     ScoreReport,
     ScoreSelectionSummary,
+    _hyvarinen_penalties,
     hyvarinen_compare,
-    hyvarinen_score,
-    log_score,
     log_score_compare,
     score_consistency_sim,
     sprenger_kl_report,
@@ -62,90 +64,28 @@ def kl_by_quad(p, mu_n, omega2):
         )
 
 
-def fd_hyvarinen(x, m, h=1e-4):
-    # central finite differences on the defining 2 (log m)'' + ((log m)')^2
-    lm = m.log_density
-    second = (lm(x + h) - 2.0 * lm(x) + lm(x - h)) / (h * h)
-    first = (lm(x + h) - lm(x - h)) / (2.0 * h)
+def fd_hyvarinen(problem, prior, h):
+    """Central finite differences of 2 (log m)'' + ((log m)')^2 at xbar, for
+    the null's and the alternative's predictive m, with log m(x) read from
+    the log score's penalties -log m(x)."""
+    def log_m(x):
+        rep = log_score_compare(
+            NormalProblem(problem.theta0, problem.sigma, problem.n, x), prior
+        )
+        return np.array([-rep.s0, -rep.s1])
+
+    x = problem.xbar
+    lo, mid, hi = log_m(x - h), log_m(x), log_m(x + h)
+    second = (hi - 2.0 * mid + lo) / (h * h)
+    first = (hi - lo) / (2.0 * h)
     return 2.0 * second + first * first
 
 
-class TestPredictiveDensity:
-    def test_point_null_predictive(self):
-        p = NormalProblem(theta0=1.0, sigma=2.0, n=16, xbar=1.5)
-        m = PredictiveDensity.point_null(p)
-        assert m.kind == "point-null"
-        assert m.location == 1.0
-        assert m.variance == 0.25
-
-    def test_conjugate_predictive_adds_prior_variance(self):
-        p = NormalProblem(theta0=0.0, sigma=1.0, n=4, xbar=0.5)
-        m = PredictiveDensity.conjugate(p, AlternativePrior.conjugate(2.0))
-        assert m.variance == 0.25 + 4.0
-
-    def test_conjugate_constructor_rejects_flat_prior(self):
-        p = NormalProblem(theta0=0.0, sigma=1.0, n=4, xbar=0.5)
-        with pytest.raises(ValueError):
-            PredictiveDensity.conjugate(p, AlternativePrior.flat())
-
-    def test_from_prior_dispatch(self):
-        p = NormalProblem(theta0=0.0, sigma=1.0, n=4, xbar=0.5)
-        assert PredictiveDensity.from_prior(p, AlternativePrior.conjugate(1.0)).kind == "conjugate"
-        m = PredictiveDensity.from_prior(p, AlternativePrior.flat(c=3.0))
-        assert m.kind == "improper-flat"
-        assert m.c == 3.0
-
-    def test_log_density_matches_normal_pdf(self):
-        m = PredictiveDensity(kind="conjugate", location=0.7, variance=2.5)
-        assert m.log_density(1.2) == log_normal_pdf(1.2, 0.7, 2.5)
-
-    def test_flat_log_density_is_log_c(self):
-        m = PredictiveDensity.improper_flat(5.0)
-        assert m.log_density(-100.0) == math.log(5.0)
-        assert m.log_density(100.0) == math.log(5.0)
-
-    def test_scaled_shifts_log_density_by_log_k(self):
-        m = PredictiveDensity(kind="point-null", location=0.0, variance=1.0)
-        assert math.isclose(
-            m.scaled(4.0).log_density(0.3) - m.log_density(0.3),
-            math.log(4.0),
-            rel_tol=1e-15,
-        )
-
-    def test_c_dependent_flag(self):
-        assert PredictiveDensity.improper_flat().c_dependent
-        assert not PredictiveDensity(kind="point-null", location=0.0, variance=1.0).c_dependent
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "cauchy"},
-            {"kind": "point-null"},
-            {"kind": "point-null", "location": 0.0},
-            {"kind": "point-null", "location": 0.0, "variance": 0.0},
-            {"kind": "point-null", "location": 0.0, "variance": -1.0},
-            {"kind": "improper-flat", "location": 0.0},
-            {"kind": "improper-flat", "c": 0.0},
-            {"kind": "improper-flat", "c": -2.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PredictiveDensity(**kwargs)
-
-    def test_scaled_rejects_nonpositive(self):
-        m = PredictiveDensity.improper_flat()
-        with pytest.raises(ValueError):
-            m.scaled(0.0)
-
-
-class TestLogScore:
+class TestLogScoreCompare:
     def test_penalty_at_mode(self):
-        # -log of the peak density 1/sqrt(2 pi var)
-        m = PredictiveDensity(kind="point-null", location=1.3, variance=0.49)
-        assert math.isclose(
-            log_score(1.3, m), 0.5 * math.log(2.0 * math.pi * 0.49), rel_tol=1e-15
-        )
+        # -log of the null's peak density 1/sqrt(2 pi sigma^2/n)
+        rep = log_score_compare(NormalProblem(1.3, 1.4, 4, 1.3), AlternativePrior.flat())
+        assert math.isclose(rep.s0, 0.5 * math.log(2.0 * math.pi * 0.49), rel_tol=1e-15)
 
     def test_identity_with_conjugate_bayes_factor(self):
         rng = np.random.default_rng(99)
@@ -173,12 +113,20 @@ class TestLogScore:
         assert math.isclose(rep.diff, -math.log(improper_bf(p, prior)), abs_tol=1e-14)
         assert rep.c_dependent
 
+    @pytest.mark.parametrize("c", [1e-300, 0.5, 2.0, 1e300])
+    def test_flat_penalty_is_minus_log_c(self, c):
+        # the arbitrary-constant defect: m1 = c, so its penalty is -log c,
+        # wherever xbar lies, and the null's penalty does not move with it
+        p = NormalProblem(theta0=0.0, sigma=1.0, n=50, xbar=0.2)
+        rep = log_score_compare(p, AlternativePrior.flat(c=c))
+        assert rep.s1 == -math.log(c)
+        assert rep.s0 == log_score_compare(p, AlternativePrior.flat()).s0
+        assert rep.c_dependent
+
     def test_doubling_c_moves_flat_penalty_by_log_two_exactly(self):
-        # the arbitrary-constant defect: m1 = c, so its penalty is -log c
-        down = log_score(0.3, PredictiveDensity.improper_flat(2.0)) - log_score(
-            0.3, PredictiveDensity.improper_flat(1.0)
-        )
-        assert down == -math.log(2.0)
+        p = NormalProblem(theta0=0.0, sigma=1.0, n=50, xbar=0.3)
+        s1 = [log_score_compare(p, AlternativePrior.flat(c=c)).s1 for c in (1.0, 2.0)]
+        assert s1[1] - s1[0] == -math.log(2.0)
 
     def test_doubling_c_moves_comparison_diff_by_log_two(self):
         # the null's relative penalty (and -log B01 with it) rises by log 2;
@@ -189,149 +137,25 @@ class TestLogScore:
         assert math.isclose(d2 - d1, math.log(2.0), rel_tol=1e-12)
 
 
-class TestHyvarinenScore:
+class TestHyvarinenCompare:
     def test_mode_value(self):
-        m = PredictiveDensity(kind="conjugate", location=0.0, variance=1.0)
-        assert hyvarinen_score(0.0, m) == -2.0
+        # -2/V at the mode, V = sem^2 = 1
+        rep = hyvarinen_compare(NormalProblem(0.0, 1.0, 1, 0.0), AlternativePrior.flat())
+        assert rep.s0 == -2.0
 
     def test_quarter_case(self):
         # -2/1 + 1.5^2 = 0.25, dyadic all the way
-        m = PredictiveDensity(kind="conjugate", location=0.0, variance=1.0)
-        assert hyvarinen_score(1.5, m) == 0.25
+        rep = hyvarinen_compare(NormalProblem(0.0, 1.0, 1, 1.5), AlternativePrior.flat())
+        assert rep.s0 == 0.25
 
-    def test_finite_difference_oracle_quarter_case(self):
-        m = PredictiveDensity(kind="conjugate", location=0.0, variance=1.0)
-        assert abs(fd_hyvarinen(1.5, m) - 0.25) < 1e-6
-
-    def test_finite_difference_oracle_randomized(self):
-        rng = np.random.default_rng(100)
-        for _ in range(50):
-            mu = float(rng.uniform(-3, 3))
-            v = float(rng.uniform(0.3, 5))
-            x = mu + float(rng.uniform(-3, 3)) * math.sqrt(v)
-            m = PredictiveDensity(kind="point-null", location=mu, variance=v)
-            assert abs(fd_hyvarinen(x, m) - hyvarinen_score(x, m)) < 1e-6
-
-    @pytest.mark.parametrize("k", [1e-6, 1.0, 1e6])
-    def test_exact_scaling_invariance(self, k):
-        m = PredictiveDensity(kind="conjugate", location=0.4, variance=2.0)
-        assert hyvarinen_score(1.1, m.scaled(k)) == hyvarinen_score(1.1, m)
-
-    def test_flat_scores_zero_for_any_c(self):
-        for c in (1e-9, 1.0, 123.0, 1e9):
-            assert hyvarinen_score(0.7, PredictiveDensity.improper_flat(c)) == 0.0
-
-    def test_flat_finite_difference_is_zero(self):
-        assert fd_hyvarinen(0.5, PredictiveDensity.improper_flat(7.0)) == 0.0
-
-
-def unscaled_hyvarinen(x, m):
-    """The penalty as it was formed before its power-of-two scaling."""
-    d = x - m.location
-    return -2.0 / m.variance + (d * d) / (m.variance * m.variance)
-
-
-def is_normal(y):
-    return y == 0.0 or sys.float_info.min <= abs(y) <= sys.float_info.max
-
-
-def binades(lo, hi):
-    """Doubles m 2^e with m in [0.5, 1), spread evenly over the exponents."""
-    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
-
-
-def signed(magnitudes):
-    signs = st.sampled_from((-1.0, 1.0))
-    return st.one_of(st.just(0.0), st.builds(lambda s, y: s * y, signs, magnitudes))
-
-
-def array_agrees(x, m, got):
-    # the sweep scores an array of means with the same elementwise arithmetic
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        element = hyvarinen_score(np.array([x, x]), m)[1]
-    assert float(element).hex() == got.hex()
-
-
-class TestHyvarinenScoreAcrossScales:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(binades(-511, 512), signed(binades(-1074, 1024)), signed(binades(-511, 512)))
-    def test_unscaled_form_bit_for_bit_where_both_squares_are_normal(self, v, mu, d):
-        x = mu + d
-        assume(math.isfinite(x))
-        d = x - mu
-        assume(is_normal(d * d) and is_normal(v * v))
-        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
-        got = hyvarinen_score(x, m)
-        assert got.hex() == unscaled_hyvarinen(x, m).hex()
-        array_agrees(x, m, got)
-
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-    @given(binades(-1073, 1024), signed(binades(-1074, 1024)), signed(binades(-1074, 1024)))
-    def test_mpmath_at_every_scale(self, v, mu, d):
-        x = mu + d
-        assume(math.isfinite(x) and math.isfinite(x - mu))
-        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
-        got = hyvarinen_score(x, m)
-        array_agrees(x, m, got)
-        with mpmath.workprec(200):
-            diff = mpmath.mpf(x) - mpmath.mpf(mu)
-            terms = (-2 / mpmath.mpf(v), diff * diff / (mpmath.mpf(v) ** 2))
-            want = terms[0] + terms[1]
-            if abs(want) > sys.float_info.max:
-                return
-            tol = 1e-15 * max(abs(t) for t in terms)
-            assert abs(got - want) <= tol, (got, float(want))
-            assert abs(want) <= tol or (got > 0.0) == (want > 0.0)
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(binades(-1021, 1024), binades(1024, 1024), binades(1022, 1024), st.booleans())
-    def test_mpmath_where_x_minus_mu_overflows(self, v, x, mu, x_positive):
-        # x - mu leaves the doubles, yet the penalty need not; v stays above
-        # 2^-1023, where -2/v is finite (below it, see the next tests)
-        x, mu = (x, -mu) if x_positive else (-x, mu)
-        assume(math.isinf(x - mu))
-        m = PredictiveDensity(kind="point-null", location=mu, variance=v)
-        got = hyvarinen_score(x, m)
-        array_agrees(x, m, got)
-        with mpmath.workprec(200):
-            diff = mpmath.mpf(x) - mpmath.mpf(mu)
-            want = -2 / mpmath.mpf(v) + diff * diff / (mpmath.mpf(v) ** 2)
-        if want > sys.float_info.max:
-            assert got == math.inf
-        else:
-            assert abs(got - want) <= 1e-15 * want, (got, float(want))
-
-    def test_overflowing_difference_is_scored(self):
-        # the CLI's --theta0=-1.5e308 --xbar=1.5e308 --sigma=1e154 --n 1:
-        # 3e308^2 / 1e308^2 - 2e-308 rounds to 9 (mpmath at 200 bits)
-        problem = NormalProblem(theta0=-1.5e308, sigma=1e154, n=1, xbar=1.5e308)
-        report = hyvarinen_compare(problem, AlternativePrior.flat())
-        assert (report.s0, report.s1, report.selection) == (9.0, 0.0, "H1")
-
-    @pytest.mark.parametrize("v", [5e-324, 1e-320, math.nextafter(2.0**-1023, 0.0)])
-    def test_below_two_to_minus_1023_the_penalty_leaves_the_doubles(self, v):
-        # -2/v overflows to -inf, and with d^2/v^2 overflowing too, inf - inf is nan
-        m = PredictiveDensity(kind="point-null", location=0.0, variance=v)
-        assert hyvarinen_score(0.0, m) == -math.inf
-        assert math.isnan(hyvarinen_score(1.0, m))
-        array_agrees(1.0, m, hyvarinen_score(1.0, m))
-
-    def test_subnormal_variance_above_two_to_minus_1023_is_scored(self):
-        v = 1.5 * 2.0**-1023
-        m = PredictiveDensity(kind="point-null", location=0.0, variance=v)
-        assert hyvarinen_score(0.0, m) == -2.0 / v
-        assert math.isfinite(hyvarinen_score(0.0, m))
-
-
-class TestHyvarinenCompare:
     def test_null_data_selects_null(self):
         rep = hyvarinen_compare(NormalProblem.from_t(0.0, 10), AlternativePrior.flat())
         assert rep.diff == -20.0
         assert rep.selection == "H0"
 
     def test_exact_tie_on_dyadic_boundary(self):
-        # theta0=0, sigma=1, n=2, xbar=1 puts t^2 exactly at 2:
-        # s0 = -2*2 + 1*4 = 0 with every intermediate a dyadic float
+        # theta0=0, sigma=1, n=2, xbar=1 puts t^2 = n (xbar/sigma)^2 exactly
+        # at 2, and s0 = (t^2 - 2) n/sigma^2 = 0 with every step exact
         rep = hyvarinen_compare(
             NormalProblem(theta0=0.0, sigma=1.0, n=2, xbar=1.0), AlternativePrior.flat()
         )
@@ -367,12 +191,40 @@ class TestHyvarinenCompare:
             assert math.isclose(rep.diff, want, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_conjugate_alternative_uses_its_predictive(self):
+        # V = sigma^2/n + tau^2 = 0.04 + 2.25: s1 = -2/V + xbar^2/V^2
         p = NormalProblem(theta0=0.0, sigma=1.0, n=25, xbar=0.5)
-        prior = AlternativePrior.conjugate(1.5)
-        rep = hyvarinen_compare(p, prior)
-        m1 = PredictiveDensity.conjugate(p, prior)
-        assert rep.s1 == hyvarinen_score(0.5, m1)
-        assert rep.s0 == hyvarinen_score(0.5, PredictiveDensity.point_null(p))
+        rep = hyvarinen_compare(p, AlternativePrior.conjugate(1.5))
+        assert math.isclose(rep.s1, -2.0 / 2.29 + 0.25 / 2.29**2, rel_tol=1e-15)
+        assert rep.s0 == hyvarinen_compare(p, AlternativePrior.flat()).s0
+
+    @pytest.mark.parametrize("prior", [AlternativePrior.flat(), AlternativePrior.conjugate(1.3)])
+    def test_finite_difference_probe(self, prior):
+        # 2 (log m)'' + ((log m)')^2 by central differences of the log
+        # score's -log m, at a step of 1e-4 sem; a normal log m is
+        # quadratic, so only rounding separates the two
+        rng = np.random.default_rng(100)
+        for _ in range(50):
+            p = NormalProblem(
+                float(rng.uniform(-1, 1)),
+                float(rng.uniform(0.5, 2)),
+                int(rng.integers(1, 50)),
+                float(rng.uniform(-2, 2)),
+            )
+            rep = hyvarinen_compare(p, prior)
+            fd = fd_hyvarinen(p, prior, 1e-4 * p.sem)
+            v = p.sem**2
+            scale = max(2.0 / v, ((p.xbar - p.theta0) / v) ** 2)
+            assert abs(fd[0] - rep.s0) <= 1e-6 * scale
+            # the flat predictive's log m is the constant log c
+            assert abs(fd[1] - rep.s1) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-9, 123.0, 1e300])
+    def test_c_never_matters(self, c):
+        p = NormalProblem(theta0=0.0, sigma=1.0, n=25, xbar=0.5)
+        rep = hyvarinen_compare(p, AlternativePrior.flat(c=c))
+        assert rep == hyvarinen_compare(p, AlternativePrior.flat())
+        assert rep.s1 == 0.0
+        assert not rep.c_dependent
 
     @pytest.mark.parametrize(
         "sigma, n, xbar, selection",
@@ -392,11 +244,172 @@ class TestHyvarinenCompare:
         assert abs(rep.s0 - want) <= 1e-15 * abs(want)
         assert rep.selection == selection
 
-    def test_c_never_matters(self):
-        p = NormalProblem(theta0=0.0, sigma=1.0, n=25, xbar=0.5)
-        a = hyvarinen_compare(p, AlternativePrior.flat(c=1.0))
-        b = hyvarinen_compare(p, AlternativePrior.flat(c=1e6))
-        assert a == b
+    def test_overflowing_difference_is_scored(self):
+        # the CLI's --theta0=-1.5e308 --xbar=1.5e308 --sigma=1e154 --n 1:
+        # xbar - theta0 = 3e308 overflows, yet (3e308)^2/sigma^4 - 2/sigma^2
+        # is 8.99999999999999887 at 300 bits, a tenth of an ulp short of
+        # halfway to 9, and the penalty is 9.0, one ulp above its rounding
+        problem = NormalProblem(theta0=-1.5e308, sigma=1e154, n=1, xbar=1.5e308)
+        report = hyvarinen_compare(problem, AlternativePrior.flat())
+        assert (report.s0, report.s1, report.selection) == (9.0, 0.0, "H1")
+
+    @pytest.mark.parametrize(
+        "sigma, prior",
+        [(1e200, AlternativePrior.flat()), (1e200, AlternativePrior.conjugate(1e210))],
+    )
+    def test_a_tie_made_by_underflow_is_refused(self, sigma, prior):
+        # n/sigma^2 takes both penalties below the doubles, though t = 1.96
+        # selects the alternative
+        p = NormalProblem.from_t(1.96, 100, sigma=sigma)
+        with pytest.raises(ValueError, match="tie only by underflow: their exact values differ$"):
+            hyvarinen_compare(p, prior)
+
+
+@pytest.mark.parametrize("prior", [AlternativePrior.flat(), AlternativePrior.conjugate(2)])
+def test_integer_inputs_score_as_their_floats(prior):
+    # only the sweep's arrays take numpy's path; a Python int is a number
+    for compare in (log_score_compare, hyvarinen_compare):
+        got = compare(NormalProblem(0, 1, 10, 1), prior)
+        assert got == compare(NormalProblem(0.0, 1.0, 10, 1.0), prior)
+        assert type(got.s0) is float and type(got.s1) is float
+
+
+def mp_penalties(problem, prior):
+    """Log and Hyvarinen penalties (s0, s1) at 300 bits, each with the
+    largest of the terms it sums."""
+    with mpmath.workprec(300):
+        d = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0)
+        v0 = mpmath.mpf(problem.sigma) ** 2 / problem.n
+        out = {"log": [], "hyvarinen": []}
+        for v in (v0, v0 + mpmath.mpf(prior.tau) ** 2 if prior.is_conjugate else None):
+            if v is None:
+                out["log"].append((-mpmath.log(prior.c), abs(mpmath.log(prior.c))))
+                out["hyvarinen"].append((mpmath.mpf(0), mpmath.mpf(0)))
+                continue
+            log_terms = (d * d / (2 * v), mpmath.log(v) / 2, mpmath.log(2 * mpmath.pi) / 2)
+            hyv_terms = (-2 / v, d * d / v**2)
+            for rule, terms in (("log", log_terms), ("hyvarinen", hyv_terms)):
+                out[rule].append((sum(terms), max(abs(x) for x in terms)))
+        return out
+
+
+@st.composite
+def scored_problems(draw):
+    sigma = 10.0 ** draw(st.floats(-300.0, 300.0))
+    n = int(10.0 ** draw(st.floats(0.0, 308.25)))
+    if draw(st.booleans()):
+        theta0 = draw(st.floats(-1e300, 1e300))
+        problem = NormalProblem.from_t(draw(st.floats(-1e3, 1e3)), n, theta0=theta0, sigma=sigma)
+    else:
+        # xbar and theta0 of opposite signs: xbar - theta0 up to twice the largest double
+        side = draw(st.sampled_from([-1.0, 1.0])) * sys.float_info.max
+        theta0, xbar = (side * draw(st.floats(0.0, 1.0)) for _ in range(2))
+        problem = NormalProblem(-theta0, sigma, n, xbar)
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    conjugate = draw(st.booleans())
+    prior = AlternativePrior.conjugate(scale) if conjugate else AlternativePrior.flat(c=scale)
+    return problem, prior
+
+
+def cli_argv(rule, problem, prior):
+    alt = ["--tau", repr(prior.tau)] if prior.is_conjugate else ["--alt", "flat", "--c", repr(prior.c)]
+    return ["score", "--rule", rule, f"--theta0={problem.theta0!r}", f"--xbar={problem.xbar!r}",
+            f"--sigma={problem.sigma!r}", "--n", str(problem.n), *alt]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scored_problems())
+def test_compares_match_mpmath_at_every_scale(case):
+    # each penalty lies within 1e-15 of the largest term it sums, or within
+    # the smallest subnormal where it underflows; one beyond the doubles is
+    # +-inf, which the CLI refuses by name
+    problem, prior = case
+    want = mp_penalties(problem, prior)
+    for rule, compare in (("log", log_score_compare), ("hyvarinen", hyvarinen_compare)):
+        (w0, scale0), (w1, scale1) = want[rule]
+        try:
+            rep = compare(problem, prior)
+        except ValueError as exc:
+            message = str(exc)
+            if message.endswith("have no difference s0 - s1"):
+                # both penalties overflow, to the same infinity
+                assert abs(w0) > sys.float_info.max and abs(w1) > sys.float_info.max
+                assert (w0 > 0) == (w1 > 0)
+            else:
+                # both underflow, and the underflow alone tied them
+                assert message.endswith("tie only by underflow: their exact values differ")
+                assert abs(w0) < 2.0**-1073 and abs(w1) < 2.0**-1073 and w0 != w1
+            continue
+        penalties = (("s0", rep.s0, w0, scale0), ("s1", rep.s1, w1, scale1))
+        for name, got, w, scale in penalties:
+            if math.isinf(got):
+                assert abs(w) > sys.float_info.max and (got > 0) == (w > 0), (rule, name)
+            else:
+                assert abs(got - w) <= 1e-15 * scale + 2.0**-1074, (rule, name, got, float(w))
+        beyond = [(name, got) for name, got, _, _ in penalties if math.isinf(got)]
+        if beyond:
+            # the CLI names the first penalty it finds beyond the doubles
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(cli_argv(rule, problem, prior)) == 2
+            name, got = beyond[0]
+            assert err.getvalue() == f"error: result {name} is {got!r}, not a finite number\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    scored_problems(),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+)
+def test_sweep_arithmetic_is_the_compare_elementwise(case, ts):
+    # score_consistency_sim scores an array of means with the same + - * /
+    # as hyvarinen_compare, so each element is the double the compare gives
+    problem, prior = case
+    xbars = [problem.theta0 + t * problem.sem for t in ts] + [problem.xbar]
+    xbars = [x for x in xbars if math.isfinite(x)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s0, s1, false_tie = _hyvarinen_penalties(problem, prior, np.array(xbars))
+        s0, s1, false_tie = np.broadcast_arrays(s0, s1, false_tie)
+    for i, x in enumerate(xbars):
+        one = NormalProblem(problem.theta0, problem.sigma, problem.n, x)
+        want = _hyvarinen_penalties(one, prior)
+        assert (float(s0[i]).hex(), float(s1[i]).hex(), bool(false_tie[i])) == (
+            want[0].hex(), want[1].hex(), want[2]
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--rule", "log", "--t", "1.96", "--n", "100", "--tau", "1e200"],
+        ["score", "--rule", "log", "--t", "1.96", "--n", "100", "--sigma", "1e-200", "--tau", "1"],
+    ],
+)
+def test_penalties_once_refused_for_a_variance_match_mpmath(argv):
+    # sigma^2/n + tau^2 overflowed, or sigma^2/n underflowed, and each call
+    # was refused, though its penalties are ordinary numbers
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--format", "json"]) == 0
+    results = json.loads(out.getvalue())["results"]
+    flags = dict(zip(argv[3::2], argv[4::2]))
+    problem = NormalProblem.from_t(1.96, 100, sigma=float(flags.get("--sigma", 1.0)))
+    (w0, scale0), (w1, scale1) = mp_penalties(problem, AlternativePrior.conjugate(float(flags["--tau"])))["log"]
+    assert abs(results["s0"] - w0) <= 1e-15 * scale0
+    assert abs(results["s1"] - w1) <= 1e-15 * scale1
+
+
+def test_sweep_once_refused_for_a_variance_selects_as_mpmath():
+    # sigma^2/n = 2.5e-401 underflowed; n/sigma^2 now takes the penalties to
+    # +-inf, whose signs still select: the null exactly where t^2 < 2
+    run = ConsistencyRun(
+        theta_true=0.0, theta0=0.0, sigma=1e-200, n_grid=(4,), replications=10, seed=42
+    )
+    ((n, sem, xbar),) = run.sample_means()
+    want = sum(mpmath.mpf(float(x)) ** 2 * n / mpmath.mpf(1e-200) ** 2 < 2 for x in xbar)
+    (summary,) = score_consistency_sim(run)
+    assert summary.select_null_rate == want / 10 == 0.9
+    assert summary.tie_rate == 0.0
 
 
 class TestSprengerKlScore:

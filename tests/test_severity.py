@@ -18,7 +18,17 @@ from pointnull.severity import (
     severity_curve,
     warranted_discrepancy,
 )
-from test_scores import binades, signed
+
+
+def binades(lo, hi):
+    """Doubles m 2^e with m in [0.5, 1), spread evenly over the exponents."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+def signed(magnitudes):
+    signs = st.sampled_from((-1.0, 1.0))
+    return st.one_of(st.just(0.0), st.builds(lambda s, y: s * y, signs, magnitudes))
+
 
 # mpmath oracle (dps 40): Phi(1.96)
 PHI_196 = 0.97500210485177956586

@@ -56,16 +56,16 @@ def test_uniformity_holds_one_array_of_the_draws():
 
 
 def test_consistency_holds_few_arrays_of_the_draws():
-    # 1.8 MB on the null and 2.0 MB off it, measured with numpy 2.4 at 0.8 MB
-    # per array of 1e5 doubles. On the null: the buffer, the previous grid
-    # point's buffer, which the loop still names while the next one is drawn,
-    # and the 0.1 MB mask of collapsed replicates. Off it: the buffer, the
-    # mask and the copy of the collapsed replicates' x (nearly all of them)
-    # that the joint rate reads. log B01 runs on the middle ranks only; an
-    # array of it over every replicate would break the bound.
+    # 1.7 MB on the null and off it, measured with numpy 2.4 at 0.8 MB per
+    # array of 1e5 doubles: the buffer, the previous grid point's buffer,
+    # which the loop still names while the next one is drawn, and 0.1 MB
+    # masks, one at a time. The joint rate reads the collapse mask's count,
+    # so no copy of the collapsed replicates' x is made off the null. log B01
+    # runs on the middle ranks only; an array of it over every replicate
+    # would break the bound.
     for theta_true in (0.0, 0.3):
         consistency_simulation(consistency_run(1000, theta_true))
-        assert peak_mb(consistency_simulation, consistency_run(100_000, theta_true)) < 2.3
+        assert peak_mb(consistency_simulation, consistency_run(100_000, theta_true)) < 2.0
 
 
 def test_uniform_ks_distance_leaves_its_input_alone():

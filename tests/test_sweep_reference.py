@@ -241,15 +241,16 @@ def test_uniformity_matches_reference(seed, reps, noncentrality):
 FAILING_RUNS = [
     # t overflows to inf
     run_of(10, n_grid=(1,), theta_true=1e308, theta0=-1e308),
-    # sigma^2 / n underflows to 0
+    # sigma^2 / n underflows to 0, which the score sweeps once refused; n/sigma^2
+    # overflows, and the penalties' infinities still select by their signs
     run_of(10, n_grid=(4,), sigma=1e-200),
 ]
-# sigma^2 / n = 1e-308 is below 2^-1023, so -2/v is -inf; d^2/v^2 = z^2/v also
-# overflows, making the null's penalty nan, once |z| > 1.34: the first replicate
-# with such a draw is the one refused (the 9th at seed 0, 1st at seed 1, 4th at seed 2)
+# n/sigma^2 = 1e308: the null's penalty (t^2 - 2) n/sigma^2 overflows once
+# |t^2 - 2| > 1.8, which once made it nan and refused the first such replicate
 FAILING_RUNS += [run_of(10, n_grid=(1,), sigma=1e-154, seed=s) for s in range(3)]
-# xbar overflows in about one replicate in six, sigma^2 in all: whether the
-# first replicate overflows decides which error comes first
+# xbar overflows in about one replicate in six; n/sigma^2 underflows, so every
+# finite replicate's penalties tie only by underflow: whether the first
+# replicate overflows decides which error comes first
 FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed=s) for s in range(6)]
 
 
@@ -261,15 +262,17 @@ def test_failures_match_reference(run):
         assert got == outcome(reference_score_consistency, run, prior)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_first_nan_replicate_is_the_one_refused(seed):
-    # with tau = 1e-154 the alternative's penalty differs by replicate, so the
-    # message names which replicate was refused
-    run = run_of(10, n_grid=(1,), sigma=1e-154, seed=seed)
-    prior = AlternativePrior.conjugate(1e-154)
+@pytest.mark.parametrize("seed, sign", [(6, "-inf"), (23, "inf")])
+def test_first_refused_replicate_is_the_one_named(seed, sign):
+    # n/sigma^2 = 1e320 and tau = sigma take both penalties to +-inf: a
+    # replicate with 2 < t^2 < 4 gets opposite signs and selects, any other
+    # has no difference. The first replicates of these seeds select, and the
+    # sign in the message says which replicate was refused
+    run = run_of(10, n_grid=(1,), sigma=1e-160, seed=seed)
+    prior = AlternativePrior.conjugate(1e-160)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    assert got[1].startswith("hyvarinen penalties s0 = nan and s1 = ")
+    assert got[1] == f"hyvarinen penalties s0 = {sign} and s1 = {sign} have no difference s0 - s1"
 
 
 def test_failure_runs_reach_every_error():
@@ -284,22 +287,13 @@ def test_failure_runs_reach_every_error():
                 errors.add(got)
     assert errors == {
         (ValueError, "t must be finite"),
-        # the point null names its variance where sigma^2/n leaves the doubles
-        (ValueError, "the point-null predictive variance sigma^2/n is 0.0 at sigma = 1e-200, n = 4"),
-        (ValueError, "the point-null predictive variance sigma^2/n is inf at sigma = 1e+307, n = 1"),
-        # the conjugate alternative's predictive is built first and names its
-        # variance where that leaves the doubles; where only sigma^2/n
-        # underflows, its variance is tau^2 and the point null refuses above
+        # xbar - theta0 = 2e308: against tau = 1 both penalties overflow
+        (ValueError, "hyvarinen penalties s0 = inf and s1 = inf have no difference s0 - s1"),
         (
             ValueError,
-            "the conjugate predictive variance sigma^2/n + tau^2 is inf"
-            " at sigma = 1e+307, n = 1, tau = 1",
+            "hyvarinen penalties s0 = 0.0 and s1 = 0.0 tie only by underflow: "
+            "their exact values differ",
         ),
-        (ValueError, "hyvarinen penalties s0 = nan and s1 = 0.0 have no difference s0 - s1"),
-        (ValueError, "hyvarinen penalties s0 = nan and s1 = -2.0 have no difference s0 - s1"),
-        # xbar - theta0 = 2e308, whose square over v^2 overflows, so both
-        # conjugate-prior penalties are inf
-        (ValueError, "hyvarinen penalties s0 = inf and s1 = inf have no difference s0 - s1"),
         (ValueError, "xbar must be finite"),
     }
 
@@ -510,6 +504,23 @@ def test_collapse_threshold_matches_the_full_log_bf_map(case):
     with pytest.MonkeyPatch.context() as monkeypatch:
         craft(monkeypatch, draws)
         assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
+
+
+# every n up to 1000, which holds a*'s minimum near n = 31, then four
+# points a decade up to the largest float
+COLLAPSE_NS = list(range(1, 1001)) + [int(10.0 ** (k / 4)) for k in range(12, 1233)]
+COLLAPSE_NS += [int(sys.float_info.max)]
+
+
+def test_every_collapsed_replicate_has_p_below_1e6():
+    # so joint_collapse_rate is bf_collapse_rate's count: a replicate with
+    # |t| >= a*(n) has x = |t|/sqrt(2) >= a*(n)/sqrt(2), past the upper edge
+    # of the band where erfc may still reach 1e-6 through libm's rises
+    x_hi = paradox._erfc_band(math.nextafter(1e-6, 0.0))[1]
+    clearance = [paradox._collapse_threshold(n) / paradox._SQRT2 for n in COLLAPSE_NS]
+    assert min(clearance) >= x_hi
+    assert 3.45 < x_hi < 3.47 and 4.0 < min(clearance) < 4.02
+    assert 25 <= COLLAPSE_NS[int(np.argmin(clearance))] <= 40
 
 
 @pytest.mark.parametrize("reps", [1, 2, 3, 32, 33, 34, 64, 65, 129])

@@ -21,6 +21,7 @@ from pointnull.normal import (
     conjugate_posterior,
     improper_bf,
 )
+from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
     ScoreReport,
@@ -128,6 +129,20 @@ class TestLogScoreCompare:
         s1 = [log_score_compare(p, AlternativePrior.flat(c=c)).s1 for c in (1.0, 2.0)]
         assert s1[1] - s1[0] == -math.log(2.0)
 
+    def test_penalties_are_minus_log_normal_pdf(self):
+        # at ordinary scales the predictives are N(theta0, sem^2) and
+        # N(theta0, sem^2 + tau^2), whose log densities numerics forms directly
+        rng = np.random.default_rng(104)
+        for _ in range(100):
+            p = random_problem(rng)
+            tau = float(rng.uniform(0.05, 5))
+            rep = log_score_compare(p, AlternativePrior.conjugate(tau))
+            v = p.sem**2
+            for got, var in ((rep.s0, v), (rep.s1, v + tau * tau)):
+                want = -log_normal_pdf(p.xbar, p.theta0, var)
+                scale = max(1.0, (p.xbar - p.theta0) ** 2 / var, abs(math.log(var)))
+                assert abs(got - want) <= 1e-14 * scale
+
     def test_doubling_c_moves_comparison_diff_by_log_two(self):
         # the null's relative penalty (and -log B01 with it) rises by log 2;
         # one float addition separates this from bitwise exactness
@@ -225,6 +240,61 @@ class TestHyvarinenCompare:
         assert rep == hyvarinen_compare(p, AlternativePrior.flat())
         assert rep.s1 == 0.0
         assert not rep.c_dependent
+
+    def test_finite_difference_probe_quarter_case(self):
+        # the null's predictive is N(0, 1): -2 + 1.5^2 = 0.25
+        p = NormalProblem(0.0, 1.0, 1, 1.5)
+        assert abs(fd_hyvarinen(p, AlternativePrior.conjugate(1.0), 1e-4)[0] - 0.25) < 1e-6
+
+    def test_flat_finite_difference_is_exactly_zero(self):
+        # -log m = -log c at every x, so every difference of it is exactly 0
+        p = NormalProblem(0.0, 1.0, 4, 0.5)
+        assert fd_hyvarinen(p, AlternativePrior.flat(c=7.0), 1e-4)[1] == 0.0
+
+    @pytest.mark.parametrize("k", [-500, -1, 1, 500])
+    def test_rescaling_by_a_power_of_two(self, k):
+        # xbar - theta0, sigma and tau in units 2^k: the Hyvarinen penalties
+        # are curvatures, so they scale by 2^-2k exactly; the log penalties
+        # are -log densities, so they rise by k log 2
+        rng = np.random.default_rng(105)
+        for _ in range(50):
+            p = random_problem(rng)
+            prior = AlternativePrior.conjugate(float(rng.uniform(0.05, 5)))
+            q = NormalProblem(
+                math.ldexp(p.theta0, k), math.ldexp(p.sigma, k), p.n, math.ldexp(p.xbar, k)
+            )
+            wide = AlternativePrior.conjugate(math.ldexp(prior.tau, k))
+            a, b = hyvarinen_compare(p, prior), hyvarinen_compare(q, wide)
+            assert (b.s0, b.s1) == (math.ldexp(a.s0, -2 * k), math.ldexp(a.s1, -2 * k))
+            a, b = log_score_compare(p, prior), log_score_compare(q, wide)
+            shift = k * math.log(2.0)
+            for x, y in ((a.s0, b.s0), (a.s1, b.s1)):
+                assert abs(y - (x + shift)) <= 1e-15 * max(abs(x), abs(shift), 1.0) * 4
+
+    @pytest.mark.parametrize(
+        "sigma, n",
+        [(2.0**-511, 1), (1.0, 2**1022), (2.0**-300, 2**422)],
+        ids=["sigma", "n", "both"],
+    )
+    def test_null_penalty_at_two_to_minus_1022_is_finite(self, sigma, n):
+        # sem^2 = 2^-1022, the least normal double: -2/sem^2 = -2^1023 exactly
+        rep = hyvarinen_compare(NormalProblem(0.0, sigma, n, 0.0), AlternativePrior.flat())
+        assert rep.s0 == -(2.0**1023)
+        assert rep.selection == "H0"
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-160, 2.0**-520], ids=repr)
+    def test_below_two_to_minus_1023_the_penalty_leaves_the_doubles(self, sigma):
+        # -2/sem^2 at the mode is below -max, so s0 is -inf; the CLI refuses it
+        with mpmath.workprec(300):
+            assert -2 / mpmath.mpf(sigma) ** 2 < -sys.float_info.max
+        problem = NormalProblem(0.0, sigma, 1, 0.0)
+        assert hyvarinen_compare(problem, AlternativePrior.flat()).s0 == -math.inf
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            argv = ["score", "--rule", "hyvarinen", "--xbar", "0", f"--sigma={sigma!r}",
+                    "--n", "1", "--alt", "flat"]
+            assert cli.main(argv) == 2
+        assert err.getvalue() == "error: result s0 is -inf, not a finite number\n"
 
     @pytest.mark.parametrize(
         "sigma, n, xbar, selection",

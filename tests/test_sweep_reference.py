@@ -20,6 +20,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +274,30 @@ def test_first_refused_replicate_is_the_one_named(seed, sign):
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
     assert got[1] == f"hyvarinen penalties s0 = {sign} and s1 = {sign} have no difference s0 - s1"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_runs_once_refused_for_a_nan_replicate_select_as_mpmath(seed):
+    # sem^2 = 1e-308 and tau = sigma: the null's penalty was once nan where
+    # |t| > 1.34 and refused the run; each replicate now selects the
+    # hypothesis whose exact penalty -2/V + d^2/V^2 is smaller
+    run = run_of(10, n_grid=(1,), sigma=1e-154, seed=seed)
+    prior = AlternativePrior.conjugate(1e-154)
+    got = outcome(score_consistency_sim, run, prior)
+    assert got == outcome(reference_score_consistency, run, prior)
+    ((n, sem, xbar),) = run.sample_means()
+    with mpmath.workprec(300):
+        v0 = mpmath.mpf(run.sigma) ** 2 / n
+        v1 = v0 + mpmath.mpf(prior.tau) ** 2
+        null = 0
+        for x in xbar:
+            d2 = (mpmath.mpf(float(x)) - run.theta0) ** 2
+            s0, s1 = -2 / v0 + d2 / v0**2, -2 / v1 + d2 / v1**2
+            assert s0 != s1
+            null += s0 < s1
+    (summary,) = score_consistency_sim(run, prior)
+    assert summary.select_null_rate == null / 10
+    assert summary.tie_rate == 0.0
 
 
 def test_failure_runs_reach_every_error():

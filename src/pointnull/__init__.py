@@ -38,7 +38,7 @@ _EXPORTS = {
         "pvalue_uniformity_check", "required_bf", "uniform_ks_distance",
     ),
     "severity": (
-        "SeverityCurve", "SeverityQuery", "severity_at", "severity_curve", "warranted_discrepancy",
+        "SeverityCurve", "severity_at", "severity_curve", "warranted_discrepancy",
     ),
     "scores": (
         "ScoreReport", "ScoreSelectionSummary", "hyvarinen_compare", "log_score_compare",

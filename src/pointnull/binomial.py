@@ -54,8 +54,10 @@ def _log_beta_both_large(a: float, b: float) -> float:
 def log_beta(a: float, b: float) -> float:
     """log Beta(a, b), exactly symmetric in (a, b) and 1e-12-accurate
     through the half-million-argument regime the binomial tests hit."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("log_beta needs positive arguments")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"log_beta needs a finite positive a, got {a!r}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"log_beta needs a finite positive b, got {b!r}")
     if a > b:
         a, b = b, a
     if b < 10.0:

@@ -10,7 +10,6 @@ _MAX_GRID_POINTS = 100_000
 def run(args, cli) -> tuple[dict, dict, list]:
     cli._load("normal", "severity")
     problem = cli.NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
-    query = cli.SeverityQuery(problem=problem, level=args.level)
     if args.grid_points < 1:
         raise cli.UsageError("--grid-points must be at least 1")
     if args.grid_points > _MAX_GRID_POINTS:
@@ -41,7 +40,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
                 f"the default grid xbar +/- 3*sem collapses at |xbar| = {abs(problem.xbar):.6g} "
                 f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
             )
-    curve = cli.severity_curve(query, grid)
+    curve = cli.severity_curve(problem, grid, args.level)
     rows = [
         {"theta1": th, "gamma": th - problem.theta0, "severity": sev}
         for th, sev in curve.points

@@ -118,15 +118,14 @@ class RngStream:
         # numpy loads with the first stream, so closed-form callers never pay for it
         import numpy as np
 
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
-        self.seed = seed
-        self.stream_id = stream_id
-        key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+        # an int or a numpy integer; int() would truncate a float seed 1.9 to 1
+        if not (hasattr(seed, "__index__") and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        if not (hasattr(stream_id, "__index__") and stream_id >= 0):
+            raise ValueError(f"stream_id must be a non-negative integer, got {stream_id!r}")
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        key = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(key))
 
     def normals(self, size: int) -> "np.ndarray":

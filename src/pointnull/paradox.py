@@ -200,7 +200,11 @@ class ConsistencyRun(Record):
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        # as RngStream does for its seed, a float grid point is refused, not truncated
+        n_grid = tuple(self.n_grid)
+        if not all(hasattr(n, "__index__") for n in n_grid):
+            raise ValueError(f"n_grid must hold integers, got {n_grid!r}")
+        object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
         if not self.n_grid:
             raise ValueError("n_grid must be non-empty")
         if self.n_grid[0] < 1:
@@ -215,8 +219,8 @@ class ConsistencyRun(Record):
             raise ValueError("sigma must be positive")
         if not (math.isfinite(self.theta_true) and math.isfinite(self.theta0)):
             raise ValueError("theta_true and theta0 must be finite")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if not (hasattr(self.seed, "__index__") and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     def sample_means(self) -> Iterator[tuple[int, float, "np.ndarray"]]:
         """(n, sem, xbar) for each grid point, in grid order.
@@ -327,7 +331,8 @@ def uniform_ks_distance(values: Sequence[float]) -> float:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("need at least one value")
-    if v[0] < 0.0 or v[-1] > 1.0:
+    # the sort puts any nan last, where the upper check refuses it
+    if not (v[0] >= 0.0 and v[-1] <= 1.0):
         raise ValueError("values must lie in [0, 1]")
     steps = np.arange(1, v.size + 1, dtype=float) / v.size
     return float(np.maximum(steps - v, v - (steps - 1.0 / v.size)).max())

@@ -19,44 +19,15 @@ from .numerics import find_crossing, std_normal_cdf, std_normal_quantile
 __all__ = _EXPORTS["severity"]
 
 
-class SeverityQuery(Record):
-    """Severity request for claims theta > theta1: a problem and a level.
-
-    The mirrored claim theta < theta1 is available through the affine
-    symmetry x -> -x of the whole problem rather than a second code path.
-    """
-
-    problem: NormalProblem
-    level: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie strictly between 0 and 1")
-
-
 class SeverityCurve(Record):
-    """Severity evaluated over an ascending theta1 grid.
+    """Severity evaluated over an ascending theta1 grid, for claims theta > theta1.
 
-    points holds (theta1, severity) pairs, strictly decreasing in severity;
-    warranted_gamma is the largest discrepancy from theta0 sustained at the
-    query's level.
+    points holds (theta1, severity) pairs, non-increasing in severity;
+    warranted_gamma is the largest discrepancy from theta0 warranted at the level.
     """
 
     points: tuple[tuple[float, float], ...]
     warranted_gamma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple((float(a), float(b)) for a, b in self.points))
-        if not self.points:
-            raise ValueError("curve needs at least one point")
-        sevs = [s for _, s in self.points]
-        if any(not 0.0 < s < 1.0 for s in sevs):
-            raise ValueError(
-                "severity saturates to 0 or 1 on this grid; "
-                "keep theta1 within about 8 standard errors of xbar"
-            )
-        if any(b >= a for a, b in zip(sevs, sevs[1:])):
-            raise ValueError("severity must be strictly decreasing across the grid")
 
 
 def severity_at(problem: NormalProblem, theta1: float) -> float:
@@ -90,15 +61,20 @@ def warranted_discrepancy(problem: NormalProblem, level: float) -> float:
     return gamma
 
 
-def severity_curve(query: SeverityQuery, grid: Sequence[float]) -> SeverityCurve:
-    """Severity at each theta1 of an ascending grid, plus the warranted gamma."""
+def severity_curve(
+    problem: NormalProblem, grid: Sequence[float], level: float = 0.9
+) -> SeverityCurve:
+    """Severity at each theta1 of an ascending grid, plus the warranted gamma at level."""
+    gamma = warranted_discrepancy(problem, level)
     thetas = [float(th) for th in grid]
     if not thetas:
         raise ValueError("grid must be non-empty")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("grid must be strictly ascending")
-    points = tuple((th, severity_at(query.problem, th)) for th in thetas)
-    return SeverityCurve(
-        points=points,
-        warranted_gamma=warranted_discrepancy(query.problem, query.level),
-    )
+    points = tuple((th, severity_at(problem, th)) for th in thetas)
+    if any(not 0.0 < s < 1.0 for _, s in points):
+        raise ValueError(
+            "severity saturates to 0 or 1 on this grid; "
+            "keep theta1 within about 8 standard errors of xbar"
+        )
+    return SeverityCurve(points=points, warranted_gamma=gamma)

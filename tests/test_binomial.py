@@ -215,7 +215,12 @@ class TestLogBeta:
                 want = mpmath.log(mpmath.beta(mpmath.mpf(float(a)), mpmath.mpf(float(b))))
             assert abs((got - want) / want) <= 1e-12
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0), (2.0, math.nan), (math.nan, 2.0),
+         (math.inf, math.inf), (1.0, math.inf), (math.inf, 1.0)],
+    )
     def test_domain_errors(self, args):
-        with pytest.raises(ValueError):
+        bad = "a" if not 0.0 < args[0] < math.inf else "b"
+        with pytest.raises(ValueError, match=f"^log_beta needs a finite positive {bad}, got "):
             log_beta(*args)

@@ -150,7 +150,16 @@ class TestRngStream:
         assert abs(float(draws.mean())) < 0.004
         assert abs(float(draws.var()) - 1.0) < 0.01
 
-    @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (3, -1)])
+    @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (3, -1), (1.0, 0)])
     def test_key_validation(self, seed, stream_id):
         with pytest.raises(ValueError):
             RngStream(seed, stream_id)
+
+    def test_fractional_key_is_named_not_truncated(self):
+        with pytest.raises(ValueError, match=r"^seed must be an unsigned 64-bit integer, got 1\.9$"):
+            RngStream(1.9)
+        with pytest.raises(ValueError, match=r"^stream_id must be a non-negative integer, got 0\.5$"):
+            RngStream(1, 0.5)
+        a = RngStream(np.int64(7), np.int32(2))
+        assert repr(a) == "RngStream(seed=7, stream_id=2)"
+        assert np.array_equal(a.normals(4), RngStream(7, 2).normals(4))

@@ -294,6 +294,7 @@ class TestConsistencyRun:
             {"theta_true": math.nan},
             {"seed": -1},
             {"seed": 2**64},
+            {"n_grid": (10, 20.0)},
         ],
     )
     def test_validation(self, kwargs):
@@ -310,11 +311,19 @@ class TestConsistencyRun:
             ConsistencyRun(0.0, 0.0, 1.0, (5, 10**400), replications=2, seed=1)
 
     def test_grid_coerced_to_ints(self):
-        run = ConsistencyRun(
-            theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=[10, 20], replications=1, seed=0
-        )
-        assert run.n_grid == (10, 20)
-        assert all(isinstance(n, int) for n in run.n_grid)
+        for n_grid, seed in (([10, 20], 0), (np.array([10, 20]), np.uint64(0))):
+            run = ConsistencyRun(
+                theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=n_grid, replications=1, seed=seed
+            )
+            assert run.n_grid == (10, 20)
+            assert all(type(n) is int for n in run.n_grid)
+
+    def test_fractional_grid_point_and_seed_are_named(self):
+        # int() would store n_grid (10,) and seed 1
+        with pytest.raises(ValueError, match=r"^n_grid must hold integers, got \(10\.7,\)$"):
+            ConsistencyRun(0.0, 0.0, 1.0, (10.7,), 5, 1)
+        with pytest.raises(ValueError, match=r"^seed must be an unsigned 64-bit integer, got 1\.9$"):
+            ConsistencyRun(0.0, 0.0, 1.0, (10,), 5, 1.9)
 
 
 class TestConsistencySimulation:
@@ -399,11 +408,11 @@ class TestUniformKsDistance:
         assert uniform_ks_distance(v) == uniform_ks_distance(shuffled)
 
     def test_rejects_out_of_range_and_empty(self):
-        with pytest.raises(ValueError):
-            uniform_ks_distance([0.5, 1.2])
-        with pytest.raises(ValueError):
-            uniform_ks_distance([-0.1, 0.5])
-        with pytest.raises(ValueError):
+        for values in ([0.5, 1.2], [-0.1, 0.5], [0.2, math.nan, 0.4], [math.nan], [0.5, math.inf],
+                       [-math.inf, 0.5]):
+            with pytest.raises(ValueError, match=r"^values must lie in \[0, 1\]$"):
+                uniform_ks_distance(values)
+        with pytest.raises(ValueError, match="at least one value"):
             uniform_ks_distance([])
 
 

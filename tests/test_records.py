@@ -18,9 +18,7 @@ from pointnull.normal import (
 )
 from pointnull.paradox import ConsistencyRun, ConsistencySummary, ParadoxQuery
 from pointnull.scores import ScoreReport, ScoreSelectionSummary
-from pointnull.severity import SeverityCurve, SeverityQuery
-
-PROBLEM = NormalProblem(0.0, 1.0, 100, 0.2)
+from pointnull.severity import SeverityCurve
 
 CASES = [
     (NormalProblem, {"theta0": 0.0, "sigma": 1.0, "n": 100, "xbar": 0.2}, {}),
@@ -71,7 +69,6 @@ CASES = [
         {"n": 10, "select_null_rate": 0.5, "select_alt_rate": 0.5, "tie_rate": 0.0},
         {},
     ),
-    (SeverityQuery, {"problem": PROBLEM}, {"level": 0.9}),
     (SeverityCurve, {"points": ((0.0, 0.9), (0.1, 0.8)), "warranted_gamma": 0.05}, {}),
 ]
 

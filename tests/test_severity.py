@@ -11,13 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pointnull.binomial import STONE_EXAMPLE, as_normal_problem
 from pointnull.normal import NormalProblem
 from pointnull.numerics import find_crossing, std_normal_quantile
-from pointnull.severity import (
-    SeverityCurve,
-    SeverityQuery,
-    severity_at,
-    severity_curve,
-    warranted_discrepancy,
-)
+from pointnull.severity import severity_at, severity_curve, warranted_discrepancy
 
 
 def binades(lo, hi):
@@ -236,10 +230,16 @@ class TestWarrantedDiscrepancy:
         assert math.isfinite(g_hi)
         assert g_hi < warranted_discrepancy(UNIT, 0.99)
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_level_validation(self, level):
-        with pytest.raises(ValueError):
+        # a curve checks its level here first, before its grid
+        message = "level must lie strictly between 0 and 1"
+        with pytest.raises(ValueError, match=message):
             warranted_discrepancy(UNIT, level)
+        with pytest.raises(ValueError, match=message):
+            severity_curve(UNIT, [UNIT.xbar], level)
+        with pytest.raises(ValueError, match=message):
+            severity_curve(UNIT, [], level)
 
     def test_binomial_bridge_uses_null_based_scale(self):
         # the normal reduction of the count problem carries
@@ -252,67 +252,90 @@ class TestWarrantedDiscrepancy:
         )
 
 
-class TestSeverityQuery:
-    def test_defaults(self):
-        q = SeverityQuery(problem=UNIT)
-        assert q.level == 0.9
-
-    @pytest.mark.parametrize("level", [0.0, 1.0])
-    def test_level_validation(self, level):
-        with pytest.raises(ValueError):
-            SeverityQuery(problem=UNIT, level=level)
-
-
 class TestSeverityCurve:
     def test_single_point_at_xbar(self):
-        q = SeverityQuery(problem=UNIT)
-        curve = severity_curve(q, [UNIT.xbar])
+        curve = severity_curve(UNIT, [UNIT.xbar])
         assert curve.points == ((1.96, 0.5),)
 
     def test_warranted_gamma_attached(self):
-        q = SeverityQuery(problem=UNIT, level=0.9)
-        curve = severity_curve(q, [1.0, 2.0])
-        assert curve.warranted_gamma == warranted_discrepancy(UNIT, 0.9)
+        assert severity_curve(UNIT, [1.0, 2.0]).warranted_gamma == warranted_discrepancy(UNIT, 0.9)
+        curve = severity_curve(UNIT, [1.0, 2.0], 0.6)
+        assert curve.warranted_gamma == warranted_discrepancy(UNIT, 0.6)
 
     def test_strictly_decreasing(self):
-        q = SeverityQuery(problem=UNIT)
-        curve = severity_curve(q, list(np.linspace(0.5, 3.5, 13)))
+        curve = severity_curve(UNIT, list(np.linspace(0.5, 3.5, 13)))
         sevs = [s for _, s in curve.points]
         assert all(b < a for a, b in zip(sevs, sevs[1:]))
 
     def test_level_crossed_exactly_once_when_straddled(self):
-        q = SeverityQuery(problem=UNIT, level=0.9)
-        curve = severity_curve(q, list(np.linspace(0.0, 3.0, 31)))
+        curve = severity_curve(UNIT, list(np.linspace(0.0, 3.0, 31)), 0.9)
         signs = [s >= 0.9 for _, s in curve.points]
         flips = sum(a != b for a, b in zip(signs, signs[1:]))
         assert flips == 1
 
     def test_symmetric_grid_mirrors_about_half(self):
-        q = SeverityQuery(problem=UNIT)
         delta = 0.3
         grid = [UNIT.xbar + k * delta for k in range(-5, 6)]
-        sevs = [s for _, s in severity_curve(q, grid).points]
+        sevs = [s for _, s in severity_curve(UNIT, grid).points]
         for i in range(11):
             assert math.isclose(sevs[i] + sevs[10 - i], 1.0, abs_tol=1e-12)
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            severity_curve(SeverityQuery(problem=UNIT), [])
+        with pytest.raises(ValueError, match="non-empty"):
+            severity_curve(UNIT, [])
 
     def test_rejects_unsorted_and_duplicate_grids(self):
-        q = SeverityQuery(problem=UNIT)
-        with pytest.raises(ValueError):
-            severity_curve(q, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            severity_curve(q, [1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="ascending"):
+            severity_curve(UNIT, [2.0, 1.0])
+        with pytest.raises(ValueError, match="ascending"):
+            severity_curve(UNIT, [1.0, 1.0, 2.0])
 
     def test_rejects_saturated_grid(self):
-        q = SeverityQuery(problem=UNIT)
         with pytest.raises(ValueError, match="saturates"):
-            severity_curve(q, [UNIT.xbar - 20.0, UNIT.xbar])
+            severity_curve(UNIT, [UNIT.xbar - 20.0, UNIT.xbar])
 
-    def test_curve_type_validates_directly(self):
-        with pytest.raises(ValueError):
-            SeverityCurve(points=(), warranted_gamma=0.0)
-        with pytest.raises(ValueError):
-            SeverityCurve(points=((0.0, 0.4), (1.0, 0.6)), warranted_gamma=0.0)
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.1, 0.10000000000000002, 0.10000000000000003), (-0.6, -0.5995, -0.599)],
+        ids=["adjacent-doubles", "near-one"],
+    )
+    def test_equal_neighbours_are_answered(self, grid):
+        # Phi rounds the last two theta1 of each grid to the same double
+        p = NormalProblem(theta0=0.0, sigma=1.0, n=100, xbar=0.2)
+        sevs = [s for _, s in severity_curve(p, grid).points]
+        assert sevs == [severity_at(p, th) for th in grid]
+        assert sevs[1] == sevs[2]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        binades(-30, 30),
+        st.integers(1, 10**9),
+        st.floats(-1e6, 1e6),
+        st.lists(
+            st.tuples(
+                # offsets from xbar in units of sem: the body, and the upper
+                # tail of Phi where it rounds to 1 at about 8.3 sem below xbar
+                st.one_of(st.floats(-4.0, 4.0), st.floats(-8.6, -7.9)),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_points_are_severity_at_or_saturation_is_named(self, sigma, n, xbar, runs):
+        p = NormalProblem(theta0=0.0, sigma=sigma, n=n, xbar=xbar)
+        grid = set()
+        for offset, length in runs:
+            theta = xbar + offset * p.sem
+            for _ in range(length):
+                grid.add(theta)
+                theta = math.nextafter(theta, math.inf)
+        grid = sorted(grid)
+        want = [severity_at(p, th) for th in grid]
+        if any(s in (0.0, 1.0) for s in want):
+            with pytest.raises(ValueError, match="saturates"):
+                severity_curve(p, grid)
+            return
+        curve = severity_curve(p, grid)
+        assert curve.points == tuple(zip(grid, want))
+        assert all(b <= a for a, b in zip(want, want[1:]))

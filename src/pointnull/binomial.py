@@ -79,6 +79,9 @@ class BinomialProblem(Record):
     theta0: float
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("x", self.x)):
+            if not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.n > sys.float_info.max:

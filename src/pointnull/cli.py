@@ -20,36 +20,25 @@ from typing import Any
 
 from . import __getattr__ as _package_getattr
 
-__all__ = ["FORMAT_VERSION", "UsageError", "main"]
+__all__ = ["FORMAT_VERSION", "main"]
 
 FORMAT_VERSION = "1"
 
 
 # A subcommand's handler, run(args, cli) in pointnull.commands.<name>, gets
-# this running module as cli: it binds the library modules it calls here
-# with cli._load, so a call loads only what it runs, and calls their names as
-# cli attributes. A bound name is never rebound, so a stand-in set here (a
-# test double, a tracing wrapper) is what it calls. Under python -m, this
-# module is __main__, and importing pointnull.cli would compile it again.
-def _load(*modules: str) -> None:
-    """Import each library module and bind its exports not yet bound here."""
-    namespace = globals()
-    for module in modules:
-        library = importlib.import_module(f".{module}", __package__)
-        for name in library.__all__:
-            namespace.setdefault(name, getattr(library, name))
-
-
+# this running module as cli and calls its library names as cli attributes.
+# The first use of a name imports only the module that defines it and binds
+# the name here. Python asks __getattr__ only for a name not yet bound, so a
+# stand-in set here (a test double, a tracing wrapper) is what handlers call.
+# Under python -m, this module is __main__, and importing pointnull.cli would
+# compile it again.
 def __getattr__(name: str) -> Any:
-    """Serve a library name not yet bound here through the package's lookup."""
+    """Serve a library name not yet bound here through the package's lookup, and bind it."""
     try:
-        return _package_getattr(name)
+        value = globals()[name] = _package_getattr(name)
     except AttributeError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-
-
-class UsageError(Exception):
-    """Flag combination the parser alone cannot reject."""
+    return value
 
 
 def _fmt(value: Any, digits: int | None = None) -> str:
@@ -144,6 +133,8 @@ def _check_finite(results: dict) -> None:
 
 
 def _problem_from_args(args) -> "NormalProblem":
+    from .normal import NormalProblem
+
     if args.t is not None:
         return NormalProblem.from_t(args.t, args.n, theta0=args.theta0, sigma=args.sigma)
     return NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
@@ -344,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
             "provenance": provenance,
         }
         text = _render(env, args.format or args.default_format, args.digits)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

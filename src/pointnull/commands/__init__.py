@@ -1,1 +1,1 @@
-"""Subcommand handlers, one module each; the comment on cli._load says how."""
+"""Subcommand handlers, one module each; the comment on cli.__getattr__ says how."""

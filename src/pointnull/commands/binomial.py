@@ -2,7 +2,6 @@
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("binomial")
     problem = cli.BinomialProblem(n=args.n, x=args.x, theta0=args.theta0)
     z = cli.binomial_z(problem)
     p = cli.binomial_p_value(problem)

@@ -4,7 +4,6 @@ import math
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("binomial", "normal", "paradox", "scores")
     t, n = 1.96, 16818
     bf_at = cli.bayes_factor_lindley(t, n)
     post_at = cli.posterior_prob_null(bf_at, cli.HypothesisWeights(0.5))

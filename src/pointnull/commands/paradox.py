@@ -2,7 +2,6 @@
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("normal", "paradox")
     weights = cli.HypothesisWeights(rho0=args.rho0)
     query = cli.ParadoxQuery(
         t=args.t, target_post_prob=args.target, weights=weights, alpha=args.alpha

@@ -2,7 +2,6 @@
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("normal")
     problem = cli._problem_from_args(args)
     # report always uses the proper conjugate alternative; tau defaults to
     # sigma, which is also what --tau-equals-sigma spells out

@@ -5,16 +5,15 @@ def _prior_from_args(args, sigma: float, cli):
     # the flag table's group already refuses --tau with --tau-equals-sigma
     scale_given = args.tau is not None or args.tau_equals_sigma
     if args.alt == "flat" and scale_given:
-        raise cli.UsageError("--alt flat conflicts with a conjugate scale flag")
+        raise ValueError("--alt flat conflicts with a conjugate scale flag")
     if scale_given or args.alt == "conjugate":
         if args.c is not None:
-            raise cli.UsageError("--c applies only to the flat alternative")
+            raise ValueError("--c applies only to the flat alternative")
         return cli.AlternativePrior.conjugate(sigma if args.tau is None else args.tau)
     return cli.AlternativePrior.flat(c=1.0 if args.c is None else args.c)
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("normal", "scores")
     problem = cli._problem_from_args(args)
     prior = _prior_from_args(args, problem.sigma, cli)
     compare = {"log": cli.log_score_compare, "hyvarinen": cli.hyvarinen_compare}

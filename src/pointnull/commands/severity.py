@@ -8,19 +8,18 @@ _MAX_GRID_POINTS = 100_000
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("normal", "severity")
     problem = cli.NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
     if args.grid_points < 1:
-        raise cli.UsageError("--grid-points must be at least 1")
+        raise ValueError("--grid-points must be at least 1")
     if args.grid_points > _MAX_GRID_POINTS:
-        raise cli.UsageError(f"--grid-points must be at most {_MAX_GRID_POINTS}")
+        raise ValueError(f"--grid-points must be at most {_MAX_GRID_POINTS}")
     sem = problem.sem
     lo = args.grid_lo if args.grid_lo is not None else problem.xbar - 3.0 * sem
     hi = args.grid_hi if args.grid_hi is not None else problem.xbar + 3.0 * sem
     if (args.grid_lo is None and not math.isfinite(lo)) or (
         args.grid_hi is None and not math.isfinite(hi)
     ):
-        raise cli.UsageError(
+        raise ValueError(
             f"the default grid xbar +/- 3*sem overflows at |xbar| = {abs(problem.xbar):.6g} "
             f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
         )
@@ -36,7 +35,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
         if args.grid_lo is None and args.grid_hi is None and any(
             b <= a for a, b in zip(grid, grid[1:])
         ):
-            raise cli.UsageError(
+            raise ValueError(
                 f"the default grid xbar +/- 3*sem collapses at |xbar| = {abs(problem.xbar):.6g} "
                 f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
             )

@@ -1,17 +1,16 @@
 """simulate: seeded Monte Carlo sweeps."""
 
 
-def _parse_grid(text: str, cli) -> tuple[int, ...]:
+def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise cli.UsageError(f"--n-grid needs comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"--n-grid needs comma-separated integers, got {text!r}") from exc
 
 
 def run(args, cli) -> tuple[dict, dict, list]:
-    cli._load("paradox")
     if args.reps < 1:
-        raise cli.UsageError("--reps must be at least 1")
+        raise ValueError("--reps must be at least 1")
     try:
         if args.kind == "uniformity":
             ks = cli.pvalue_uniformity_check(args.seed, args.reps, noncentrality=args.noncentrality)
@@ -31,7 +30,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
             theta_true=args.theta_true,
             theta0=args.theta0,
             sigma=args.sigma,
-            n_grid=_parse_grid(args.n_grid, cli),
+            n_grid=_parse_grid(args.n_grid),
             replications=args.reps,
             seed=args.seed,
         )
@@ -48,7 +47,6 @@ def run(args, cli) -> tuple[dict, dict, list]:
             summaries = cli.consistency_simulation(sweep, alpha=args.alpha)
             inputs["alpha"] = args.alpha
         else:
-            cli._load("normal", "scores")
             if args.tau is None:
                 prior = cli.AlternativePrior.flat()
             else:

@@ -177,6 +177,9 @@ def paradox_table(query: ParadoxQuery, n_list: Iterable[int]) -> list[tuple[int,
     p = p_value(query.t)
     rows: list[tuple[int, TestReport]] = []
     for n in n_list:
+        # as ConsistencyRun does for its grid, a float sample size is refused, not truncated
+        if not hasattr(n, "__index__"):
+            raise ValueError(f"n_list must hold integers, got {n!r}")
         n = int(n)
         bf = bayes_factor_lindley(query.t, n)
         post = posterior_prob_null(bf, query.weights)
@@ -213,6 +216,8 @@ class ConsistencyRun(Record):
             raise ValueError(f"sample sizes must be at most the largest float, {sys.float_info.max:.6g}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if not hasattr(self.replications, "__index__"):
+            raise ValueError(f"replications must be an integer, got {self.replications!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -352,6 +357,8 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     draws' buffer is the only array of their size: the shift, |t|, the
     division by sqrt(2) and the sort all happen in it.
     """
+    if not hasattr(replications, "__index__"):
+        raise ValueError(f"replications must be an integer, got {replications!r}")
     if replications < 100:
         raise ValueError("replications must be at least 100")
     t = RngStream(seed).normals(replications)

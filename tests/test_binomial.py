@@ -24,18 +24,25 @@ from pointnull.normal import t_statistic
 
 class TestBinomialProblem:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(n=0, x=0, theta0=0.5),
-            dict(n=10, x=11, theta0=0.5),
-            dict(n=10, x=-1, theta0=0.5),
-            dict(n=10, x=2, theta0=0.0),
-            dict(n=10, x=2, theta0=1.0),
+            (dict(n=0, x=0, theta0=0.5), r"n must be at least 1"),
+            (dict(n=10, x=11, theta0=0.5), r"x must lie in \[0, n\]"),
+            (dict(n=10, x=-1, theta0=0.5), r"x must lie in \[0, n\]"),
+            (dict(n=10, x=2, theta0=0.0), r"theta0 must lie strictly between 0 and 1"),
+            (dict(n=10, x=2, theta0=1.0), r"theta0 must lie strictly between 0 and 1"),
+            (dict(n=10.5, x=3, theta0=0.5), r"n must be an integer, got 10\.5"),
+            (dict(n=10.0, x=3, theta0=0.5), r"n must be an integer, got 10\.0"),
+            (dict(n=10, x=3.5, theta0=0.5), r"x must be an integer, got 3\.5"),
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BinomialProblem(**kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        problem = BinomialProblem(np.int64(527135), np.int64(106298), 0.2)
+        assert binomial_bf_flat(problem) == binomial_bf_flat(STONE_EXAMPLE)
 
     def test_n_above_largest_float_is_refused(self):
         # binomial_z divided by n and raised OverflowError: int too large to convert to float

@@ -277,6 +277,14 @@ class TestParadoxTable:
         assert row.alpha == 0.01
         assert row.favor_null_bayes is (bf >= 1.0)
 
+    def test_fractional_sample_size_is_named(self):
+        # int() would report n = 10
+        for n in (10.7, 10.0):
+            with pytest.raises(ValueError, match=f"^n_list must hold integers, got {n}$"):
+                paradox_table(ParadoxQuery(t=1.96), [n])
+        ((n, _),) = paradox_table(ParadoxQuery(t=1.96), np.array([10]))
+        assert type(n) is int and n == 10
+
 
 
 class TestConsistencyRun:
@@ -289,6 +297,8 @@ class TestConsistencyRun:
             {"n_grid": (20, 10)},
             {"n_grid": (10, 10**400)},
             {"replications": 0},
+            {"replications": 5.5},
+            {"replications": 5.0},
             {"sigma": 0.0},
             {"sigma": -1.0},
             {"theta_true": math.nan},
@@ -322,6 +332,9 @@ class TestConsistencyRun:
         # int() would store n_grid (10,) and seed 1
         with pytest.raises(ValueError, match=r"^n_grid must hold integers, got \(10\.7,\)$"):
             ConsistencyRun(0.0, 0.0, 1.0, (10.7,), 5, 1)
+        # numpy would refuse it with a TypeError that names no field
+        with pytest.raises(ValueError, match=r"^replications must be an integer, got 5\.5$"):
+            ConsistencyRun(0.0, 0.0, 1.0, (10,), 5.5, 1)
         with pytest.raises(ValueError, match=r"^seed must be an unsigned 64-bit integer, got 1\.9$"):
             ConsistencyRun(0.0, 0.0, 1.0, (10,), 5, 1.9)
 
@@ -433,6 +446,14 @@ class TestPvalueUniformityCheck:
     def test_sanity_inversion_off_the_null(self):
         assert pvalue_uniformity_check(42, 1000, noncentrality=5.0) > 0.9
 
-    def test_minimum_replications(self):
-        with pytest.raises(ValueError):
-            pvalue_uniformity_check(42, 99)
+    @pytest.mark.parametrize(
+        "replications, message",
+        [
+            (99, r"replications must be at least 100"),
+            (100.5, r"replications must be an integer, got 100\.5"),
+            (100.0, r"replications must be an integer, got 100\.0"),
+        ],
+    )
+    def test_minimum_replications(self, replications, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pvalue_uniformity_check(42, replications)

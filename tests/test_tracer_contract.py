@@ -5,8 +5,8 @@ wrappers, one per (caller, name) pair in its WRAPPED table, plus RngStream
 on each module in RNG_USERS, and counts a call only when the caller makes it
 through that attribute. Every such attribute must therefore still resolve
 on its module, even where the module keeps the import only for the tracer.
-cli binds its library names on first use, so there loading must never
-rebind a replaced one, and the handlers must call what the attribute holds.
+cli binds each library name on first use, which must never rebind a
+replaced one, and the handlers must call what the attribute holds.
 Were any of these lost, the per-layer counts would read 0, or installing
 the tracer would fail, while every other test passed.
 """
@@ -55,15 +55,43 @@ def test_every_wrapped_attribute_resolves_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("crossing_sample_size", ["paradox", "--t", "1.96"]),
-        ("severity_curve", ["severity", "--n", "100", "--xbar", "0.2"]),
-        ("binomial_bf_flat", ["binomial", "--n", "527135", "--x", "106298", "--theta0", "0.2"]),
-    ],
-)
-def test_main_calls_the_replaced_attribute(name, argv, monkeypatch):
+# One call that reaches each library name the tracer wraps on cli. main is
+# the entry itself, and no handler calls t_statistic.
+PAPER_CHECK = ["paper-check"]
+SCORE = ["--t", "1.5", "--n", "40", "--tau", "1"]
+BINOMIAL = ["binomial", "--n", "527135", "--x", "106298", "--theta0", "0.2"]
+CLI_CALLS = {
+    "render_json": ["report", "--t", "1.96", "--n", "16818", "--format", "json"],
+    "render_csv": ["paradox", "--t", "1.96"],
+    "render_table": PAPER_CHECK,
+    "crossing_sample_size": ["paradox", "--t", "1.96"],
+    "required_bf": ["paradox", "--t", "1.96"],
+    "consistency_simulation": ["simulate", "--kind", "consistency", "--reps", "5", "--n-grid", "10"],
+    "pvalue_uniformity_check": ["simulate", "--kind", "uniformity", "--reps", "100"],
+    "score_consistency_sim": ["simulate", "--kind", "score-consistency", "--reps", "5", "--n-grid", "10"],
+    "severity_curve": ["severity", "--n", "100", "--xbar", "0.2"],
+    "binomial_bf_flat": BINOMIAL,
+    "binomial_bf_laplace": BINOMIAL,
+    "binomial_p_value": BINOMIAL,
+    "binomial_z": BINOMIAL,
+    "bayes_factor_conjugate": PAPER_CHECK,
+    "bayes_factor_lindley": PAPER_CHECK,
+    "p_value": PAPER_CHECK,
+    "posterior_prob_null": PAPER_CHECK,
+    "reinterpret_as_prior_scale": PAPER_CHECK,
+    "savage_dickey_bf": ["report", "--t", "1.96", "--n", "16818"],
+    "log_score_compare": ["score", "--rule", "log", *SCORE],
+    "hyvarinen_compare": ["score", "--rule", "hyvarinen", *SCORE],
+    "sprenger_kl_report": ["score", "--rule", "sprenger-kl", *SCORE],
+}
+CLI_WRAPPED = [
+    name for caller, name, _ in tracer_table("WRAPPED")
+    if caller == "cli" and name not in ("main", "t_statistic")
+]
+
+
+@pytest.mark.parametrize("name", CLI_WRAPPED)
+def test_main_calls_the_replaced_attribute(name, monkeypatch, capsys):
     original = getattr(cli, name)
     calls = []
 
@@ -72,6 +100,6 @@ def test_main_calls_the_replaced_attribute(name, argv, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counting)
-    assert cli.main(argv) == 0
-    assert len(calls) == 1
+    assert cli.main(CLI_CALLS[name]) == 0
+    assert len(calls) >= 1
     assert getattr(cli, name) is counting

@@ -114,14 +114,6 @@ def render_table(env: dict, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(env: dict, fmt: str, digits: int) -> str:
-    if fmt == "json":
-        return render_json(env)
-    if fmt == "csv":
-        return render_csv(env, digits)
-    return render_table(env, digits)
-
-
 def _check_finite(results: dict) -> None:
     """Refuse a nan or infinite result, naming it, whatever the output format."""
     fields = [(k, v) for k, v in results.items() if k != "rows"]
@@ -314,8 +306,7 @@ def main(argv: list[str] | None = None) -> int:
                 _build_parser().parse_args([args.command, "--" + dest.replace("_", "-")])
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage faults; keep both
-            code = exc.code
-            return int(code) if code is not None else 0
+            return int(exc.code or 0)
     if not 1 <= args.digits <= 17:
         print("error: --digits must be between 1 and 17", file=sys.stderr)
         return 2
@@ -325,7 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         module = args.command.replace("-", "_")
         handler = importlib.import_module(f".commands.{module}", __package__)
-        inputs, results, provenance = handler.run(args, sys.modules[__name__])
+        # handlers get the module this code runs as; runpy.run_module without alter_sys (as
+        # python -m cProfile -m runs cli) runs it in a bare dict, so they get pointnull.cli
+        running = sys.modules.get(__name__)
+        if getattr(running, "__dict__", None) is not globals():
+            running = importlib.import_module("pointnull.cli")
+        inputs, results, provenance = handler.run(args, running)
         _check_finite(results)
         env = {
             "format_version": FORMAT_VERSION,
@@ -334,7 +330,9 @@ def main(argv: list[str] | None = None) -> int:
             "results": results,
             "provenance": provenance,
         }
-        text = _render(env, args.format or args.default_format, args.digits)
+        fmt = args.format or args.default_format
+        render = render_csv if fmt == "csv" else render_table
+        text = render_json(env) if fmt == "json" else render(env, args.digits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

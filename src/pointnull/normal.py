@@ -31,6 +31,8 @@ class NormalProblem(Record):
     xbar: float
 
     def __post_init__(self) -> None:
+        if not hasattr(self.n, "__index__"):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if not math.isfinite(self.theta0):
             raise ValueError("theta0 must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):

@@ -60,8 +60,8 @@ _KS_BLOCK = 64
 _MEDIAN_MARGIN = 8
 
 # math.erfc is mapped over at most this many elements at a time, so no list
-# of Python floats as long as the sweep is ever built.
-_ERFC_CHUNK = 1 << 16
+# of Python floats longer than 4096 (128 KB with its floats) is ever built.
+_ERFC_CHUNK = 1 << 12
 
 # Integer threshold comparisons happen in log units with this slack so that
 # exact-odds targets (t=0 with posterior target .95 means sqrt(1+n) = 19 at
@@ -352,10 +352,11 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     toward 1, the sanity inversion.
 
     The result is the double uniform_ks_distance gives on p_value of every
-    draw, but math.erfc runs at the ends of each block of 64 ranks and on
-    windows around the few blocks whose bound can reach the maximum. The
-    draws' buffer is the only array of their size: the shift, |t|, the
-    division by sqrt(2) and the sort all happen in it.
+    draw, but math.erfc runs at the first rank of each block of 64 ranks
+    and at the last rank, then on windows around the few blocks whose bound
+    can reach the maximum. The draws' buffer is the only array of their
+    size: the shift, |t|, the division by sqrt(2) and the sort all happen
+    in it.
     """
     if not hasattr(replications, "__index__"):
         raise ValueError(f"replications must be an integer, got {replications!r}")
@@ -499,31 +500,21 @@ def _ks_distance_p(x: "np.ndarray") -> float:
     """uniform_ks_distance of erfc(x), as the same double; sorts x in place.
 
     With x sorted descending, p's k-th smallest value lies within the slack
-    of erfc(x[k]). erfc at the two ends of each block of ranks then bounds
-    every block's KS term from above and the maximum from below; only the
-    blocks whose bound reaches the maximum get exact order statistics.
+    of erfc(x[k]). erfc at the first rank of each block of ranks, and at the
+    last rank, then bounds every block's KS term from above and the maximum
+    from below; only the blocks whose bound reaches the maximum get exact
+    order statistics.
     """
     import numpy as np
 
     n = x.size
     x.sort()
     xd = x[::-1]
-    starts = np.arange(0, n, _KS_BLOCK)
-    ends = np.minimum(starts + (_KS_BLOCK - 1), n - 1)
-    q0, q1 = _exact_p(xd[starts]), _exact_p(xd[ends])
-    # the term at rank k is max((k+1)/n - v_k, v_k - k/n); the second
-    # slack covers the rounding of these bounds
-    margin = 2.0 * _ERFC_SLACK
-    upper = np.maximum((ends + 1) / n - q0, q1 - starts / n) + margin
-    lower = max(
-        np.maximum((starts + 1) / n - q0, q0 - starts / n).max(),
-        np.maximum((ends + 1) / n - q1, q1 - ends / n).max(),
-    ) - margin
-    blocks = np.flatnonzero(upper >= lower)
+    blocks = _ks_candidate_blocks(xd)
     gaps = np.flatnonzero(np.diff(blocks) > 1)
     best = 0.0
     for b0, b1 in zip(blocks[np.r_[0, gaps + 1]], blocks[np.r_[gaps, blocks.size - 1]]):
-        i, j = int(starts[b0]), int(ends[b1])
+        i, j = int(b0) * _KS_BLOCK, min((int(b1) + 1) * _KS_BLOCK, n) - 1
         margin_ranks = _KS_BLOCK
         while True:
             a, b = max(0, i - margin_ranks), min(n - 1, j + margin_ranks)
@@ -534,3 +525,32 @@ def _ks_distance_p(x: "np.ndarray") -> float:
         steps = np.arange(i + 1, j + 2, dtype=float) / n
         best = max(best, float(np.maximum(steps - v, v - (steps - 1.0 / n)).max()))
     return best
+
+
+def _ks_candidate_blocks(xd: "np.ndarray") -> "np.ndarray":
+    """The blocks b, holding ranks 64b to 64b+63 of xd (sorted descending),
+    whose KS term of erfc(xd) can reach the largest.
+
+    Its arrays of one double per block are freed on return, before any
+    block's window gets erfc.
+    """
+    import numpy as np
+
+    n = xd.size
+    # q[b] is erfc at rank 64b, the first of block b, and q[-1] at rank n-1,
+    # so block b's p-values lie between q[b] and q[b+1], up to the slack
+    q = _exact_p(np.append(xd[::_KS_BLOCK], xd[-1]))
+    starts = np.arange(0, n, _KS_BLOCK, dtype=float)
+    starts /= n
+    # the term at rank k is max((k+1)/n - v_k, v_k - k/n); the exact terms
+    # at the block starts and at the last rank bound the maximum from below
+    d = q[:-1] - starts
+    lower = max(d.max(), 1.0 / n - d.min(), 1.0 - q[-1], q[-1] - (n - 1) / n)
+    # a block spans at most 64 ranks, so its terms are at most 64/n - d[b]
+    # and q[b+1] - starts[b], up to the slack
+    upper = q[1:] - starts
+    np.maximum(upper, np.subtract(_KS_BLOCK / n, d, out=d), out=upper)
+    # each bound may be off by the slack, and by the rounding of its terms,
+    # which a second slack covers: two slacks on each side, moved onto the
+    # scalar so that no other array of the blocks' size is made
+    return np.flatnonzero(upper >= lower - 4.0 * _ERFC_SLACK)

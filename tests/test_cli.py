@@ -537,6 +537,40 @@ class TestPlumbing:
         assert "crossing_n = 16818" in out
         assert "post_prob0" in out
 
+    def test_runs_under_a_profiler(self, tmp_path):
+        # python -m cProfile -m runs cli through runpy.run_module in a bare
+        # namespace, where sys.modules[__name__] is cProfile's own __main__
+        src = str(Path(pointnull.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["-m", "pointnull.cli", "report", "--t", "1.96", "--n", "10"]
+        plain, profiled = (
+            subprocess.run([sys.executable, *pre, *argv], env=env, capture_output=True, text=True, timeout=60)
+            for pre in ([], ["-m", "cProfile", "-o", str(tmp_path / "pointnull.prof")])
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert profiled.returncode == 0, profiled.stderr
+        assert profiled.stdout == plain.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--t", "1.96", "--n", "10"],
+        ["paradox", "--t", "1.96"],
+        ["severity", "--n", "100", "--xbar", "0.2"],
+        ["binomial", "--n", "527135", "--x", "106298", "--theta0", "0.2"],
+        ["score", "--rule", "log", "--t", "1.5", "--n", "40", "--tau", "1"],
+        ["simulate", "--kind", "uniformity", "--reps", "100"],
+        ["paper-check"],
+    ], ids=lambda a: a[0])
+    def test_runpy_without_alter_sys_answers_as_main(self, capsys, monkeypatch, argv):
+        import runpy
+
+        expected = run(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["pointnull", *argv])
+        # runpy warns that this process has already imported pointnull.cli
+        with pytest.raises(SystemExit) as exc, pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            runpy.run_module("pointnull.cli", run_name="__main__")
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == expected
+
 
 # The flag table's parser against argparse over the same table. A draw is a
 # valid call, its flags in any order and in either form, with at most one

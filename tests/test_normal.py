@@ -86,11 +86,23 @@ class TestNormalProblem:
             dict(theta0=0.0, sigma=0.0, n=4, xbar=0.0),
             dict(theta0=0.0, sigma=1.0, n=0, xbar=0.0),
             dict(theta0=0.0, sigma=1.0, n=4, xbar=math.inf),
+            dict(theta0=0.0, sigma=1.0, n=10.5, xbar=0.1),
+            dict(theta0=0.0, sigma=1.0, n=math.nan, xbar=0.1),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NormalProblem(**kwargs)
+
+    @pytest.mark.parametrize("n", [10.5, math.nan, 4.0])
+    def test_non_integral_n_is_refused_first(self, n):
+        # n=nan used to construct and fail later as "t must be finite"
+        for make in (lambda: NormalProblem(math.nan, 1.0, n, 0.1), lambda: NormalProblem.from_t(1.0, n)):
+            with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+                make()
+
+    def test_numpy_integer_n_is_accepted(self):
+        assert NormalProblem(0.0, 2.0, np.int64(16), 0.1).sem == 0.5
 
 
 class TestAlternativePrior:

@@ -35,7 +35,7 @@ _EXPORTS = {
     "paradox": (
         "ConsistencyRun", "ConsistencySummary", "ParadoxQuery", "UnreachableTargetError",
         "bf_branch_minimum", "consistency_simulation", "crossing_sample_size", "paradox_table",
-        "pvalue_uniformity_check", "required_bf", "uniform_ks_distance",
+        "pvalue_uniformity_check", "required_bf",
     ),
     "severity": (
         "SeverityCurve", "severity_at", "severity_curve", "warranted_discrepancy",

@@ -105,6 +105,11 @@ STONE_EXAMPLE = BinomialProblem(n=527135, x=106298, theta0=0.2)
 def binomial_z(problem: BinomialProblem) -> float:
     """Normal-approximation z statistic (phat - theta0) / sqrt(theta0(1-theta0)/n)."""
     spread = math.sqrt(problem.theta0 * (1.0 - problem.theta0) / problem.n)
+    if spread == 0.0:
+        raise ValueError(
+            f"the null spread sqrt(theta0(1-theta0)/n) underflows to 0 at "
+            f"theta0={problem.theta0:.6g}, n={problem.n:.6g}"
+        )
     return (problem.phat - problem.theta0) / spread
 
 

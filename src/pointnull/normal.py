@@ -170,6 +170,14 @@ def _ldexp(m: float, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
+def _bf(log_bf: float) -> float:
+    """exp(log B01), refused by name where B01 lies above the largest double."""
+    try:
+        return math.exp(log_bf)
+    except OverflowError:
+        raise ValueError(f"B01 lies above the largest double: log B01 = {log_bf:.6g}") from None
+
+
 def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
     """-log N(xbar; theta0, sem^2 w), the log-score penalty of a predictive
     centred at theta0, read in units of sem as t^2 / (2 w) + log(sem^2 w) / 2
@@ -251,7 +259,7 @@ def bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> f
     m0 is N(theta0, sigma^2/n), m1 is N(theta0, sigma^2/n + tau^2); with
     tau = sigma this reproduces bayes_factor_lindley(t, n).
     """
-    return math.exp(log_bayes_factor_conjugate(problem, prior))
+    return _bf(log_bayes_factor_conjugate(problem, prior))
 
 
 def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
@@ -283,7 +291,7 @@ def savage_dickey_bf(problem: NormalProblem, prior: AlternativePrior) -> float:
     its mean and sd. Uses the continuous version of the alternative prior
     density at theta0; the ratio is only defined up to that versioning choice.
     """
-    return math.exp(log_savage_dickey_bf(problem, prior))
+    return _bf(log_savage_dickey_bf(problem, prior))
 
 
 def posterior_prob_null(bf01: float, weights: HypothesisWeights) -> float:
@@ -352,14 +360,5 @@ def evaluate_test(
         weights = EQUAL_WEIGHTS
     t = t_statistic(problem)
     p = p_value(t)
-    if prior.is_conjugate:
-        bf01 = bayes_factor_conjugate(problem, prior)
-    else:
-        bf01 = improper_bf(problem, prior)
-    return TestReport(
-        t=t,
-        p_value=p,
-        bf01=bf01,
-        post_prob0=posterior_prob_null(bf01, weights),
-        alpha=alpha,
-    )
+    bf01 = (bayes_factor_conjugate if prior.is_conjugate else improper_bf)(problem, prior)
+    return TestReport(t, p, bf01, posterior_prob_null(bf01, weights), alpha)

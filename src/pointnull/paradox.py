@@ -10,7 +10,7 @@ measures collapse together.
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import _EXPORTS
 from ._record import Record
@@ -55,9 +55,9 @@ _ERFC_ZERO = 30.0
 # The KS step bounds p's order statistics in blocks of this many ranks.
 _KS_BLOCK = 64
 
-# The medians read ranks (n-1)//2 and n//2 with this many ranks of margin
-# on each side.
-_MEDIAN_MARGIN = 8
+# p's exact order statistics are read with this many ranks of margin on each
+# side of the ranks sought, widened eightfold until they settle.
+_RANK_MARGIN = 8
 
 # math.erfc is mapped over at most this many elements at a time, so no list
 # of Python floats longer than 4096 (128 KB with its floats) is ever built.
@@ -271,15 +271,14 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     Each summary is the double that mapping log_bayes_factor_lindley and
     p_value over every replicate would give. A grid point works in the one
     buffer its stream draws: xbar, t, |t| and x = |t|/sqrt(2) replace each
-    other in place. One partition of |t| puts its middle ranks in place,
-    and both medians read them there: log B01 is even in t and never rises
-    with |t|, exactly, and p falls as x grows, up to libm's rises. So log
-    B01 runs on |t|'s one or two middle ranks, and a replicate's factor is
-    below 1e-6 exactly where |t| >= a*, the first double at which the
-    scalar kernel puts it there. math.erfc runs only where a p-value can
-    change a summary: on x's middle ranks (on every replicate if one
-    outside them might sort among them, as ties can), and on a narrow band
-    of |t| around alpha's threshold.
+    other in place, and |t| is sorted there once. log B01 is even in t and
+    never rises with |t|, exactly, and p falls as x grows, up to libm's
+    rises. So log B01 runs on |t|'s one or two middle ranks, and a
+    replicate's factor is below 1e-6 exactly where |t| >= a*, the first
+    double at which the scalar kernel puts it there, which a binary search
+    counts. math.erfc runs only where a p-value can change a summary: on a
+    window around x's middle ranks, widened until no element outside it can
+    sort among them, and on the narrow band of x around alpha's threshold.
     """
     import numpy as np
 
@@ -296,19 +295,19 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
             t -= run.theta0
             t /= sem
         a = _abs_t(t)
-        _sort_middle(a)
         # the t term is even in t and every step rounds monotonically, so
         # log B01 never rises with |t| and its middle ranks sit at |t|'s
         with np.errstate(over="ignore"):
             middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
-        collapsed = int(np.count_nonzero(a >= _collapse_threshold(n))) / a.size
+        collapsed = (a.size - int(a.searchsorted(_collapse_threshold(n)))) / a.size
+        # the division rounds monotonically, so x stays sorted
         x = a
         x /= _SQRT2
         summaries.append(
             ConsistencySummary(
                 n=n,
-                median_log_bf=_median(middle_log_bfs),
-                median_p_value=_median_p(x),
+                median_log_bf=float(middle_log_bfs.mean()),
+                median_p_value=float(_p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()),
                 reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
                 bf_collapse_rate=collapsed,
                 joint_collapse_rate=collapsed,
@@ -329,20 +328,6 @@ def _collapse_threshold(n: int) -> float:
     return a_star
 
 
-def uniform_ks_distance(values: Sequence[float]) -> float:
-    """Two-sided Kolmogorov-Smirnov distance against Uniform(0,1)."""
-    import numpy as np
-
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise ValueError("need at least one value")
-    # the sort puts any nan last, where the upper check refuses it
-    if not (v[0] >= 0.0 and v[-1] <= 1.0):
-        raise ValueError("values must lie in [0, 1]")
-    steps = np.arange(1, v.size + 1, dtype=float) / v.size
-    return float(np.maximum(steps - v, v - (steps - 1.0 / v.size)).max())
-
-
 def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: float = 0.0) -> float:
     """KS distance of simulated p-values from Uniform(0,1).
 
@@ -351,12 +336,12 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     noncentrality shifts the draws off the null and drives the distance
     toward 1, the sanity inversion.
 
-    The result is the double uniform_ks_distance gives on p_value of every
-    draw, but math.erfc runs at the first rank of each block of 64 ranks
-    and at the last rank, then on windows around the few blocks whose bound
-    can reach the maximum. The draws' buffer is the only array of their
-    size: the shift, |t|, the division by sqrt(2) and the sort all happen
-    in it.
+    The result is the double the two-sided KS distance of p_value over
+    every draw gives, but math.erfc runs at the first rank of each block of
+    64 ranks and at the last rank, then on windows around the few blocks
+    whose bound can reach the maximum. The draws' buffer is the only array
+    of their size: the shift, |t|, its one sort and the division by sqrt(2)
+    all happen in it.
     """
     if not hasattr(replications, "__index__"):
         raise ValueError(f"replications must be an integer, got {replications!r}")
@@ -373,12 +358,14 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
 
 
 def _abs_t(t: "np.ndarray") -> "np.ndarray":
-    """|t| elementwise, in place, refused unless every t is finite."""
+    """|t| elementwise, sorted ascending, in place; refused unless every t is
+    finite. The one sort of both p-value sweeps."""
     import numpy as np
 
     a = np.abs(t, out=t)
-    # a nan fails this comparison too, and no boolean array of t's size is built
-    if not a.max() < math.inf:
+    a.sort()
+    # the sort puts any nan last, where this comparison fails too
+    if not a[-1] < math.inf:
         raise ValueError("t must be finite")
     return a
 
@@ -422,82 +409,45 @@ def _erfc_band(level: float) -> tuple[float, float]:
 
 
 def _count_p_at_most(x: "np.ndarray", level: float, band: tuple[float, float]) -> int:
-    """How many elements have erfc(x) <= level; erfc runs only inside band = _erfc_band(level)."""
+    """How many elements of x, sorted ascending, have erfc(x) <= level; erfc
+    runs only inside band = _erfc_band(level)."""
     import numpy as np
 
-    x_lo, x_hi = band
-    undecided = x[(x > x_lo) & (x < x_hi)]
-    return int(np.count_nonzero(x >= x_hi)) + int(np.count_nonzero(_exact_p(undecided) <= level))
+    # x[lo:hi] is the band's inside, x > x_lo and x < x_hi; x[hi:] is at or past x_hi
+    lo, hi = int(x.searchsorted(band[0], "right")), int(x.searchsorted(band[1]))
+    return x.size - hi + int(np.count_nonzero(_exact_p(x[lo:hi]) <= level))
 
 
-def _settled_ranks(window: "np.ndarray", lo: int, hi: int, above: bool, below: bool) -> "np.ndarray | None":
-    """Ranks lo..hi of the sorted erfc(window), or None when an element
-    outside the window might sort among them.
+def _p_ranks(xd: "np.ndarray", i: int, j: int) -> "np.ndarray":
+    """Ranks i..j of the sorted erfc(xd), for xd sorted descending.
 
-    window[0] must be the window's largest x and window[-1] its smallest.
-    above (below) says some element outside has x >= window[0]
-    (x <= window[-1]): by the slack bound its p is at most
-    erfc(window[0]) + _erfc_slack of it (at least erfc(window[-1]) less
-    _erfc_slack of it), which must not pass the ranks' values for them to
-    be ranks of the whole array. The slack is relative to p, so p-values
-    far off the null, packed far closer than 2^-40, still settle.
+    erfc falls as x grows, so p's ranks sit at xd's, up to libm's rises.
+    erfc runs on xd's ranks a..b, _RANK_MARGIN ranks each side of i..j at
+    first, widened eightfold until no element outside can sort among the
+    ranks: by the slack bound an element before the window, with x >= xd[a],
+    has p at most erfc(xd[a]) plus _erfc_slack of it, and one after it has p
+    at least erfc(xd[b]) less _erfc_slack of it. The slack is relative to p,
+    so p-values far off the null, packed far closer than 2^-40, still
+    settle; the whole array always does.
     """
     import numpy as np
 
-    p = _exact_p(window)
-    ranks = np.sort(p)[lo : hi + 1]
-    if above and p[0] + _erfc_slack(p[0]) > ranks[0]:
-        return None
-    if below and p[-1] - _erfc_slack(p[-1]) < ranks[-1]:
-        return None
-    return ranks
-
-
-def _median_window(n: int) -> tuple[int, int]:
-    """(lo, hi): ranks lo..hi-1 of n values hold the median ranks
-    (n-1)//2 and n//2 with _MEDIAN_MARGIN ranks each side, or all n."""
-    return max(0, (n - 1) // 2 - _MEDIAN_MARGIN), min(n, n // 2 + _MEDIAN_MARGIN + 1)
-
-
-def _sort_middle(a: "np.ndarray") -> None:
-    """Partition a in place so that a[lo:hi] holds a's ranks lo..hi-1 in
-    ascending order, for (lo, hi) = _median_window(a.size)."""
-    lo, hi = _median_window(a.size)
-    if hi - lo < a.size:
-        # one kth at a time: numpy partitions at two kth five times slower
-        a.partition(lo)
-        a[lo:].partition(hi - 1 - lo)
-    a[lo:hi].sort()
-
-
-def _median_p(x: "np.ndarray") -> float:
-    """np.median of erfc(x), as the same double, from erfc on x's middle ranks.
-
-    x must have been through _sort_middle. erfc falls as x grows, so p's
-    middle ranks are x's middle ranks mirrored, and erfc runs on those with
-    their margin. Where that window is not settled (an element outside
-    might sort inside it, as ties can) erfc maps the whole array instead.
-    """
-    n = x.size
-    lo, hi = _median_window(n)
-    # reversed, so the window's largest x comes first; the n - hi elements
-    # above the window hold p's lowest ranks
-    middle = _settled_ranks(
-        x[lo:hi][::-1], (n - 1) // 2 - (n - hi), n // 2 - (n - hi), above=hi < n, below=lo > 0
-    )
-    return _median(_exact_p(x) if middle is None else middle)
-
-
-def _median(v: "np.ndarray") -> float:
-    """np.median of v, which holds no nan, as the same double: the mean of
-    its one or two middle ranks. np.median's nan check imports numpy.ma."""
-    k = ((v.size - 1) // 2, v.size // 2)
-    v.partition(k)
-    return float(v[k[0] : k[1] + 1].mean())
+    n, margin = xd.size, _RANK_MARGIN
+    while True:
+        a, b = max(0, i - margin), min(n - 1, j + margin)
+        p = _exact_p(xd[a : b + 1])
+        ranks = np.sort(p)[i - a : j - a + 1]
+        if (a == 0 or p[0] + _erfc_slack(p[0]) <= ranks[0]) and (
+            b == n - 1 or p[-1] - _erfc_slack(p[-1]) >= ranks[-1]
+        ):
+            return ranks
+        margin *= 8
 
 
 def _ks_distance_p(x: "np.ndarray") -> float:
-    """uniform_ks_distance of erfc(x), as the same double; sorts x in place.
+    """The two-sided KS distance of erfc(x) from Uniform(0,1), for x sorted
+    ascending: the largest max((k+1)/n - p_k, p_k - k/n) over p's sorted
+    values p_k.
 
     With x sorted descending, p's k-th smallest value lies within the slack
     of erfc(x[k]). erfc at the first rank of each block of ranks, and at the
@@ -508,20 +458,13 @@ def _ks_distance_p(x: "np.ndarray") -> float:
     import numpy as np
 
     n = x.size
-    x.sort()
     xd = x[::-1]
     blocks = _ks_candidate_blocks(xd)
     gaps = np.flatnonzero(np.diff(blocks) > 1)
     best = 0.0
     for b0, b1 in zip(blocks[np.r_[0, gaps + 1]], blocks[np.r_[gaps, blocks.size - 1]]):
         i, j = int(b0) * _KS_BLOCK, min((int(b1) + 1) * _KS_BLOCK, n) - 1
-        margin_ranks = _KS_BLOCK
-        while True:
-            a, b = max(0, i - margin_ranks), min(n - 1, j + margin_ranks)
-            v = _settled_ranks(xd[a : b + 1], i - a, j - a, above=a > 0, below=b < n - 1)
-            if v is not None:
-                break
-            margin_ranks *= 8
+        v = _p_ranks(xd, i, j)
         steps = np.arange(i + 1, j + 2, dtype=float) / n
         best = max(best, float(np.maximum(steps - v, v - (steps - 1.0 / n)).max()))
     return best

@@ -54,6 +54,14 @@ class TestBinomialZ:
     def test_exact_null_rate_is_zero(self):
         assert binomial_z(BinomialProblem(100, 20, 0.2)) == 0.0
 
+    def test_underflowing_spread_is_refused_by_name(self):
+        # theta0(1-theta0)/n = 1e-330 rounds to 0, which the division once met
+        problem = BinomialProblem(n=10**30, x=10**29, theta0=1e-300)
+        message = r"^the null spread sqrt\(theta0\(1-theta0\)/n\) underflows to 0 at theta0=1e-300, n=1e\+30$"
+        for fn in (binomial_z, binomial_p_value):
+            with pytest.raises(ValueError, match=message):
+                fn(problem)
+
     def test_simple_arithmetic(self):
         # (0.3 - 0.2) / sqrt(0.2 * 0.8 / 100) = 0.1 / 0.04
         assert binomial_z(BinomialProblem(100, 30, 0.2)) == pytest.approx(2.5, rel=1e-14)

@@ -147,6 +147,19 @@ class TestReport:
         assert out == ""
         assert err == "error: alpha must lie strictly between 0 and 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, log_bf",
+        [
+            (["--t", "1.96", "--n", "10000", "--tau", "1e308"], "711.881"),
+            (["--t", "0", "--n", "1", "--sigma", "1e-300", "--tau", "1e300"], "1381.55"),
+        ],
+    )
+    def test_bayes_factor_above_the_doubles_is_refused_by_name(self, capsys, argv, log_bf):
+        # exp(log B01) once ended in an OverflowError traceback from math.exp, exit 1
+        code, out, err = run(capsys, ["report"] + argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: B01 lies above the largest double: log B01 = {log_bf}\n"
+
 
 def report_results(argv):
     out = io.StringIO()
@@ -297,6 +310,16 @@ class TestBinomial:
         code, _, err = run(capsys, ["binomial", "--n", "5", "--x", "9", "--theta0", "0.5"])
         assert code == 2
         assert "x must lie" in err
+
+    def test_underflowing_spread_is_refused_by_name(self, capsys):
+        # sqrt(theta0(1-theta0)/n) underflows to 0, which binomial_z once divided by
+        argv = ["binomial", "--n", str(10**30), "--x", str(10**29), "--theta0", "1e-300"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the null spread sqrt(theta0(1-theta0)/n) underflows to 0 at "
+            "theta0=1e-300, n=1e+30\n"
+        )
 
 
 class TestScore:

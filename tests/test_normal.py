@@ -333,6 +333,15 @@ class TestBayesFactorConjugate:
         prior = AlternativePrior.conjugate(1e153)
         assert log_bayes_factor_conjugate(problem, prior) == pytest.approx(0.5 * math.log(2.0))
 
+    @pytest.mark.parametrize("bf", [bayes_factor_conjugate, savage_dickey_bf], ids=lambda f: f.__name__)
+    def test_factor_above_the_doubles_is_refused_by_name(self, bf):
+        # the Bartlett limit: log B01 is finite, but B01 lies past the largest double
+        problem = NormalProblem.from_t(1.96, 10_000)
+        prior = AlternativePrior.conjugate(1e308)
+        assert 709.8 < log_bayes_factor_conjugate(problem, prior) < 712.0
+        with pytest.raises(ValueError, match=r"^B01 lies above the largest double: log B01 = 711\.88"):
+            bf(problem, prior)
+
 
 class TestSavageDickey:
     def test_centered_case_closed_form(self):

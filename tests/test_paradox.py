@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from ks_reference import uniform_ks_distance
 
 from pointnull import paradox
 from pointnull.normal import (
@@ -24,7 +25,6 @@ from pointnull.paradox import (
     paradox_table,
     pvalue_uniformity_check,
     required_bf,
-    uniform_ks_distance,
 )
 
 TEN_TO_ONE = HypothesisWeights(rho0=10.0 / 11.0)

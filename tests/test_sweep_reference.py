@@ -24,6 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from ks_reference import uniform_ks_distance
 
 from pointnull import paradox
 from pointnull.normal import (
@@ -38,7 +39,6 @@ from pointnull.paradox import (
     ConsistencySummary,
     consistency_simulation,
     pvalue_uniformity_check,
-    uniform_ks_distance,
 )
 from pointnull.scores import ScoreSelectionSummary, hyvarinen_compare, score_consistency_sim
 
@@ -494,6 +494,30 @@ def test_crafted_uniformity_matches_reference(crafted, name):
     assert isinstance(got, str)
 
 
+def test_ties_across_the_median_widen_its_window_not_map_every_replicate(crafted, monkeypatch):
+    # 300 replicates tie at |t|'s median, so its first 18-element window of
+    # p cannot settle; widened eightfold, it settles once it passes the ties
+    reps = 100_000
+    draws = np.random.default_rng(31).standard_normal(reps)
+    order = np.argsort(np.abs(draws), kind="stable")
+    middle = order[reps // 2 - 150 : reps // 2 + 150]
+    draws[middle] = np.copysign(abs(draws[order[reps // 2]]), draws[middle])
+    crafted(draws.tolist())
+    run = run_of(reps, n_grid=(1,))
+    want = outcome(reference_consistency, run)
+    sizes = []
+    exact_p = paradox._exact_p
+
+    def recording(x):
+        sizes.append(x.size)
+        return exact_p(x)
+
+    monkeypatch.setattr(paradox, "_exact_p", recording)
+    assert outcome(consistency_simulation, run) == want
+    assert isinstance(want, str)
+    assert 18 in sizes and 300 < max(sizes) < reps
+
+
 def first_abs_t_below_tol(n):
     """The least double |t| at which log B01 at n is below log 1e-6, by
     bisection over the values, apart from the sweep's own search."""
@@ -592,10 +616,10 @@ def test_helpers_match_the_full_erfc_map(x, level):
     # the band's own ends, where x alone decides, are replicates too
     band = paradox._erfc_band(level)
     ends = [v for v in band if 0.0 <= v < math.inf]
-    x = np.concatenate([x, ends])
+    x = np.sort(np.concatenate([x, ends]))
     p = np.array([math.erfc(v) for v in x.tolist()])
     # the sweeps bisect each level's band once per call and reuse it
     assert paradox._count_p_at_most(x, level, band) == int(np.count_nonzero(p <= level))
-    paradox._sort_middle(x)
-    assert repr(paradox._median_p(x)) == repr(float(np.median(p)))
+    median = paradox._p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()
+    assert repr(float(median)) == repr(float(np.median(p)))
     assert repr(paradox._ks_distance_p(x)) == repr(uniform_ks_distance(p))

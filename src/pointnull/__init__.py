@@ -22,19 +22,19 @@ _EXPORTS = {
         "std_normal_quantile",
     ),
     "normal": (
-        "AlternativePrior", "EQUAL_WEIGHTS", "HypothesisWeights", "NormalProblem", "TestReport",
+        "AlternativePrior", "HypothesisWeights", "NormalProblem", "TestReport",
         "bayes_factor_conjugate", "bayes_factor_lindley", "conjugate_posterior", "evaluate_test",
-        "improper_bf", "log_bayes_factor_conjugate", "log_bayes_factor_lindley",
-        "log_savage_dickey_bf", "p_value", "posterior_prob_null", "reinterpret_as_prior_scale",
-        "savage_dickey_bf", "t_statistic", "weight_compensation",
+        "log_bayes_factor_conjugate", "log_bayes_factor_lindley", "log_savage_dickey_bf",
+        "p_value", "posterior_prob_null", "reinterpret_as_prior_scale", "savage_dickey_bf",
+        "t_statistic",
     ),
     "binomial": (
-        "BinomialProblem", "STONE_EXAMPLE", "as_normal_problem", "binomial_bf_flat",
-        "binomial_bf_laplace", "binomial_p_value", "binomial_z", "log_beta", "log_binomial_bf_flat",
+        "BinomialProblem", "STONE_EXAMPLE", "binomial_bf_flat", "binomial_bf_laplace",
+        "binomial_p_value", "binomial_z", "log_beta", "log_binomial_bf_flat",
     ),
     "paradox": (
         "ConsistencyRun", "ConsistencySummary", "ParadoxQuery", "UnreachableTargetError",
-        "bf_branch_minimum", "consistency_simulation", "crossing_sample_size", "paradox_table",
+        "consistency_simulation", "crossing_sample_size", "paradox_table",
         "pvalue_uniformity_check", "required_bf",
     ),
     "severity": (

@@ -8,7 +8,7 @@ import sys
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import NormalProblem, p_value
+from .normal import p_value
 
 __all__ = _EXPORTS["binomial"]
 
@@ -158,13 +158,3 @@ def binomial_bf_laplace(problem: BinomialProblem) -> float:
     )
     return math.exp(-lam / 2.0) * math.sqrt(problem.n / (2.0 * math.pi * phat * (1.0 - phat)))
 
-
-def as_normal_problem(problem: BinomialProblem) -> NormalProblem:
-    """Normal-approximation view with the null-based spread sqrt(theta0(1-theta0)).
-
-    Matches binomial_z above. A theta1- or phat-based spread is the other
-    defensible convention; severity numbers computed downstream carry this
-    choice with them.
-    """
-    sigma = math.sqrt(problem.theta0 * (1.0 - problem.theta0))
-    return NormalProblem(problem.theta0, sigma, problem.n, problem.phat)

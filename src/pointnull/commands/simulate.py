@@ -51,7 +51,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
                 prior = cli.AlternativePrior.flat()
             else:
                 prior = cli.AlternativePrior.conjugate(args.tau)
-            summaries = cli.score_consistency_sim(sweep, prior=prior)
+            summaries = cli.score_consistency_sim(sweep, prior)
             inputs["prior"] = prior.kind
     except MemoryError as exc:
         # numpy refuses a replicate array larger than memory before filling it

@@ -3,9 +3,8 @@
 Covers the t statistic, the two-sided p-value, the sample-size Bayes factor
 and its conjugate generalization, the Savage-Dickey density-ratio route,
 posterior null probabilities, the single-observation prior-scale reading,
-the improper-flat breakdown, and density-matched hypothesis weights. Every
-Bayes factor is computed in the log domain first; sample sizes up to 1e9
-appear in the consistency sweeps.
+and both verdicts on one problem. Every Bayes factor is computed in the log
+domain first; sample sizes up to 1e9 appear in the consistency sweeps.
 """
 
 import math
@@ -109,9 +108,6 @@ class HypothesisWeights(Record):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho0) and 0.0 < self.rho0 < 1.0):
             raise ValueError("rho0 must lie strictly between 0 and 1")
-
-
-EQUAL_WEIGHTS = HypothesisWeights(0.5)
 
 
 class TestReport(Record):
@@ -298,13 +294,16 @@ def posterior_prob_null(bf01: float, weights: HypothesisWeights) -> float:
     """Posterior probability of the null from its Bayes factor and weights."""
     if not bf01 >= 0.0:
         raise ValueError("bf01 must be non-negative")
-    # arranged so bf01 = inf maps cleanly to 1.0, and odds that underflow to
-    # 0 (exp(log B01) underflowed, or its product with rho0 did) to 0.0, as
-    # the division below already does once (1 - rho0) / odds overflows
-    odds = weights.rho0 * bf01
+    # arranged so bf01 = inf maps cleanly to 1.0
+    odds, rest = weights.rho0 * bf01, 1.0 - weights.rho0
     if odds == 0.0:
         return 0.0
-    return 1.0 / (1.0 + (1.0 - weights.rho0) / odds)
+    if odds < sys.float_info.min:
+        # a subnormal odds carries its rounding into the odds form, which
+        # rounds the posterior to 0 once rest / odds overflows; the posterior
+        # is rho0 bf01 / rest to far below its ulp
+        return weights.rho0 * (bf01 / rest)
+    return 1.0 / (1.0 + rest / odds)
 
 
 def reinterpret_as_prior_scale(
@@ -322,43 +321,16 @@ def reinterpret_as_prior_scale(
     return single, prior
 
 
-def improper_bf(problem: NormalProblem, prior: AlternativePrior) -> float:
-    """Null marginal density at xbar divided by the flat prior's constant c.
-
-    Scales exactly as 1/c, so the number carries no evidential meaning on
-    its own; the operation exists to exhibit that breakdown, and every
-    surface that prints it flags the c-dependence.
-    """
-    if prior.kind != "improper-flat":
-        raise ValueError("improper_bf requires an improper-flat prior")
-    return math.exp(-_log_score(problem)) / prior.c
-
-
-def weight_compensation(pi1_at_theta0: float) -> HypothesisWeights:
-    """Null weight that offsets the alternative's density at theta0.
-
-    Solves rho0 = (1 - rho0) * pi1(theta0), so the point mass and the
-    continuous prior carry matched weight at the null value.
-    """
-    if not (math.isfinite(pi1_at_theta0) and pi1_at_theta0 > 0.0):
-        raise ValueError("pi1_at_theta0 must be positive")
-    return HypothesisWeights(pi1_at_theta0 / (1.0 + pi1_at_theta0))
-
-
 def evaluate_test(
     problem: NormalProblem,
-    prior: AlternativePrior | None = None,
-    weights: HypothesisWeights | None = None,
+    prior: AlternativePrior,
+    weights: HypothesisWeights,
     alpha: float = 0.05,
 ) -> TestReport:
-    """Both verdicts on one problem; the prior defaults to conjugate tau = sigma."""
+    """Both verdicts on one problem under a conjugate-normal alternative."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if prior is None:
-        prior = AlternativePrior.conjugate(problem.sigma)
-    if weights is None:
-        weights = EQUAL_WEIGHTS
     t = t_statistic(problem)
     p = p_value(t)
-    bf01 = (bayes_factor_conjugate if prior.is_conjugate else improper_bf)(problem, prior)
+    bf01 = bayes_factor_conjugate(problem, prior)
     return TestReport(t, p, bf01, posterior_prob_null(bf01, weights), alpha)

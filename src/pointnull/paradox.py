@@ -1,11 +1,10 @@
 """Where the two verdicts split.
 
 Crossing sample sizes at which the posterior reaches a target null
-probability while the p-value stays significant, the Bayes factor's
-minimum over n, side-by-side verdict tables, and seeded Monte Carlo checks
-of the large-n consistency story: under the null the Bayes factor's median
-grows without bound while p-values stay uniform, and off the null both
-measures collapse together.
+probability while the p-value stays significant, side-by-side verdict
+tables, and seeded Monte Carlo checks of the large-n consistency story:
+under the null the Bayes factor's median grows without bound while
+p-values stay uniform, and off the null both measures collapse together.
 """
 
 import math
@@ -15,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from . import _EXPORTS
 from ._record import Record
 from .normal import (
-    EQUAL_WEIGHTS,
     HypothesisWeights,
     TestReport,
     bayes_factor_lindley,
@@ -82,7 +80,7 @@ class ParadoxQuery(Record):
 
     t: float
     target_post_prob: float = 0.95
-    weights: HypothesisWeights = EQUAL_WEIGHTS
+    weights: HypothesisWeights = HypothesisWeights()
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
@@ -152,19 +150,6 @@ def crossing_sample_size(query: ParadoxQuery) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
     return hi
-
-
-def bf_branch_minimum(t: float) -> tuple[float, float]:
-    """Sample size minimizing the Bayes factor at fixed t, with its value.
-
-    Interior minimum (t^2 - 1, |t| e^{-(t^2-1)/2}) for |t| > 1; at or below
-    |t| = 1 the factor already rises at the n >= 1 boundary, so the pair is
-    (1, value there).
-    """
-    a = abs(t)
-    if a <= 1.0:
-        return 1.0, bayes_factor_lindley(t, 1)
-    return a * a - 1.0, a * math.exp(-(a * a - 1.0) / 2.0)
 
 
 def paradox_table(query: ParadoxQuery, n_list: Iterable[int]) -> list[tuple[int, TestReport]]:

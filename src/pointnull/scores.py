@@ -223,10 +223,7 @@ class ScoreSelectionSummary(Record):
     tie_rate: float
 
 
-def score_consistency_sim(
-    run,
-    prior: AlternativePrior | None = None,
-) -> list[ScoreSelectionSummary]:
+def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSummary]:
     """Hyvarinen-score selection rates across a seeded simulation sweep.
 
     Accepts the same run description as the Bayes-factor consistency sweep
@@ -238,8 +235,6 @@ def score_consistency_sim(
     """
     import numpy as np
 
-    if prior is None:
-        prior = AlternativePrior.flat()
     summaries = []
     for n, _, xbar in run.sample_means():
         # the first replicate's problem runs the checks a per-replicate

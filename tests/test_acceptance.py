@@ -15,7 +15,6 @@ import pytest
 from pointnull.binomial import (
     BinomialProblem,
     STONE_EXAMPLE,
-    as_normal_problem,
     binomial_bf_flat,
     binomial_p_value,
 )
@@ -190,7 +189,8 @@ def test_criterion_08_severity():
         worst = max(worst, abs(recovered - level))
     assert worst < 1e-8
 
-    stone_normal = as_normal_problem(STONE_EXAMPLE)
+    # Spanos' case: Stone's counts as a normal problem with the null spread
+    stone_normal = NormalProblem(0.2, math.sqrt(0.2 * 0.8), 527135, 106298 / 527135)
     gamma_stone = warranted_discrepancy(stone_normal, 0.9)
     assert abs(gamma_stone - 0.000946) < 0.00001
     _verdict(
@@ -259,7 +259,7 @@ def test_criterion_09_scoring_rules():
     run = ConsistencyRun(
         theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=(1000,), replications=2000, seed=77
     )
-    (plateau,) = score_consistency_sim(run)
+    (plateau,) = score_consistency_sim(run, AlternativePrior.flat())
     assert abs(plateau.select_null_rate - 0.843) <= 0.02
     _verdict(
         9,

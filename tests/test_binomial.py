@@ -11,7 +11,6 @@ import pytest
 from pointnull.binomial import (
     STONE_EXAMPLE,
     BinomialProblem,
-    as_normal_problem,
     binomial_bf_flat,
     binomial_bf_laplace,
     binomial_p_value,
@@ -19,7 +18,7 @@ from pointnull.binomial import (
     log_beta,
     log_binomial_bf_flat,
 )
-from pointnull.normal import t_statistic
+from pointnull.normal import NormalProblem, t_statistic
 
 
 class TestBinomialProblem:
@@ -175,18 +174,10 @@ class TestBinomialBfLaplace:
             binomial_bf_laplace(BinomialProblem(1000, 0, 0.2))
 
 
-class TestAsNormalProblem:
-    def test_spread_is_null_based(self):
-        view = as_normal_problem(BinomialProblem(100, 30, 0.2))
-        assert view.sigma == pytest.approx(0.4)
-        assert view.n == 100
-        assert view.xbar == pytest.approx(0.3)
-
-    def test_t_matches_z(self):
-        problem = BinomialProblem(527135, 106298, 0.2)
-        assert t_statistic(as_normal_problem(problem)) == pytest.approx(
-            binomial_z(problem), rel=1e-12
-        )
+class TestNullSpread:
+    def test_z_is_the_normal_t_with_the_null_spread(self):
+        normal = NormalProblem(0.2, math.sqrt(0.2 * 0.8), 527135, 106298 / 527135)
+        assert t_statistic(normal) == pytest.approx(binomial_z(STONE_EXAMPLE), rel=1e-12)
 
 
 class TestLogBeta:

@@ -1,5 +1,6 @@
 """Normal point-null core: statistic arithmetic, both Bayes factor routes,
-posterior updating, the prior-scale reading, and the improper-prior defect.
+posterior updating, the prior-scale reading, the improper-prior defect read
+through the log score, and both verdicts on one problem.
 
 Frozen expectations were computed with an mpmath oracle at 40 digits; the
 randomized sweeps re-derive the agreement properties on fresh seeded grids.
@@ -11,7 +12,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pointnull.normal import (
     AlternativePrior,
@@ -21,7 +22,6 @@ from pointnull.normal import (
     bayes_factor_lindley,
     conjugate_posterior,
     evaluate_test,
-    improper_bf,
     log_bayes_factor_conjugate,
     log_bayes_factor_lindley,
     log_savage_dickey_bf,
@@ -30,9 +30,8 @@ from pointnull.normal import (
     reinterpret_as_prior_scale,
     savage_dickey_bf,
     t_statistic,
-    weight_compensation,
 )
-from pointnull.scores import sprenger_kl_score
+from pointnull.scores import log_score_compare, sprenger_kl_score
 
 
 def random_problem(rng):
@@ -486,12 +485,32 @@ class TestPosteriorProbNull:
         assert posterior_prob_null(5e-324, HypothesisWeights(0.5)) == 0.0
 
     def test_positive_bf_keeps_the_odds_formula(self):
+        # wherever rho0 bf01 is a normal double; below that, see the next test
         rng = np.random.default_rng(16)
         for log_bf in rng.uniform(-744.0, 709.0, 300):
             bf = math.exp(float(log_bf))
             rho = float(rng.uniform(0.01, 0.99))
-            want = 1.0 / (1.0 + (1.0 - rho) / (rho * bf))
-            assert posterior_prob_null(bf, HypothesisWeights(rho)) == want
+            if rho * bf >= sys.float_info.min:
+                want = 1.0 / (1.0 + (1.0 - rho) / (rho * bf))
+                assert posterior_prob_null(bf, HypothesisWeights(rho)) == want
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(
+        st.builds(lambda e: 10.0**e, st.floats(-323.0, -300.0)),
+        st.one_of(
+            st.builds(lambda e: 10.0**e, st.floats(-300.0, -1e-3)),
+            st.builds(lambda e: 1.0 - 10.0**e, st.floats(-15.0, -1.0)),
+        ),
+    )
+    def test_subnormal_odds_within_an_ulp_of_mpmath(self, bf, rho):
+        # report --t 40 --n 10 printed post_prob0 0.0 beside bf01 4.679e-316:
+        # the odds form rounded through a subnormal rho0 bf01, then to 0
+        assume(rho * bf < sys.float_info.min)
+        got = posterior_prob_null(bf, HypothesisWeights(rho))
+        with mpmath.workprec(300):
+            odds = mpmath.mpf(rho) * mpmath.mpf(bf)
+            want = odds / (odds + 1 - mpmath.mpf(rho))
+            assert abs(mpmath.mpf(got) - want) <= math.ulp(float(want))
 
 
 class TestPriorScaleReading:
@@ -515,28 +534,21 @@ class TestPriorScaleReading:
             assert recast == pytest.approx(direct, rel=1e-12)
 
 
-class TestImproperBf:
-    def test_scales_exactly_as_inverse_c(self):
-        problem = NormalProblem(0.0, 1.0, 10, 0.6198)
-        one = improper_bf(problem, AlternativePrior.flat(c=1.0))
-        two = improper_bf(problem, AlternativePrior.flat(c=2.0))
-        assert two == one / 2.0
+def flat_factor(problem: NormalProblem, c: float = 1.0) -> float:
+    """m0(xbar) / c, the flat prior's factor, as the log score reads it."""
+    return math.exp(-log_score_compare(problem, AlternativePrior.flat(c)).diff)
 
+
+class TestFlatFactor:
     def test_named_value(self):
         # (sqrt(10)/sqrt(2 pi)) exp(-10 * 0.6198^2 / 2), mpmath oracle
-        problem = NormalProblem(0.0, 1.0, 10, 0.6198)
-        got = improper_bf(problem, AlternativePrior.flat())
+        got = flat_factor(NormalProblem(0.0, 1.0, 10, 0.6198))
         assert got == pytest.approx(0.18481384814959942, rel=1e-12)
         assert got == pytest.approx(0.1848, abs=2e-4)
 
     def test_mode_density(self):
-        problem = NormalProblem(0.0, 1.0, 10, 0.0)
-        got = improper_bf(problem, AlternativePrior.flat())
+        got = flat_factor(NormalProblem(0.0, 1.0, 10, 0.0))
         assert got == pytest.approx(math.sqrt(10.0 / (2.0 * math.pi)), rel=1e-12)
-
-    def test_requires_flat(self):
-        with pytest.raises(ValueError):
-            improper_bf(NormalProblem(0.0, 1.0, 4, 0.1), AlternativePrior.conjugate(1.0))
 
     @pytest.mark.parametrize("sigma, n", [(1e-200, 100), (1e200, 1), (1e-10, 10**300)])
     def test_answers_where_sigma_squared_over_n_leaves_the_doubles(self, sigma, n):
@@ -546,31 +558,15 @@ class TestImproperBf:
         with mpmath.workprec(200):
             sem = mpmath.mpf(sigma) / mpmath.sqrt(n)
             want = mpmath.npdf(mpmath.mpf(problem.xbar), 0, sem) / 3
-        assert improper_bf(problem, AlternativePrior.flat(c=3.0)) == pytest.approx(float(want), rel=1e-13)
+        assert flat_factor(problem, c=3.0) == pytest.approx(float(want), rel=1e-13)
 
 
-class TestWeightCompensation:
-    def test_flat_density_gives_even_weights(self):
-        assert weight_compensation(1.0).rho0 == 0.5
-
-    def test_arithmetic(self):
-        assert weight_compensation(3.0).rho0 == 0.75
-
-    def test_vanishing_density(self):
-        assert weight_compensation(1e-12).rho0 == pytest.approx(1e-12, rel=1e-9)
-
-    def test_monotone(self):
-        values = [weight_compensation(v).rho0 for v in (0.1, 0.5, 1.0, 2.0, 10.0)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            weight_compensation(0.0)
+EVEN = HypothesisWeights(0.5)
 
 
 class TestEvaluateTest:
     def test_paradox_point_report(self):
-        report = evaluate_test(NormalProblem.from_t(1.96, 16818))
+        report = evaluate_test(NormalProblem.from_t(1.96, 16818), AlternativePrior.conjugate(1.0), EVEN)
         assert report.p_value == pytest.approx(0.05, abs=1e-4)
         assert report.bf01 == pytest.approx(19.000, abs=1e-3)
         assert report.post_prob0 == pytest.approx(0.9500, abs=1e-4)
@@ -583,7 +579,7 @@ class TestEvaluateTest:
         for _ in range(60):
             problem = random_problem(rng)
             weights = HypothesisWeights(float(rng.uniform(0.1, 0.9)))
-            report = evaluate_test(problem, weights=weights, alpha=0.05)
+            report = evaluate_test(problem, AlternativePrior.conjugate(problem.sigma), weights, 0.05)
             want_post = weights.rho0 * report.bf01 / (weights.rho0 * report.bf01 + 1 - weights.rho0)
             assert report.post_prob0 == pytest.approx(want_post, rel=1e-12)
             assert report.reject_frequentist == (report.p_value <= report.alpha)
@@ -591,10 +587,11 @@ class TestEvaluateTest:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            evaluate_test(NormalProblem(0.0, 1.0, 4, 0.1), alpha=1.0)
+            evaluate_test(NormalProblem(0.0, 1.0, 4, 0.1), AlternativePrior.conjugate(1.0), EVEN, 1.0)
 
-    def test_flat_prior_route(self):
+    def test_flat_prior_is_refused(self):
+        # the flat prior's factor m0 / c carries its arbitrary constant, so
+        # the verdicts take a proper alternative only; the log score reads it
         problem = NormalProblem(0.0, 1.0, 10, 0.6198)
-        report = evaluate_test(problem, AlternativePrior.flat(c=1.0))
-        assert report.bf01 == pytest.approx(0.18481384814959942, rel=1e-12)
-        assert not report.favor_null_bayes
+        with pytest.raises(ValueError, match="^this operation requires a conjugate-normal prior$"):
+            evaluate_test(problem, AlternativePrior.flat(c=1.0), EVEN)

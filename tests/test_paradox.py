@@ -1,4 +1,4 @@
-"""Crossing solver, branch minimum, verdict tables, consistency runs."""
+"""Crossing solver, verdict tables, consistency runs."""
 
 import math
 
@@ -8,7 +8,6 @@ from ks_reference import uniform_ks_distance
 
 from pointnull import paradox
 from pointnull.normal import (
-    EQUAL_WEIGHTS,
     HypothesisWeights,
     bayes_factor_lindley,
     log_bayes_factor_lindley,
@@ -19,7 +18,6 @@ from pointnull.paradox import (
     ConsistencySummary,
     ParadoxQuery,
     UnreachableTargetError,
-    bf_branch_minimum,
     consistency_simulation,
     crossing_sample_size,
     paradox_table,
@@ -99,9 +97,9 @@ class TestCrossingSampleSize:
     @pytest.mark.parametrize(
         "t, weights, n",
         [
-            (1.96, EQUAL_WEIGHTS, 16818),
+            (1.96, HypothesisWeights(), 16818),
             (1.96, TEN_TO_ONE, 164),
-            (0.0, EQUAL_WEIGHTS, 360),
+            (0.0, HypothesisWeights(), 360),
         ],
     )
     def test_boundary_property_at_anchors(self, t, weights, n):
@@ -203,50 +201,6 @@ class TestCrossingSampleSize:
     def test_query_validation(self, kwargs):
         with pytest.raises(ValueError):
             ParadoxQuery(**kwargs)
-
-
-class TestBranchMinimum:
-    def test_anchor_value(self):
-        n_star, bf_min = bf_branch_minimum(1.96)
-        assert math.isclose(n_star, 2.8416, rel_tol=1e-12)
-        assert abs(bf_min - 0.4733) < 0.0005
-
-    def test_closed_form_at_t_three(self):
-        n_star, bf_min = bf_branch_minimum(3.0)
-        assert n_star == 8.0
-        assert math.isclose(bf_min, 3.0 * math.exp(-4.0), rel_tol=1e-15)
-
-    def test_matches_factor_at_own_argument(self):
-        for t in (1.5, 1.96, 2.5, 3.7):
-            n_star, bf_min = bf_branch_minimum(t)
-            assert math.isclose(bf_min, bayes_factor_lindley(t, n_star), rel_tol=1e-12)
-
-    def test_narrow_regime_formula_undercuts_unit_boundary(self):
-        # for 1 < |t| < sqrt(2) the analytic minimizer t^2 - 1 lies below
-        # n = 1, so the reported value is the real-branch infimum, smaller
-        # than anything attainable at integer sample sizes
-        n_star, bf_min = bf_branch_minimum(1.2)
-        assert math.isclose(n_star, 0.44, rel_tol=1e-12)
-        assert math.isclose(bf_min, 1.2 * math.exp(-0.22), rel_tol=1e-15)
-        assert bf_min < bayes_factor_lindley(1.2, 1)
-
-    @pytest.mark.parametrize("t", [1.7, 2.0, 3.5])
-    def test_grid_search_oracle(self, t):
-        n_star, bf_min = bf_branch_minimum(t)
-        grid = np.linspace(1.0, 4.0 * n_star, 20001)
-        values = [bayes_factor_lindley(t, float(n)) for n in grid]
-        i = int(np.argmin(values))
-        assert abs(float(grid[i]) - n_star) < 2.0 * float(grid[1] - grid[0])
-        assert bf_min <= min(values) + 1e-12
-
-    @pytest.mark.parametrize("t", [0.0, 0.4, 1.0, -0.7])
-    def test_boundary_below_one(self, t):
-        n_star, bf_min = bf_branch_minimum(t)
-        assert n_star == 1.0
-        assert math.isclose(bf_min, bayes_factor_lindley(t, 1), rel_tol=1e-14)
-
-    def test_even_in_t(self):
-        assert bf_branch_minimum(-2.2) == bf_branch_minimum(2.2)
 
 
 class TestParadoxTable:

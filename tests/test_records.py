@@ -10,7 +10,6 @@ import pytest
 from pointnull._record import Record
 from pointnull.binomial import BinomialProblem
 from pointnull.normal import (
-    EQUAL_WEIGHTS,
     AlternativePrior,
     HypothesisWeights,
     NormalProblem,
@@ -33,7 +32,7 @@ CASES = [
     (
         ParadoxQuery,
         {"t": 1.96},
-        {"target_post_prob": 0.95, "weights": EQUAL_WEIGHTS, "alpha": 0.05},
+        {"target_post_prob": 0.95, "weights": HypothesisWeights(), "alpha": 0.05},
     ),
     (
         ConsistencyRun,

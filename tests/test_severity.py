@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pointnull.binomial import STONE_EXAMPLE, as_normal_problem
 from pointnull.normal import NormalProblem
 from pointnull.numerics import find_crossing, std_normal_quantile
 from pointnull.severity import severity_at, severity_curve, warranted_discrepancy
@@ -241,11 +240,10 @@ class TestWarrantedDiscrepancy:
         with pytest.raises(ValueError, match=message):
             severity_curve(UNIT, [], level)
 
-    def test_binomial_bridge_uses_null_based_scale(self):
-        # the normal reduction of the count problem carries
-        # sigma = sqrt(theta0 (1 - theta0))
-        p = as_normal_problem(STONE_EXAMPLE)
-        assert math.isclose(p.sigma, math.sqrt(0.2 * 0.8), rel_tol=1e-15)
+    def test_stone_counts_on_the_null_based_scale(self):
+        # Spanos' reading of Stone's 106298 successes in 527135 trials: the
+        # normal problem with the null spread sigma = sqrt(theta0 (1 - theta0))
+        p = NormalProblem(0.2, math.sqrt(0.2 * 0.8), 527135, 106298 / 527135)
         g = warranted_discrepancy(p, 0.9)
         assert g == pytest.approx(
             (p.xbar - 0.2) - std_normal_quantile(0.9) * p.sem, rel=1e-14

@@ -73,9 +73,7 @@ def reference_consistency(run, alpha=0.05):
     return summaries
 
 
-def reference_score_consistency(run, prior=None):
-    if prior is None:
-        prior = AlternativePrior.flat()
+def reference_score_consistency(run, prior):
     summaries = []
     for i, n in enumerate(run.n_grid):
         stream = RngStream(run.seed, stream_id=i)
@@ -213,7 +211,9 @@ def test_consistency_above_chunk_matches_reference(on_null):
 
 
 @pytest.mark.parametrize(
-    "prior", [None, AlternativePrior.conjugate(1.0), AlternativePrior.conjugate(0.01)], ids=repr
+    "prior",
+    [AlternativePrior.flat(), AlternativePrior.conjugate(1.0), AlternativePrior.conjugate(0.01)],
+    ids=repr,
 )
 @pytest.mark.parametrize("run", RUNS, ids=repr)
 def test_score_consistency_matches_reference(run, prior):
@@ -258,7 +258,7 @@ FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed
 @pytest.mark.parametrize("run", FAILING_RUNS, ids=repr)
 def test_failures_match_reference(run):
     assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
-    for prior in (None, AlternativePrior.conjugate(1.0)):
+    for prior in (AlternativePrior.flat(), AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
 
@@ -305,7 +305,7 @@ def test_failure_runs_reach_every_error():
     for run in FAILING_RUNS:
         for got in (
             outcome(consistency_simulation, run),
-            outcome(score_consistency_sim, run),
+            outcome(score_consistency_sim, run, AlternativePrior.flat()),
             outcome(score_consistency_sim, run, AlternativePrior.conjugate(1.0)),
         ):
             if not isinstance(got, str):

@@ -1,4 +1,4 @@
-"""Crossing solver, verdict tables, consistency runs."""
+"""Crossing solver, the factor's minimum over n, verdict tables, consistency runs."""
 
 import math
 
@@ -201,6 +201,53 @@ class TestCrossingSampleSize:
     def test_query_validation(self, kwargs):
         with pytest.raises(ValueError):
             ParadoxQuery(**kwargs)
+
+
+class TestBranchMinimum:
+    """At fixed t the factor falls until n = t^2 - 1 and rises after; the
+    crossing solver reads its minimum over n off that shape."""
+
+    def test_anchor_value(self):
+        assert abs(bayes_factor_lindley(1.96, 1.96 * 1.96 - 1.0) - 0.4733) < 0.0005
+
+    def test_closed_form_at_t_three(self):
+        assert math.isclose(bayes_factor_lindley(3.0, 8.0), 3.0 * math.exp(-4.0), rel_tol=1e-15)
+
+    def test_matches_factor_at_own_argument(self):
+        for t in (1.5, 1.96, 2.5, 3.7):
+            n_star = t * t - 1.0
+            want = t * math.exp(-n_star / 2.0)
+            assert math.isclose(bayes_factor_lindley(t, n_star), want, rel_tol=1e-12)
+
+    def test_narrow_regime_formula_undercuts_unit_boundary(self):
+        # for 1 < |t| < sqrt(2) the analytic minimizer t^2 - 1 = 0.44 lies
+        # below n = 1, so the real-branch infimum 1.2 e^{-0.22} undercuts every
+        # sample size; the solver refuses a target between the two
+        infimum, at_one = 1.2 * math.exp(-0.22), bayes_factor_lindley(1.2, 1)
+        assert infimum < at_one
+        query = ParadoxQuery(t=1.2, target_post_prob=0.4937)
+        assert infimum < required_bf(query) < at_one
+        with pytest.raises(UnreachableTargetError, match="does not exceed the minimum 0.986663"):
+            crossing_sample_size(query)
+
+    @pytest.mark.parametrize("t", [1.7, 2.0, 3.5])
+    def test_grid_search_oracle(self, t):
+        n_star = t * t - 1.0
+        grid = np.linspace(1.0, 4.0 * n_star, 20001)
+        values = [bayes_factor_lindley(t, float(n)) for n in grid]
+        i = int(np.argmin(values))
+        assert abs(float(grid[i]) - n_star) < 2.0 * float(grid[1] - grid[0])
+        assert bayes_factor_lindley(t, n_star) <= min(values) + 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 1.0, -0.7])
+    def test_boundary_below_one(self, t):
+        # at or below |t| = 1 the factor already rises from n = 1
+        values = [bayes_factor_lindley(t, float(n)) for n in np.linspace(1.0, 50.0, 2001)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_even_in_t(self):
+        for n in (1, 3.84, 10**6):
+            assert bayes_factor_lindley(-2.2, n) == bayes_factor_lindley(2.2, n)
 
 
 class TestParadoxTable:

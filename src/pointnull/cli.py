@@ -7,20 +7,22 @@ verdicts), paradox (crossing sample size plus a bracketing table), severity
 paper-check (regression over the built-in reference anchors). Every command
 emits a versioned envelope as JSON, CSV, or an aligned table; all output is
 deterministic given the full flag set. This module holds the flag table,
-its parser, main and the renderers; each handler is a module of
-pointnull.commands. A valid call parses from the flag table; argparse is
-imported only to print help or a usage error.
+its parser, main, the renderers and the command's exit; each handler is a
+module of pointnull.commands. A valid call parses from the flag table;
+argparse, in pointnull._usage, is imported only for help or a usage error.
 """
 
+import atexit
 import importlib
 import math
+import os
 import sys
 from types import SimpleNamespace
 from typing import Any
 
 from . import __getattr__ as _package_getattr
 
-__all__ = ["FORMAT_VERSION", "main"]
+__all__ = ["FORMAT_VERSION", "console_entry", "main"]
 
 FORMAT_VERSION = "1"
 
@@ -239,35 +241,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**namespace)
 
 
-def _build_parser() -> "argparse.ArgumentParser":
-    """argparse's parser over the flag table, for help and usage errors."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="pointnull",
-        description="Point-null testing calculus: Bayes factors, p-values, "
-        "paradox crossings, severity, and scoring rules.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # --format defaults to None, so each subcommand's own default is read then
-    for command, (default_format, help, entries) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=help)
-        p.set_defaults(default_format=default_format)
-        for entry in entries:
-            target, flags = p, (entry,)
-            if isinstance(entry[0], bool):
-                target, flags = p.add_mutually_exclusive_group(required=entry[0]), entry[1:]
-            for name, kind, default, required, choices, metavar in flags:
-                if kind is None:
-                    target.add_argument(name, action="store_true")
-                else:
-                    target.add_argument(
-                        name, type=_TYPES[kind], default=default, required=required,
-                        choices=choices, metavar=metavar,
-                    )
-    return parser
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -299,11 +272,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = _parse(argv)
     if args is None:
+        from ._usage import build_parser
+
+        parser = build_parser(_SUBCOMMANDS, _TYPES)
         try:
-            args = _build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
             # argparse strips "--" even out of --flag=--, storing []: refuse it as a bare --flag
             for dest in (k for k, v in vars(args).items() if isinstance(v, list)):
-                _build_parser().parse_args([args.command, "--" + dest.replace("_", "-")])
+                parser.parse_args([args.command, "--" + dest.replace("_", "-")])
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage faults; keep both
             return int(exc.code or 0)
@@ -352,5 +328,26 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if results.get("all_pass", True) else 1
 
 
+def console_entry(*entry: str) -> int:
+    """main as the pointnull command; python -m pointnull.cli passes "-m", "pointnull.cli".
+
+    Run by the interpreter itself, as python entry (sys.argv[0] by default) and
+    main's arguments, the process ends once its output is flushed: os._exit, after
+    the atexit hooks, skips the teardown (10-40 ms with numpy loaded) a caller
+    would wait out for EOF. Another host (cProfile -m, runpy, coverage), an
+    interpreter flag, PYTHONINSPECT or a failed flush gets the plain exit.
+    """
+    code = main()
+    if sys.orig_argv[1:] != [*(entry or sys.argv[:1]), *sys.argv[1:]] or os.getenv("PYTHONINSPECT"):
+        return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_entry("-m", "pointnull.cli"))

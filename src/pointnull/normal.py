@@ -296,12 +296,10 @@ def posterior_prob_null(bf01: float, weights: HypothesisWeights) -> float:
         raise ValueError("bf01 must be non-negative")
     # arranged so bf01 = inf maps cleanly to 1.0
     odds, rest = weights.rho0 * bf01, 1.0 - weights.rho0
-    if odds == 0.0:
-        return 0.0
     if odds < sys.float_info.min:
-        # a subnormal odds carries its rounding into the odds form, which
-        # rounds the posterior to 0 once rest / odds overflows; the posterior
-        # is rho0 bf01 / rest to far below its ulp
+        # a subnormal or zero odds carries its rounding into the odds form,
+        # which rounds the posterior to 0 once rest / odds overflows; the
+        # posterior is rho0 bf01 / rest to far below its ulp, and 0 for bf01 = 0
         return weights.rho0 * (bf01 / rest)
     return 1.0 / (1.0 + rest / odds)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pointnull
 from pointnull import cli
+from pointnull._usage import build_parser
 from pointnull.cli import FORMAT_VERSION, main
 from pointnull.normal import (
     AlternativePrior,
@@ -566,13 +567,16 @@ class TestPlumbing:
         src = str(Path(pointnull.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["-m", "pointnull.cli", "report", "--t", "1.96", "--n", "10"]
+        profile = tmp_path / "pointnull.prof"
         plain, profiled = (
             subprocess.run([sys.executable, *pre, *argv], env=env, capture_output=True, text=True, timeout=60)
-            for pre in ([], ["-m", "cProfile", "-o", str(tmp_path / "pointnull.prof")])
+            for pre in ([], ["-m", "cProfile", "-o", str(profile)])
         )
         assert plain.returncode == 0, plain.stderr
         assert profiled.returncode == 0, profiled.stderr
         assert profiled.stdout == plain.stdout
+        # cProfile writes its file after the module returns: cli must not end the process first
+        assert profile.stat().st_size > 0
 
     @pytest.mark.parametrize("argv", [
         ["report", "--t", "1.96", "--n", "10"],
@@ -608,7 +612,7 @@ ODD = ["0x10", "2.5", "", "-", "--", "a=b", "bogus", "-x", "--t", "1.5.2"]
 DASHED = ["-", "--", "-x", "--t", "-3", "--out"]
 CHANGES = ["none"] * 4 + ["odd value", "dashed --out", "switch", "drop", "group", "abbreviate"]
 CHANGES += ["repeat", "-h", "--help", "--", "x"]
-PARSER = cli._build_parser()
+PARSER = build_parser(cli._SUBCOMMANDS, cli._TYPES)
 
 
 @st.composite

@@ -480,9 +480,13 @@ class TestPosteriorProbNull:
         with pytest.raises(ValueError, match="^bf01 must be non-negative$"):
             posterior_prob_null(bf, HypothesisWeights(0.5))
 
-    def test_odds_underflow_is_zero_not_a_crash(self):
-        # rho0 * bf01 rounds to 0 although bf01 is the smallest subnormal
-        assert posterior_prob_null(5e-324, HypothesisWeights(0.5)) == 0.0
+    def test_odds_rounding_to_zero_keeps_the_posterior(self):
+        # rho0 * bf01 rounds to 0 although bf01 is the smallest subnormal;
+        # the posterior, 2^-1074 / (1 + 2^-1074), rounds to 2^-1074, not 0
+        # (report --t 38.85 --n 1 --tau 10 printed post_prob0 0.0 beside bf01 5e-324)
+        assert 0.5 * 5e-324 == 0.0
+        assert posterior_prob_null(5e-324, HypothesisWeights(0.5)) == 5e-324
+        assert posterior_prob_null(5e-324, HypothesisWeights(1e-300)) == 0.0
 
     def test_positive_bf_keeps_the_odds_formula(self):
         # wherever rho0 bf01 is a normal double; below that, see the next test

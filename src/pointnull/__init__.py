@@ -18,15 +18,14 @@ __version__ = "0.1.0"
 # nor cli has to import a submodule to know what it exports.
 _EXPORTS = {
     "numerics": (
-        "NoCrossingError", "RngStream", "find_crossing", "log_normal_pdf", "std_normal_cdf",
-        "std_normal_quantile",
+        "NoCrossingError", "RngStream", "find_crossing", "log_normal_pdf", "p_value",
+        "std_normal_cdf", "std_normal_quantile",
     ),
     "normal": (
         "AlternativePrior", "HypothesisWeights", "NormalProblem", "TestReport",
-        "bayes_factor_conjugate", "bayes_factor_lindley", "conjugate_posterior", "evaluate_test",
+        "bayes_factor_conjugate", "bayes_factor_lindley", "evaluate_test",
         "log_bayes_factor_conjugate", "log_bayes_factor_lindley", "log_savage_dickey_bf",
-        "p_value", "posterior_prob_null", "reinterpret_as_prior_scale", "savage_dickey_bf",
-        "t_statistic",
+        "posterior_prob_null", "reinterpret_as_prior_scale", "savage_dickey_bf", "t_statistic",
     ),
     "binomial": (
         "BinomialProblem", "STONE_EXAMPLE", "binomial_bf_flat", "binomial_bf_laplace",
@@ -41,8 +40,8 @@ _EXPORTS = {
         "SeverityCurve", "severity_at", "severity_curve", "warranted_discrepancy",
     ),
     "scores": (
-        "ScoreReport", "ScoreSelectionSummary", "hyvarinen_compare", "log_score_compare",
-        "score_consistency_sim", "sprenger_kl_report", "sprenger_kl_score",
+        "ScoreReport", "ScoreSelectionSummary", "conjugate_posterior", "hyvarinen_compare",
+        "log_score_compare", "score_consistency_sim", "sprenger_kl_report", "sprenger_kl_score",
     ),
 }
 

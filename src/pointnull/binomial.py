@@ -8,7 +8,7 @@ import sys
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import p_value
+from .numerics import p_value
 
 __all__ = _EXPORTS["binomial"]
 

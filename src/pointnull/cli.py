@@ -323,7 +323,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            # unbuffered stdout (PYTHONUNBUFFERED) fails here, not at the exit's flush
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            return 1
     # only paper-check reports all_pass; a failed anchor exits 1
     return 0 if results.get("all_pass", True) else 1
 

@@ -1,10 +1,10 @@
 """Normal-mean point-null tests with known variance.
 
-Covers the t statistic, the two-sided p-value, the sample-size Bayes factor
-and its conjugate generalization, the Savage-Dickey density-ratio route,
-posterior null probabilities, the single-observation prior-scale reading,
-and both verdicts on one problem. Every Bayes factor is computed in the log
-domain first; sample sizes up to 1e9 appear in the consistency sweeps.
+Covers the t statistic, the sample-size Bayes factor and its conjugate
+generalization, the Savage-Dickey density-ratio route, posterior null
+probabilities, the single-observation prior-scale reading, and both
+verdicts on one problem. Every Bayes factor is computed in the log domain
+first; sample sizes up to 1e9 appear in the consistency sweeps.
 """
 
 import math
@@ -12,13 +12,10 @@ import sys
 
 from . import _EXPORTS
 from ._record import Record
-from .numerics import _LOG_SQRT_2PI, _SQRT2
 from .numerics import log_normal_pdf  # no caller here; the benchmark's tracer wraps it
+from .numerics import p_value
 
 __all__ = _EXPORTS["normal"]
-
-_LN2 = math.log(2.0)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 class NormalProblem(Record):
@@ -174,33 +171,8 @@ def _bf(log_bf: float) -> float:
         raise ValueError(f"B01 lies above the largest double: log B01 = {log_bf:.6g}") from None
 
 
-def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
-    """-log N(xbar; theta0, sem^2 w), the log-score penalty of a predictive
-    centred at theta0, read in units of sem as t^2 / (2 w) + log(sem^2 w) / 2
-    + log sqrt(2 pi). w = 1 + r^2 as (m, e); the default, w = 1, is the point
-    null's sampling density m0."""
-    (mx, ex), (wm, we) = _difference(problem.xbar, problem.theta0), w
-    ms, es = math.frexp(problem.sigma)
-    mn, en = math.frexp(problem.n)
-    # t^2 = n ((xbar - theta0) / sigma)^2, not a rounded t squared: t^2 = 2 stays exact
-    half_t2 = _ldexp(0.5 * (mx * mx / (ms * ms) * mn) / wm, 2 * (ex - es) + en - we)
-    # log(sem^2 w) from a mantissa in [sqrt(1/2), sqrt(2)), which keeps its digits near 1
-    m, e = math.frexp(ms * ms * wm / mn)
-    if m < _SQRT_HALF:
-        m, e = 2.0 * m, e - 1
-    return half_t2 + (0.5 * (math.log(m) + (e + 2 * es + we - en) * _LN2) + _LOG_SQRT_2PI)
-
-
 def t_statistic(problem: NormalProblem) -> float:
     return _ldexp(*_over_sem(problem.xbar, problem.theta0, problem))
-
-
-def p_value(t: float) -> float:
-    """Two-sided tail probability 2(1 - Phi(|t|)) of an observed t."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    # erfc form: equals 2(1 - Phi(|t|)) but keeps the far tail from rounding
-    return math.erfc(abs(t) / _SQRT2)
 
 
 def log_bayes_factor_lindley(t: float, n: float) -> float:
@@ -256,19 +228,6 @@ def bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> f
     tau = sigma this reproduces bayes_factor_lindley(t, n).
     """
     return _bf(log_bayes_factor_conjugate(problem, prior))
-
-
-def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
-    """Posterior mean and variance of theta under the conjugate alternative:
-    theta0 + (xbar - theta0) c^2 and (sem c)^2, c^2 = tau^2 / (sem^2 + tau^2)."""
-    _, (rm, re), (cm, ce) = _shrinkage(problem, prior)
-    ms, es = math.frexp(problem.sigma)
-    sm, se = math.frexp(ms / math.sqrt(problem.n))  # sem = sm * 2**(se + es)
-    var = _ldexp(sm * sm * cm, 2 * (se + es) + ce)
-    d, c2 = problem.xbar - problem.theta0, math.ldexp(cm, ce)
-    if math.isinf(d):  # opposite signs: a weighted mean of the two stays in range
-        return problem.theta0 * math.ldexp(cm / (rm * rm), ce - 2 * re) + problem.xbar * c2, var
-    return problem.theta0 + d * c2, var
 
 
 def log_savage_dickey_bf(problem: NormalProblem, prior: AlternativePrior) -> float:

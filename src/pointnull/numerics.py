@@ -1,7 +1,8 @@
 """Numeric substrate shared by every other module.
 
 Normal special functions (the quantile is statistics.NormalDist's C
-routine, loaded without statistics), seeded random streams, and
+routine, loaded without statistics), the two-sided p-value, which binomial
+reads without loading the normal layer, seeded random streams, and
 find_crossing, a bracketed root finder that no library function calls: the
 tests solve with it as a reference, and the benchmark's tracer wraps it.
 """
@@ -27,6 +28,14 @@ class NoCrossingError(RuntimeError):
 def std_normal_cdf(x: float) -> float:
     """Phi(x), evaluated through erfc so both tails keep full precision."""
     return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def p_value(t: float) -> float:
+    """Two-sided tail probability 2(1 - Phi(|t|)) of an observed t."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    # erfc form: equals 2(1 - Phi(|t|)) but keeps the far tail from rounding
+    return math.erfc(abs(t) / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:

@@ -4,32 +4,30 @@ Penalties of the point null and of the conjugate or improper flat
 alternative at the observed mean: the log score, whose pairwise difference
 is exactly the log Bayes factor; the Hyvarinen score, which depends only on
 derivatives of the log density and so survives the arbitrary constant of an
-improper prior; and the posterior-expected Kullback-Leibler score. Each
-rule reads both hypotheses in units of sem, so it answers at every scale
-where its penalties are doubles. Every rule is reported as a penalty:
-smaller is better, negative difference s0 - s1 selects the null, and the
-zero boundary is reported as a tie rather than broken by fiat.
+improper prior; and the posterior-expected Kullback-Leibler score, beside
+the conjugate posterior it reads. Each rule reads both hypotheses in units
+of sem, so it answers at every scale where its penalties are doubles. Every
+rule is reported as a penalty: smaller is better, negative difference
+s0 - s1 selects the null, and the zero boundary is reported as a tie rather
+than broken by fiat. The Hyvarinen kernel is pointnull._hyvarinen, which
+the Hyvarinen comparison and sweep import when they run.
 """
 
 import math
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import (
-    AlternativePrior,
-    NormalProblem,
-    _difference,
-    _ldexp,
-    _log_score,
-    _shrinkage,
-)
-from .normal import conjugate_posterior  # no caller here; the benchmark's tracer wraps it
+from .normal import AlternativePrior, NormalProblem, _difference, _ldexp, _shrinkage
 from .numerics import (
+    _LOG_SQRT_2PI,
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
     log_normal_pdf,  # no caller here; the benchmark's tracer wraps scores.log_normal_pdf
 )
 
 __all__ = _EXPORTS["scores"]
+
+_LN2 = math.log(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class ScoreReport(Record):
@@ -85,6 +83,23 @@ def _spread(problem: NormalProblem, prior: AlternativePrior) -> tuple:
     return 1.0 + math.ldexp(r2m, r2e), 0
 
 
+def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
+    """-log N(xbar; theta0, sem^2 w), the log-score penalty of a predictive
+    centred at theta0, read in units of sem as t^2 / (2 w) + log(sem^2 w) / 2
+    + log sqrt(2 pi). w = 1 + r^2 as (m, e); the default, w = 1, is the point
+    null's sampling density m0."""
+    (mx, ex), (wm, we) = _difference(problem.xbar, problem.theta0), w
+    ms, es = math.frexp(problem.sigma)
+    mn, en = math.frexp(problem.n)
+    # t^2 = n ((xbar - theta0) / sigma)^2, not a rounded t squared: t^2 = 2 stays exact
+    half_t2 = _ldexp(0.5 * (mx * mx / (ms * ms) * mn) / wm, 2 * (ex - es) + en - we)
+    # log(sem^2 w) from a mantissa in [sqrt(1/2), sqrt(2)), which keeps its digits near 1
+    m, e = math.frexp(ms * ms * wm / mn)
+    if m < _SQRT_HALF:
+        m, e = 2.0 * m, e - 1
+    return half_t2 + (0.5 * (math.log(m) + (e + 2 * es + we - en) * _LN2) + _LOG_SQRT_2PI)
+
+
 def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
     """Log-score penalties -log m(xbar) of null and alternative.
 
@@ -100,75 +115,6 @@ def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     return ScoreReport("log", _log_score(problem), s1, c_dependent=not prior.is_conjugate)
 
 
-def _product(a, b) -> tuple:
-    """a * b as hi + lo exactly (Dekker, with Veltkamp's split), for
-    doubles or elementwise for arrays, where no step leaves the doubles."""
-    p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple, ldexp) -> tuple:
-    """-2/V + d^2/V^2 for V = sem^2 w and d = (m, e) = xbar - theta0, as
-    (m, e): n (n d^2 - 2 sigma^2 w) / (sigma^2 w)^2 on mantissas.
-
-    n d^2 and 2 sigma^2 w are formed to twice double precision, so their
-    difference keeps its digits where they nearly cancel, at the selection
-    boundary t^2 = 2 w. Past 2^60 times the second, the second lies below
-    half an ulp of the first, so the first's exponent is capped there and
-    the rest carried with the scale's.
-    """
-    (mx, ex), (wm, we) = d, w
-    ms, es = math.frexp(problem.sigma)
-    mn, en = math.frexp(problem.n)
-    d2, d2_lo = _product(mx, mx)
-    nd2, nd2_lo = _product(d2, mn)
-    nd2_lo += d2_lo * mn
-    s2, s2_lo = _product(ms, ms)
-    v, v_lo = _product(s2, wm)
-    v_lo += s2_lo * wm
-    e = 2 * (ex - es) + en - we
-    # max(e - 60, 0), where a difference of exactly 0 carries no exponent to cap
-    over = (e - 60) * ((e > 60) & (mx != 0.0))
-    top = (ldexp(nd2, e - over) - ldexp(2.0 * v, -over)) + (
-        ldexp(nd2_lo, e - over) - ldexp(2.0 * v_lo, -over)
-    )
-    return top * mn / (v * v), over + en - 2 * es - we
-
-
-def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=None) -> tuple:
-    """Hyvarinen penalties s0 and s1 at xbar, the problem's by default, and
-    whether they tie only because both underflowed.
-
-    For a predictive N(theta0, V) the penalty 2 (log m)'' + ((log m)')^2 is
-    -2/V + (xbar - theta0)^2/V^2: in units of sem, (t^2 - 2) n/sigma^2 for
-    the point null and (t^2/w - 2) n/(sigma^2 w) for the conjugate
-    alternative, w = 1 + r^2. The improper flat predictive scores exactly 0,
-    whatever its constant. Each power of two is applied last. Given an
-    array of means xbar, numpy's ldexp and frexp stand in for _ldexp and
-    math.frexp around the same + - * /, elementwise.
-    """
-    ldexp, frexp = _ldexp, math.frexp
-    if xbar is None:
-        xbar = problem.xbar
-    else:
-        import numpy as np
-
-        ldexp, frexp = np.ldexp, np.frexp
-    d = _difference(xbar, problem.theta0)
-    p0, p1 = _hyvarinen_penalty(problem, d, (1.0, 0), ldexp), (0.0, 0)
-    if prior.is_conjugate:
-        p1 = _hyvarinen_penalty(problem, d, _spread(problem, prior), ldexp)
-    s0, s1 = ldexp(*p0), ldexp(*p1)
-    # the last power of two is exact unless it underflows; a finite tie
-    # whose unscaled penalties differ is one that underflow made
-    (m0, e0), (m1, e1) = frexp(p0[0]), frexp(p1[0])
-    differ = (m0 != m1) | ((m0 != 0.0) & (e0 + p0[1] != e1 + p1[1]))
-    return s0, s1, (s0 == s1) & (abs(s0) < math.inf) & differ
-
-
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
     """Hyvarinen penalties of null and alternative at the observed mean.
 
@@ -177,6 +123,8 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     reported as-is. The magnitude carries no absolute calibration, so no
     acceptance bound is applied here.
     """
+    from ._hyvarinen import _hyvarinen_penalties
+
     s0, s1, false_tie = _hyvarinen_penalties(problem, prior)
     if false_tie:
         raise ValueError(
@@ -184,6 +132,20 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
             "their exact values differ"
         )
     return ScoreReport("hyvarinen", s0, s1)
+
+
+# no caller here; the benchmark's tracer wraps scores.conjugate_posterior
+def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tuple[float, float]:
+    """Posterior mean and variance of theta under the conjugate alternative:
+    theta0 + (xbar - theta0) c^2 and (sem c)^2, c^2 = tau^2 / (sem^2 + tau^2)."""
+    _, (rm, re), (cm, ce) = _shrinkage(problem, prior)
+    ms, es = math.frexp(problem.sigma)
+    sm, se = math.frexp(ms / math.sqrt(problem.n))  # sem = sm * 2**(se + es)
+    var = _ldexp(sm * sm * cm, 2 * (se + es) + ce)
+    d, c2 = problem.xbar - problem.theta0, math.ldexp(cm, ce)
+    if math.isinf(d):  # opposite signs: a weighted mean of the two stays in range
+        return problem.theta0 * math.ldexp(cm / (rm * rm), ce - 2 * re) + problem.xbar * c2, var
+    return problem.theta0 + d * c2, var
 
 
 def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
@@ -234,6 +196,8 @@ def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSu
     sharpen with n. Off the null the alternative takes over completely.
     """
     import numpy as np
+
+    from ._hyvarinen import _hyvarinen_penalties
 
     summaries = []
     for n, _, xbar in run.sample_means():

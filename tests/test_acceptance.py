@@ -25,13 +25,11 @@ from pointnull.normal import (
     NormalProblem,
     bayes_factor_conjugate,
     bayes_factor_lindley,
-    p_value,
     posterior_prob_null,
     reinterpret_as_prior_scale,
     savage_dickey_bf,
-    conjugate_posterior,
 )
-from pointnull.numerics import std_normal_cdf
+from pointnull.numerics import p_value, std_normal_cdf
 from pointnull.paradox import (
     ConsistencyRun,
     ParadoxQuery,
@@ -40,6 +38,7 @@ from pointnull.paradox import (
     pvalue_uniformity_check,
 )
 from pointnull.scores import (
+    conjugate_posterior,
     hyvarinen_compare,
     log_score_compare,
     score_consistency_sim,

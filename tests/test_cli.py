@@ -16,13 +16,8 @@ import pointnull
 from pointnull import cli
 from pointnull._usage import build_parser
 from pointnull.cli import FORMAT_VERSION, main
-from pointnull.normal import (
-    AlternativePrior,
-    NormalProblem,
-    bayes_factor_conjugate,
-    p_value,
-    t_statistic,
-)
+from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate, t_statistic
+from pointnull.numerics import p_value
 from pointnull.severity import warranted_discrepancy
 
 

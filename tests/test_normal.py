@@ -20,18 +20,17 @@ from pointnull.normal import (
     NormalProblem,
     bayes_factor_conjugate,
     bayes_factor_lindley,
-    conjugate_posterior,
     evaluate_test,
     log_bayes_factor_conjugate,
     log_bayes_factor_lindley,
     log_savage_dickey_bf,
-    p_value,
     posterior_prob_null,
     reinterpret_as_prior_scale,
     savage_dickey_bf,
     t_statistic,
 )
-from pointnull.scores import log_score_compare, sprenger_kl_score
+from pointnull.numerics import p_value
+from pointnull.scores import conjugate_posterior, log_score_compare, sprenger_kl_score
 
 
 def random_problem(rng):

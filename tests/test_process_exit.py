@@ -183,6 +183,14 @@ def test_failed_flush_ends_as_the_plain_exit_does():
     assert (proc.returncode, proc.stderr) == (plain.returncode, plain.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_unbuffered_write_is_one_error_line():
+    # unbuffered stdout fails at main's write, not at the flush after it
+    with open("/dev/full", "wb") as full:
+        proc = run(["-m", "pointnull.cli", *REPORT], environment(PYTHONUNBUFFERED="1"), stdout=full)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: No space left on device\n")
+
+
 @pytest.mark.parametrize("entry", [(), ("-m", "pointnull.cli")])
 def test_entry_in_another_host_returns_mains_code(capsys, monkeypatch, entry):
     def refuse(code):

@@ -14,18 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointnull import cli
-from pointnull.normal import (
-    AlternativePrior,
-    NormalProblem,
-    bayes_factor_conjugate,
-    conjugate_posterior,
-)
+from pointnull._hyvarinen import _hyvarinen_penalties
+from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate
 from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
     ScoreReport,
     ScoreSelectionSummary,
-    _hyvarinen_penalties,
+    conjugate_posterior,
     hyvarinen_compare,
     log_score_compare,
     score_consistency_sim,
@@ -605,6 +601,6 @@ class TestScoreConsistencySim:
 
     def test_chi_square_constant_matches_p_value_identity(self):
         # P(chi-square_1 < 2) = 1 - p_value(sqrt 2)
-        from pointnull.normal import p_value
+        from pointnull.numerics import p_value
 
         assert math.isclose(CHI2_BELOW_2, 1.0 - p_value(math.sqrt(2.0)), rel_tol=1e-14)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from ks_reference import uniform_ks_distance
 
-from pointnull import paradox
+from pointnull import _order_stats
 from pointnull.paradox import (
     ConsistencyRun,
     consistency_simulation,
@@ -64,13 +64,13 @@ def test_uniformity_holds_one_array_of_the_draws():
 @pytest.mark.parametrize("noncentrality", [0.0, 0.3])
 def test_uniformity_maps_erfc_once_over_the_block_starts(noncentrality, monkeypatch):
     sizes = []
-    exact_p = paradox._exact_p
+    exact_p = _order_stats._exact_p
 
     def recording(x):
         sizes.append(x.size)
         return exact_p(x)
 
-    monkeypatch.setattr(paradox, "_exact_p", recording)
+    monkeypatch.setattr(_order_stats, "_exact_p", recording)
     n = 1_000_000
     pvalue_uniformity_check(5, n, noncentrality=noncentrality)
     # the first rank of each of the n/64 blocks, and the last rank; the

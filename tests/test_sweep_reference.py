@@ -9,8 +9,8 @@ exception type with the same message.
 
 The p-value sweeps call math.erfc only where a p-value can change an output
 and decide the rest from |t|, trusting erfc to fall with its argument up to
-paradox._erfc_slack. Runs far off the null check that the median then never
-maps erfc over every replicate. The last part of this file checks that
+_order_stats._erfc_slack. Runs far off the null check that the median then
+never maps erfc over every replicate. The last part of this file checks that
 bound on this platform's libm and replays crafted draws on the points where
 it is tight: erfc's own one-ulp rises, the alpha and 1e-6 thresholds, and
 ties.
@@ -26,14 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from ks_reference import uniform_ks_distance
 
-from pointnull import paradox
-from pointnull.normal import (
-    AlternativePrior,
-    NormalProblem,
-    log_bayes_factor_lindley,
-    p_value,
-)
-from pointnull.numerics import RngStream
+from pointnull import _order_stats, paradox
+from pointnull.normal import AlternativePrior, NormalProblem, log_bayes_factor_lindley
+from pointnull.numerics import RngStream, p_value
 from pointnull.paradox import (
     ConsistencyRun,
     ConsistencySummary,
@@ -169,13 +164,13 @@ def test_consistency_matches_reference(run, alpha):
 @pytest.mark.parametrize("run", FAR_RUNS, ids=repr)
 def test_far_off_the_null_never_maps_erfc_over_every_replicate(run, monkeypatch):
     sizes = []
-    exact_p = paradox._exact_p
+    exact_p = _order_stats._exact_p
 
     def recording(x):
         sizes.append(x.size)
         return exact_p(x)
 
-    monkeypatch.setattr(paradox, "_exact_p", recording)
+    monkeypatch.setattr(_order_stats, "_exact_p", recording)
     top = run.n_grid[-1]
     assert 6.0 <= abs(run.theta_true - run.theta0) * math.sqrt(top) / run.sigma <= 30.0
     consistency_simulation(run)
@@ -349,7 +344,7 @@ def test_both_sweeps_draw_through_sample_means():
 
 # ---------------------------------------------------------------- erfc slack
 
-SLACK = paradox._ERFC_SLACK
+SLACK = _order_stats._ERFC_SLACK
 
 
 def adjacent_doubles(x, count):
@@ -384,13 +379,13 @@ def test_erfc_rises_stay_far_below_the_slack():
     worst = largest_relative = 0.0
     for xs in scans:
         _, rise, p = erfc_rises(xs)
-        slack = np.array([paradox._erfc_slack(v) for v in p.tolist()])
+        slack = np.array([_order_stats._erfc_slack(v) for v in p.tolist()])
         worst = max(worst, float((rise / slack).max(initial=0.0)))
         normal = p >= sys.float_info.min
         largest_relative = max(largest_relative, float((rise[normal] / p[normal]).max(initial=0.0)))
     assert worst < 1e-3
     # as p <= 1, the absolute margin the bands and KS bounds use holds too
-    assert all(paradox._erfc_slack(p) <= SLACK for p in (1.0, 0.5, 1e-300, 5e-324, 0.0))
+    assert all(_order_stats._erfc_slack(p) <= SLACK for p in (1.0, 0.5, 1e-300, 5e-324, 0.0))
     # the scan does see the known rises, so it is not vacuous: the largest
     # relative rise is about 1.8e-16, next to x = 1.25
     assert len(WOBBLE_X) > 0 and largest_relative >= float((WOBBLE_RISE / WOBBLE_P).max()) > 1e-16
@@ -506,13 +501,13 @@ def test_ties_across_the_median_widen_its_window_not_map_every_replicate(crafted
     run = run_of(reps, n_grid=(1,))
     want = outcome(reference_consistency, run)
     sizes = []
-    exact_p = paradox._exact_p
+    exact_p = _order_stats._exact_p
 
     def recording(x):
         sizes.append(x.size)
         return exact_p(x)
 
-    monkeypatch.setattr(paradox, "_exact_p", recording)
+    monkeypatch.setattr(_order_stats, "_exact_p", recording)
     assert outcome(consistency_simulation, run) == want
     assert isinstance(want, str)
     assert 18 in sizes and 300 < max(sizes) < reps
@@ -565,7 +560,7 @@ def test_every_collapsed_replicate_has_p_below_1e6():
     # so joint_collapse_rate is bf_collapse_rate's count: a replicate with
     # |t| >= a*(n) has x = |t|/sqrt(2) >= a*(n)/sqrt(2), past the upper edge
     # of the band where erfc may still reach 1e-6 through libm's rises
-    x_hi = paradox._erfc_band(math.nextafter(1e-6, 0.0))[1]
+    x_hi = _order_stats._erfc_band(math.nextafter(1e-6, 0.0))[1]
     clearance = [paradox._collapse_threshold(n) / paradox._SQRT2 for n in COLLAPSE_NS]
     assert min(clearance) >= x_hi
     assert 3.45 < x_hi < 3.47 and 4.0 < min(clearance) < 4.02
@@ -614,12 +609,12 @@ LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_fr
 @given(erfc_args(), LEVELS)
 def test_helpers_match_the_full_erfc_map(x, level):
     # the band's own ends, where x alone decides, are replicates too
-    band = paradox._erfc_band(level)
+    band = _order_stats._erfc_band(level)
     ends = [v for v in band if 0.0 <= v < math.inf]
     x = np.sort(np.concatenate([x, ends]))
     p = np.array([math.erfc(v) for v in x.tolist()])
     # the sweeps bisect each level's band once per call and reuse it
-    assert paradox._count_p_at_most(x, level, band) == int(np.count_nonzero(p <= level))
-    median = paradox._p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()
+    assert _order_stats._count_p_at_most(x, level, band) == int(np.count_nonzero(p <= level))
+    median = _order_stats._p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()
     assert repr(float(median)) == repr(float(np.median(p)))
-    assert repr(paradox._ks_distance_p(x)) == repr(uniform_ks_distance(p))
+    assert repr(_order_stats._ks_distance_p(x)) == repr(uniform_ks_distance(p))

@@ -6,7 +6,8 @@ on each module in RNG_USERS, and counts a call only when the caller makes it
 through that attribute. Every such attribute must therefore still resolve
 on its module, even where the module keeps the import only for the tracer.
 cli binds each library name on first use, which must never rebind a
-replaced one, and the handlers must call what the attribute holds.
+replaced one, and the handlers and sweeps must call what the attribute
+holds.
 Were any of these lost, the per-layer counts would read 0, or installing
 the tracer would fail, while every other test passed.
 """
@@ -17,10 +18,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pointnull
-from pointnull import cli
+from pointnull import cli, paradox, scores
+from pointnull.normal import AlternativePrior
+from pointnull.paradox import ConsistencyRun
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
@@ -103,3 +107,43 @@ def test_main_calls_the_replaced_attribute(name, monkeypatch, capsys):
     assert cli.main(CLI_CALLS[name]) == 0
     assert len(calls) >= 1
     assert getattr(cli, name) is counting
+
+
+# The sweeps draw through paradox.RngStream and run the Lindley kernel
+# through paradox's namespace, where the tracer replaces both: a helper that
+# took either from elsewhere would zero the numerics.rng_* and
+# paradox.kernel_calls_per_rep readings of a traced sweep.
+RUN = ConsistencyRun(theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=(10, 100), replications=100, seed=7)
+SWEEPS = {
+    "consistency": (lambda: paradox.consistency_simulation(RUN), 2),
+    "uniformity": (lambda: paradox.pvalue_uniformity_check(7, 100), 1),
+    "score-consistency": (lambda: scores.score_consistency_sim(RUN, AlternativePrior.flat()), 2),
+}
+
+
+def counting(module, name, monkeypatch) -> list:
+    """The arguments of every call made through module.name from now on."""
+    original, calls = getattr(module, name), []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_sweep_draws_through_paradox_rng_stream(kind, monkeypatch):
+    sweep, streams = SWEEPS[kind]
+    made = counting(paradox, "RngStream", monkeypatch)
+    sweep()
+    assert len(made) == streams
+
+
+def test_consistency_sweep_calls_the_kernel_through_paradox(monkeypatch):
+    calls = counting(paradox, "log_bayes_factor_lindley", monkeypatch)
+    paradox.consistency_simulation(RUN)
+    # one array call per grid point for the medians, and scalar calls that settle a*
+    assert sum(isinstance(args[0], np.ndarray) for args in calls) == len(RUN.n_grid)
+    assert len(calls) > len(RUN.n_grid)

@@ -3,7 +3,7 @@ and scores.score_consistency_sim import it when they run, and no other call."""
 
 import math
 
-from .normal import AlternativePrior, NormalProblem, _difference, _ldexp
+from .normal import AlternativePrior, NormalProblem, _difference, _frexp, _ldexp
 from .scores import _spread
 
 
@@ -17,7 +17,7 @@ def _product(a, b) -> tuple:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple, ldexp) -> tuple:
+def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple) -> tuple:
     """-2/V + d^2/V^2 for V = sem^2 w and d = (m, e) = xbar - theta0, as
     (m, e): n (n d^2 - 2 sigma^2 w) / (sigma^2 w)^2 on mantissas.
 
@@ -28,8 +28,7 @@ def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple, ldexp) -> tup
     the rest carried with the scale's.
     """
     (mx, ex), (wm, we) = d, w
-    ms, es = math.frexp(problem.sigma)
-    mn, en = math.frexp(problem.n)
+    (ms, es), (mn, en) = _frexp(problem.sigma), _frexp(problem.n)
     d2, d2_lo = _product(mx, mx)
     nd2, nd2_lo = _product(d2, mn)
     nd2_lo += d2_lo * mn
@@ -39,38 +38,30 @@ def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple, ldexp) -> tup
     e = 2 * (ex - es) + en - we
     # max(e - 60, 0), where a difference of exactly 0 carries no exponent to cap
     over = (e - 60) * ((e > 60) & (mx != 0.0))
-    top = (ldexp(nd2, e - over) - ldexp(2.0 * v, -over)) + (
-        ldexp(nd2_lo, e - over) - ldexp(2.0 * v_lo, -over)
+    top = (_ldexp(nd2, e - over) - _ldexp(2.0 * v, -over)) + (
+        _ldexp(nd2_lo, e - over) - _ldexp(2.0 * v_lo, -over)
     )
     return top * mn / (v * v), over + en - 2 * es - we
 
 
 def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=None) -> tuple:
-    """Hyvarinen penalties s0 and s1 at xbar, the problem's by default, and
-    whether they tie only because both underflowed.
+    """Hyvarinen penalties s0 and s1 at xbar, the problem's by default or
+    elementwise for an array, and whether they tie only because both
+    underflowed.
 
     For a predictive N(theta0, V) the penalty 2 (log m)'' + ((log m)')^2 is
     -2/V + (xbar - theta0)^2/V^2: in units of sem, (t^2 - 2) n/sigma^2 for
     the point null and (t^2/w - 2) n/(sigma^2 w) for the conjugate
     alternative, w = 1 + r^2. The improper flat predictive scores exactly 0,
-    whatever its constant. Each power of two is applied last. Given an
-    array of means xbar, numpy's ldexp and frexp stand in for _ldexp and
-    math.frexp around the same + - * /, elementwise.
+    whatever its constant. Each power of two is applied last.
     """
-    ldexp, frexp = _ldexp, math.frexp
-    if xbar is None:
-        xbar = problem.xbar
-    else:
-        import numpy as np
-
-        ldexp, frexp = np.ldexp, np.frexp
-    d = _difference(xbar, problem.theta0)
-    p0, p1 = _hyvarinen_penalty(problem, d, (1.0, 0), ldexp), (0.0, 0)
+    d = _difference(problem.xbar if xbar is None else xbar, problem.theta0)
+    p0, p1 = _hyvarinen_penalty(problem, d, (1.0, 0)), (0.0, 0)
     if prior.is_conjugate:
-        p1 = _hyvarinen_penalty(problem, d, _spread(problem, prior), ldexp)
-    s0, s1 = ldexp(*p0), ldexp(*p1)
+        p1 = _hyvarinen_penalty(problem, d, _spread(problem, prior))
+    s0, s1 = _ldexp(*p0), _ldexp(*p1)
     # the last power of two is exact unless it underflows; a finite tie
     # whose unscaled penalties differ is one that underflow made
-    (m0, e0), (m1, e1) = frexp(p0[0]), frexp(p1[0])
+    (m0, e0), (m1, e1) = _frexp(p0[0]), _frexp(p1[0])
     differ = (m0 != m1) | ((m0 != 0.0) & (e0 + p0[1] != e1 + p1[1]))
     return s0, s1, (s0 == s1) & (abs(s0) < math.inf) & differ

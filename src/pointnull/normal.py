@@ -12,8 +12,7 @@ import sys
 
 from . import _EXPORTS
 from ._record import Record
-from .numerics import log_normal_pdf  # no caller here; the benchmark's tracer wraps it
-from .numerics import p_value
+from .numerics import log_normal_pdf, p_value  # log_normal_pdf: the benchmark's tracer wraps it
 
 __all__ = _EXPORTS["normal"]
 
@@ -41,15 +40,17 @@ class NormalProblem(Record):
             raise ValueError("xbar must be finite")
 
     @classmethod
-    def from_t(
-        cls, t: float, n: int, *, theta0: float = 0.0, sigma: float = 1.0
-    ) -> "NormalProblem":
+    def from_t(cls, t: float, n: int, *, theta0: float = 0.0, sigma: float = 1.0) -> "NormalProblem":
         """Problem whose observed mean sits t standard errors above theta0."""
-        # validate theta0, sigma and n, in the constructor's order, before sqrt(n)
-        cls(theta0, sigma, n, theta0)
+        sem = cls(theta0, sigma, n, theta0).sem  # checks theta0, sigma and n, in the constructor's order
         if not math.isfinite(t):
             raise ValueError("t must be finite")
-        return cls(theta0, sigma, n, theta0 + t * sigma / math.sqrt(n))
+        xbar = theta0 + t * sigma / math.sqrt(n)
+        if math.isinf(xbar):  # a step overflowed: summed on mantissas, xbar may yet be a double
+            mt, et = _frexp(t)
+            m, e = _frexp(mt * sem)
+            xbar = _finite((m + _ldexp(theta0, -e - et), e + et), "xbar from --theta0, --t, --sigma and --n")
+        return cls(theta0, sigma, n, xbar)
 
     @property
     def sem(self) -> float:
@@ -130,37 +131,40 @@ class TestReport(Record):
         return self.reject_frequentist and self.favor_null_bayes
 
 
-def _difference(a, b: float) -> tuple:
-    """a - b as (m, e), worth m * 2**e, for a number a or elementwise for an
-    array, with numpy's frexp then. Where a - b overflows, a and b are at
-    least 2^970 in size and their halves exact, so those are taken."""
-    d = a - b
-    if isinstance(d, (int, float)):
-        half = math.isinf(d)
-        m, e = math.frexp(0.5 * a - 0.5 * b if half else d)
-    else:
-        import numpy as np
-
-        half = np.isinf(d)
-        d[half] = 0.5 * a[half] - 0.5 * b
-        m, e = np.frexp(d)
-    return m, e + half
+# The exact-scaling layer: a number as (m, e), worth m * 2**e, where a step may leave the doubles;
+# _ldexp rounds one back, +-inf past the largest. Each takes a float or, elementwise, a numpy array.
 
 
-def _over_sem(a: float, b: float, problem: NormalProblem) -> tuple[float, int]:
-    """(a - b) / sem = sqrt(n) (a - b) / sigma as (m, e), worth m * 2**e,
-    rounded on mantissas so that no step leaves the doubles."""
-    mx, ex = _difference(a, b)
-    ms, es = math.frexp(problem.sigma)
-    m, e = math.frexp(mx * math.sqrt(problem.n) / ms)
-    return m, e + ex - es
+def _frexp(x) -> tuple:
+    return sys.modules["numpy"].frexp(x) if getattr(x, "ndim", 0) else math.frexp(x)
 
 
-def _ldexp(m: float, e: int) -> float:
+def _ldexp(m, e):
+    if getattr(m, "ndim", 0) or getattr(e, "ndim", 0):
+        return sys.modules["numpy"].ldexp(m, e)
     try:
         return math.ldexp(m, e)
     except OverflowError:
         return math.copysign(math.inf, m)
+
+
+def _difference(a, b: float) -> tuple:
+    """a - b as (m, e); where it overflows, from the halves of a and b, exact at 2^970 and up."""
+    d = a - b
+    half = abs(d) == math.inf
+    if getattr(d, "ndim", 0):
+        d[half] = 0.5 * a[half] - 0.5 * b
+    elif half:
+        d = 0.5 * a - 0.5 * b
+    m, e = _frexp(d)
+    return m, e + half
+
+
+def _over_sem(a: float, b: float, problem: NormalProblem) -> tuple:
+    """(a - b) / sem = sqrt(n) (a - b) / sigma as (m, e), rounded on mantissas."""
+    (mx, ex), (ms, es) = _difference(a, b), _frexp(problem.sigma)
+    m, e = _frexp(mx * math.sqrt(problem.n) / ms)
+    return m, e + ex - es
 
 
 def _bf(log_bf: float) -> float:
@@ -169,6 +173,14 @@ def _bf(log_bf: float) -> float:
         return math.exp(log_bf)
     except OverflowError:
         raise ValueError(f"B01 lies above the largest double: log B01 = {log_bf:.6g}") from None
+
+
+def _finite(x: tuple, what: str) -> float:
+    """x = (m, e) as a double, refused by what it is, with its size, beyond the doubles."""
+    if math.isinf(value := _ldexp(*x)):
+        size = math.log10(abs(x[0])) + x[1] * math.log10(2.0)
+        raise ValueError(f"{what} lies beyond the largest double, at 10^{size:.6g}")
+    return value
 
 
 def t_statistic(problem: NormalProblem) -> float:
@@ -187,11 +199,10 @@ def log_bayes_factor_lindley(t: float, n: float) -> float:
     if denom == math.inf:
         # n above about 9e307: 1 + 1/n rounds to 1, so n / (2(1 + n)) is one half
         return 0.5 * math.log1p(n) - t * 0.5 * t
-    # n t^2 overflows where the quotient need not. Scaling n and 2(1 + n) by
-    # the same power of two keeps every rounding of n t t / (2(1 + n)), bar
-    # a subnormal step, which only a t term far below log1p(n)'s ulp takes.
-    frac, exp = math.frexp(denom)
-    return 0.5 * math.log1p(n) - math.ldexp(n, -exp) * t * t / frac
+    # n t^2 overflows where the quotient need not. n and 2(1 + n) share one power of two, which
+    # keeps every rounding bar a subnormal step, which only a t term far below log1p(n)'s ulp takes.
+    frac, exp = _frexp(denom)
+    return 0.5 * math.log1p(n) - _ldexp(n, -exp) * t * t / frac
 
 
 def bayes_factor_lindley(t: float, n: float) -> float:
@@ -200,24 +211,21 @@ def bayes_factor_lindley(t: float, n: float) -> float:
 
 
 def _shrinkage(problem: NormalProblem, prior: AlternativePrior) -> tuple:
-    """t, r = tau / sem and c^2 = tau^2 / (sem^2 + tau^2) as (m, e) pairs.
-
-    In units of sem the prior is N(0, r^2) and the posterior N(t c^2, c^2),
-    so the conjugate algebra meets the scale only through t and r.
-    """
+    """t, r = tau / sem and c^2 = tau^2 / (sem^2 + tau^2) as (m, e) pairs. In units of sem
+    the prior is N(0, r^2) and the posterior N(t c^2, c^2), so the conjugate algebra meets
+    the scale only through t and r."""
     if not prior.is_conjugate:
         raise ValueError("this operation requires a conjugate-normal prior")
     rm, re = _over_sem(prior.tau, 0.0, problem)
     # past r = 2^64, c^2 = r^2 / (1 + r^2) rounds to 1 and log1p(r^2) / 2 to log r
-    c2 = (rm * rm / (1.0 + math.ldexp(rm * rm, 2 * re)), 2 * re) if re <= 64 else (1.0, 0)
+    c2 = (rm * rm / (1.0 + _ldexp(rm * rm, 2 * re)), 2 * re) if re <= 64 else (1.0, 0)
     return _over_sem(problem.xbar, problem.theta0, problem), (rm, re), c2
 
 
 def log_bayes_factor_conjugate(problem: NormalProblem, prior: AlternativePrior) -> float:
     (tm, te), (rm, re), (cm, ce) = _shrinkage(problem, prior)
     # log(hypot(sem, tau) / sem) - (t c)^2 / 2, where hypot(sem, tau) / sem = hypot(1, r)
-    r2 = math.ldexp(rm * rm, 2 * min(re, 64))
-    log_h = 0.5 * math.log1p(r2) if re <= 64 else math.log(rm) + re * math.log(2.0)
+    log_h = 0.5 * math.log1p(_ldexp(rm * rm, 2 * re)) if re <= 64 else math.log(rm) + re * math.log(2.0)
     return log_h - _ldexp(0.5 * tm * tm * cm, 2 * te + ce)
 
 
@@ -263,31 +271,23 @@ def posterior_prob_null(bf01: float, weights: HypothesisWeights) -> float:
     return 1.0 / (1.0 + rest / odds)
 
 
-def reinterpret_as_prior_scale(
-    problem: NormalProblem,
-) -> tuple[NormalProblem, AlternativePrior]:
+def reinterpret_as_prior_scale(problem: NormalProblem) -> tuple[NormalProblem, AlternativePrior]:
     """Recast n observations as one observation with prior scale tau^2 = n sigma^2.
 
     The single-observation problem keeps the same t statistic, and its
     conjugate Bayes factor equals bayes_factor_lindley(t, n): the sample
     size can be read as a prior scale factor instead of a data volume.
     """
-    t = t_statistic(problem)
-    single = NormalProblem(problem.theta0, problem.sigma, 1, problem.theta0 + t * problem.sigma)
-    prior = AlternativePrior.conjugate(problem.sigma * math.sqrt(problem.n))
-    return single, prior
+    single = NormalProblem.from_t(t_statistic(problem), 1, theta0=problem.theta0, sigma=problem.sigma)
+    return single, AlternativePrior.conjugate(problem.sigma * math.sqrt(problem.n))
 
 
 def evaluate_test(
-    problem: NormalProblem,
-    prior: AlternativePrior,
-    weights: HypothesisWeights,
-    alpha: float = 0.05,
+    problem: NormalProblem, prior: AlternativePrior, weights: HypothesisWeights, alpha: float = 0.05
 ) -> TestReport:
     """Both verdicts on one problem under a conjugate-normal alternative."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    t = t_statistic(problem)
-    p = p_value(t)
+    t = _finite(_over_sem(problem.xbar, problem.theta0, problem), "t from --xbar, --theta0, --sigma and --n")
     bf01 = bayes_factor_conjugate(problem, prior)
-    return TestReport(t, p, bf01, posterior_prob_null(bf01, weights), alpha)
+    return TestReport(t, p_value(t), bf01, posterior_prob_null(bf01, weights), alpha)

@@ -17,7 +17,7 @@ import math
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import AlternativePrior, NormalProblem, _difference, _ldexp, _shrinkage
+from .normal import AlternativePrior, NormalProblem, _difference, _frexp, _ldexp, _shrinkage
 from .numerics import (
     _LOG_SQRT_2PI,
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
@@ -26,7 +26,6 @@ from .numerics import (
 
 __all__ = _EXPORTS["scores"]
 
-_LN2 = math.log(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -71,16 +70,19 @@ class ScoreReport(Record):
         return "H0" if self.select_null else "H1"
 
 
+def _square_over_sem2(x: tuple, problem: NormalProblem) -> tuple:
+    """x^2 / sem^2 = n (x / sigma)^2 for x as (m, e), not a rounded x / sem squared."""
+    (mx, ex), (ms, es), (mn, en) = x, _frexp(problem.sigma), _frexp(problem.n)
+    return mx * mx / (ms * ms) * mn, 2 * (ex - es) + en
+
+
 def _spread(problem: NormalProblem, prior: AlternativePrior) -> tuple:
     """w = 1 + r^2 as (m, e), r = tau / sem: in units of sem the conjugate
     predictive N(theta0, sem^2 + tau^2) is N(0, w), and 1/w = 1 - c^2."""
-    rm, re = math.frexp(prior.tau)
-    ms, es = math.frexp(problem.sigma)
-    mn, en = math.frexp(problem.n)
-    r2m, r2e = rm * rm / (ms * ms) * mn, 2 * (re - es) + en
+    r2m, r2e = _square_over_sem2(_frexp(prior.tau), problem)
     if r2e > 128:  # 1 + r^2 rounds to r^2
         return r2m, r2e
-    return 1.0 + math.ldexp(r2m, r2e), 0
+    return 1.0 + _ldexp(r2m, r2e), 0
 
 
 def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
@@ -88,16 +90,15 @@ def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
     centred at theta0, read in units of sem as t^2 / (2 w) + log(sem^2 w) / 2
     + log sqrt(2 pi). w = 1 + r^2 as (m, e); the default, w = 1, is the point
     null's sampling density m0."""
-    (mx, ex), (wm, we) = _difference(problem.xbar, problem.theta0), w
-    ms, es = math.frexp(problem.sigma)
-    mn, en = math.frexp(problem.n)
+    (t2m, t2e), (wm, we) = _square_over_sem2(_difference(problem.xbar, problem.theta0), problem), w
     # t^2 = n ((xbar - theta0) / sigma)^2, not a rounded t squared: t^2 = 2 stays exact
-    half_t2 = _ldexp(0.5 * (mx * mx / (ms * ms) * mn) / wm, 2 * (ex - es) + en - we)
+    half_t2 = _ldexp(0.5 * t2m / wm, t2e - we)
     # log(sem^2 w) from a mantissa in [sqrt(1/2), sqrt(2)), which keeps its digits near 1
-    m, e = math.frexp(ms * ms * wm / mn)
+    (ms, es), (mn, en) = _frexp(problem.sigma), _frexp(problem.n)
+    m, e = _frexp(ms * ms * wm / mn)
     if m < _SQRT_HALF:
         m, e = 2.0 * m, e - 1
-    return half_t2 + (0.5 * (math.log(m) + (e + 2 * es + we - en) * _LN2) + _LOG_SQRT_2PI)
+    return half_t2 + (0.5 * (math.log(m) + (e + 2 * es + we - en) * math.log(2.0)) + _LOG_SQRT_2PI)
 
 
 def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -139,12 +140,12 @@ def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tupl
     """Posterior mean and variance of theta under the conjugate alternative:
     theta0 + (xbar - theta0) c^2 and (sem c)^2, c^2 = tau^2 / (sem^2 + tau^2)."""
     _, (rm, re), (cm, ce) = _shrinkage(problem, prior)
-    ms, es = math.frexp(problem.sigma)
-    sm, se = math.frexp(ms / math.sqrt(problem.n))  # sem = sm * 2**(se + es)
+    ms, es = _frexp(problem.sigma)
+    sm, se = _frexp(ms / math.sqrt(problem.n))  # sem = sm * 2**(se + es)
     var = _ldexp(sm * sm * cm, 2 * (se + es) + ce)
-    d, c2 = problem.xbar - problem.theta0, math.ldexp(cm, ce)
+    d, c2 = problem.xbar - problem.theta0, _ldexp(cm, ce)
     if math.isinf(d):  # opposite signs: a weighted mean of the two stays in range
-        return problem.theta0 * math.ldexp(cm / (rm * rm), ce - 2 * re) + problem.xbar * c2, var
+        return problem.theta0 * _ldexp(cm / (rm * rm), ce - 2 * re) + problem.xbar * c2, var
     return problem.theta0 + d * c2, var
 
 
@@ -162,7 +163,7 @@ def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
         raise ValueError("posterior-expected KL score needs a conjugate prior")
     (tm, te), _, (cm, ce) = _shrinkage(problem, prior)
     mean = _ldexp(tm * cm, te + ce)
-    return 0.5 * math.ldexp(cm, ce) + 0.5 * mean * mean
+    return 0.5 * _ldexp(cm, ce) + 0.5 * mean * mean
 
 
 def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -207,7 +208,6 @@ def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSu
         # inf and nan are judged below, silently, as Python floats were
         with np.errstate(over="ignore", invalid="ignore"):
             s0, s1, false_tie = _hyvarinen_penalties(problem, prior, xbar)
-            s0, s1 = np.broadcast_arrays(s0, s1)
             diff = s0 - s1
         # the same arithmetic on one replicate refuses the first that
         # hyvarinen_compare refuses, with its error

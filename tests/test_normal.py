@@ -63,6 +63,24 @@ class TestNormalProblem:
         with pytest.raises(ValueError, match="^t must be finite$"):
             NormalProblem.from_t(t, 4)
 
+    @pytest.mark.parametrize(
+        "t, n, theta0, sigma",
+        [
+            (1e10, 10**30, 0.0, 1e300),  # t sigma = 1e310 leaves the doubles, t sem = 1e295 does not
+            (2.5, 1, -1.7e308, 1e308),  # t sem = 2.5e308 leaves them, theta0 brings xbar back
+            (0.01, 1, 1.79e308, 1e308),  # t sem is a double, theta0 + t sem is not
+        ],
+    )
+    def test_from_t_reads_xbar_on_mantissas_where_a_step_overflows(self, t, n, theta0, sigma):
+        with mpmath.workprec(200):
+            want = mpmath.mpf(theta0) + mpmath.mpf(t) * mpmath.mpf(sigma) / mpmath.sqrt(n)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(ValueError, match=r"^xbar from --theta0, --t, --sigma and --n lies beyond"):
+                NormalProblem.from_t(t, n, theta0=theta0, sigma=sigma)
+        else:
+            xbar = NormalProblem.from_t(t, n, theta0=theta0, sigma=sigma).xbar
+            assert abs(xbar - want) <= 4.5e-16 * abs(want), (xbar, float(want))
+
     def test_sem(self):
         assert NormalProblem(0.0, 2.0, 16, 0.1).sem == 0.5
 

@@ -90,12 +90,12 @@ SOURCE_LINES = {
     "paradox": 1258,
     "severity": 1061,
     "binomial": 810,
-    "score": 1260,
+    "score": 1251,
     "score-log": 1184,
     "paper-check": 1673,
     "simulate-uniformity": 1464,
     "simulate-consistency": 1464,
-    "simulate-score-consistency": 1601,
+    "simulate-score-consistency": 1592,
 }
 
 

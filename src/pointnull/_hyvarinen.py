@@ -3,8 +3,8 @@ and scores.score_consistency_sim import it when they run, and no other call."""
 
 import math
 
-from .normal import AlternativePrior, NormalProblem, _difference, _frexp, _ldexp
-from .scores import _spread
+from .normal import AlternativePrior, NormalProblem, _difference, _finite, _frexp, _ldexp
+from .scores import _T_FLAGS, _spread
 
 
 def _product(a, b) -> tuple:
@@ -44,10 +44,11 @@ def _hyvarinen_penalty(problem: NormalProblem, d: tuple, w: tuple) -> tuple:
     return top * mn / (v * v), over + en - 2 * es - we
 
 
-def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=None) -> tuple:
+def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=None, named=False) -> tuple:
     """Hyvarinen penalties s0 and s1 at xbar, the problem's by default or
     elementwise for an array, and whether they tie only because both
-    underflowed.
+    underflowed. A penalty beyond the doubles is +-inf, or refused by name
+    where named is set.
 
     For a predictive N(theta0, V) the penalty 2 (log m)'' + ((log m)')^2 is
     -2/V + (xbar - theta0)^2/V^2: in units of sem, (t^2 - 2) n/sigma^2 for
@@ -59,7 +60,11 @@ def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, xbar=N
     p0, p1 = _hyvarinen_penalty(problem, d, (1.0, 0)), (0.0, 0)
     if prior.is_conjugate:
         p1 = _hyvarinen_penalty(problem, d, _spread(problem, prior))
-    s0, s1 = _ldexp(*p0), _ldexp(*p1)
+    if named:
+        s0 = _finite(p0, f"hyvarinen penalty s0 from {_T_FLAGS} and --n")
+        s1 = _finite(p1, f"hyvarinen penalty s1 from {_T_FLAGS}, --n and the prior's tau")
+    else:
+        s0, s1 = _ldexp(*p0), _ldexp(*p1)
     # the last power of two is exact unless it underflows; a finite tie
     # whose unscaled penalties differ is one that underflow made
     (m0, e0), (m1, e1) = _frexp(p0[0]), _frexp(p1[0])

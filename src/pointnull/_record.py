@@ -35,19 +35,19 @@ class Record:
     def __post_init__(self) -> None:
         """Checks on the fields, run once all are set."""
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._fields)
+    def _asdict(self) -> dict[str, Any]:
+        return {field: getattr(self, field) for field in self._fields}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._asdict() == other._asdict()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self._asdict().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        fields = ", ".join(f"{field}={value!r}" for field, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: Any) -> None:

@@ -283,13 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits 0 for --help and 2 for usage faults; keep both
             return int(exc.code or 0)
-    if not 1 <= args.digits <= 17:
-        print("error: --digits must be between 1 and 17", file=sys.stderr)
-        return 2
-    if not 0 <= args.seed < 2**64:
-        print("error: --seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 2
     try:
+        if not 1 <= args.digits <= 17:
+            raise ValueError("--digits must be between 1 and 17")
+        if not 0 <= args.seed < 2**64:
+            raise ValueError("--seed must fit in an unsigned 64-bit integer")
         module = args.command.replace("-", "_")
         handler = importlib.import_module(f".commands.{module}", __package__)
         # handlers get the module this code runs as; runpy.run_module without alter_sys (as
@@ -309,26 +307,20 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or args.default_format
         render = render_csv if fmt == "csv" else render_table
         text = render_json(env) if fmt == "json" else render(env, args.digits)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        try:
+        return 2 if isinstance(exc, ValueError) else 1
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-            return 1
-    else:
-        try:
-            sys.stdout.write(text)
-        except OSError as exc:
+        else:
             # unbuffered stdout (PYTHONUNBUFFERED) fails here, not at the exit's flush
-            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-            return 1
+            sys.stdout.write(text)
+    except OSError as exc:
+        where = f"--out {args.out}" if args.out else "stdout"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return 1
     # only paper-check reports all_pass; a failed anchor exits 1
     return 0 if results.get("all_pass", True) else 1
 

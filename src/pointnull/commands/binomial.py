@@ -17,7 +17,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     except ValueError as exc:
         bf_laplace = None
         provenance.append(["bf_laplace", f"unavailable: {exc}"])
-    inputs = {"n": problem.n, "x": problem.x, "theta0": problem.theta0}
+    inputs = problem._asdict()
     results = {
         "phat": problem.phat,
         "z": z,

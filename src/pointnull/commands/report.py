@@ -8,15 +8,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     prior = cli.AlternativePrior.conjugate(args.tau if args.tau is not None else problem.sigma)
     weights = cli.HypothesisWeights(rho0=args.rho0)
     report = cli.evaluate_test(problem, prior, weights, args.alpha)
-    inputs = {
-        "theta0": problem.theta0,
-        "sigma": problem.sigma,
-        "n": problem.n,
-        "xbar": problem.xbar,
-        "tau": prior.tau,
-        "rho0": weights.rho0,
-        "alpha": args.alpha,
-    }
+    inputs = {**problem._asdict(), "tau": prior.tau, "rho0": weights.rho0, "alpha": args.alpha}
     results = {
         "t": report.t,
         "p_value": report.p_value,

@@ -18,16 +18,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     prior = _prior_from_args(args, problem.sigma, cli)
     compare = {"log": cli.log_score_compare, "hyvarinen": cli.hyvarinen_compare}
     report = compare.get(args.rule, cli.sprenger_kl_report)(problem, prior)
-    inputs = {
-        "rule": args.rule,
-        "theta0": problem.theta0,
-        "sigma": problem.sigma,
-        "n": problem.n,
-        "xbar": problem.xbar,
-        "prior": prior.kind,
-        "tau": prior.tau,
-        "c": prior.c,
-    }
+    inputs = {"rule": args.rule, **problem._asdict(), "prior": prior.kind, "tau": prior.tau, "c": prior.c}
     results = {
         "s0": report.s0,
         "s1": report.s1,

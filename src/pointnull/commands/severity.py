@@ -49,10 +49,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     g = curve.warranted_gamma
     rows.append({"theta1": problem.theta0 + g, "gamma": g, "severity": args.level})
     inputs = {
-        "theta0": problem.theta0,
-        "sigma": problem.sigma,
-        "n": problem.n,
-        "xbar": problem.xbar,
+        **problem._asdict(),
         "level": args.level,
         "grid_lo": lo,
         "grid_hi": hi,

@@ -23,41 +23,38 @@ def run(args, cli) -> tuple[dict, dict, list]:
             rows = [
                 {"replications": args.reps, "noncentrality": args.noncentrality, "ks_distance": ks}
             ]
-            results = {"rows": rows}
-            provenance = [["ks_distance", f"seeded-simulation(seed={args.seed})"]]
-            return inputs, results, provenance
-        sweep = cli.ConsistencyRun(
-            theta_true=args.theta_true,
-            theta0=args.theta0,
-            sigma=args.sigma,
-            n_grid=_parse_grid(args.n_grid),
-            replications=args.reps,
-            seed=args.seed,
-        )
-        inputs = {
-            "kind": args.kind,
-            "theta_true": sweep.theta_true,
-            "theta0": sweep.theta0,
-            "sigma": sweep.sigma,
-            "n_grid": ",".join(str(n) for n in sweep.n_grid),
-            "reps": sweep.replications,
-            "seed": sweep.seed,
-        }
-        if args.kind == "consistency":
-            summaries = cli.consistency_simulation(sweep, alpha=args.alpha)
-            inputs["alpha"] = args.alpha
         else:
-            if args.tau is None:
-                prior = cli.AlternativePrior.flat()
+            sweep = cli.ConsistencyRun(
+                theta_true=args.theta_true,
+                theta0=args.theta0,
+                sigma=args.sigma,
+                n_grid=_parse_grid(args.n_grid),
+                replications=args.reps,
+                seed=args.seed,
+            )
+            inputs = {
+                "kind": args.kind,
+                "theta_true": sweep.theta_true,
+                "theta0": sweep.theta0,
+                "sigma": sweep.sigma,
+                "n_grid": ",".join(str(n) for n in sweep.n_grid),
+                "reps": sweep.replications,
+                "seed": sweep.seed,
+            }
+            if args.kind == "consistency":
+                summaries = cli.consistency_simulation(sweep, alpha=args.alpha)
+                inputs["alpha"] = args.alpha
             else:
-                prior = cli.AlternativePrior.conjugate(args.tau)
-            summaries = cli.score_consistency_sim(sweep, prior)
-            inputs["prior"] = prior.kind
+                if args.tau is None:
+                    prior = cli.AlternativePrior.flat()
+                else:
+                    prior = cli.AlternativePrior.conjugate(args.tau)
+                summaries = cli.score_consistency_sim(sweep, prior)
+                inputs["prior"] = prior.kind
+            # a row per grid point: the summary record's fields, in their order
+            rows = [s._asdict() for s in summaries]
     except MemoryError as exc:
         # numpy refuses a replicate array larger than memory before filling it
         raise RuntimeError(f"--reps {args.reps} is too large: {exc}") from None
-    # a row per grid point: the summary record's fields, in their order
-    rows = [{field: getattr(s, field) for field in s._fields} for s in summaries]
-    results = {"rows": rows}
-    provenance = [["rows", f"seeded-simulation(seed={sweep.seed})"]]
-    return inputs, results, provenance
+    name = "ks_distance" if args.kind == "uniformity" else "rows"
+    return inputs, {"rows": rows}, [[name, f"seeded-simulation(seed={args.seed})"]]

@@ -15,13 +15,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import (
-    HypothesisWeights,
-    TestReport,
-    bayes_factor_lindley,
-    log_bayes_factor_lindley,
-    posterior_prob_null,
-)
+from .normal import HypothesisWeights, NormalProblem, TestReport, _finite, _over_sem
+from .normal import bayes_factor_lindley, log_bayes_factor_lindley, posterior_prob_null
 # find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
 # _SQRT2 is p_value's divisor, so the sweeps' p-values are the doubles it returns
 from .numerics import _SQRT2, RngStream, find_crossing, p_value
@@ -247,13 +242,17 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    # before any draw: the t of the replicates' centre, theta_true, largest at the last grid point
+    centre = NormalProblem(run.theta0, run.sigma, run.n_grid[-1], run.theta_true)
+    what = "t from --theta-true, --theta0, --sigma and --n-grid"
+    _finite(_over_sem(run.theta_true, run.theta0, centre), what)
     alpha_band = _erfc_band(alpha)
     summaries = []
     for n, sem, t in run.sample_means():
         if sem == 0.0:
             raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
-        # t may overflow to inf, which _abs_t refuses; Python float
-        # arithmetic never warned about it, so numpy must not either
+        # a replicate's t may yet overflow to inf, which _abs_t refuses; Python
+        # float arithmetic never warned about it, so numpy must not either
         with np.errstate(over="ignore"):
             t -= run.theta0
             t /= sem
@@ -310,6 +309,8 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
         raise ValueError(f"replications must be an integer, got {replications!r}")
     if replications < 100:
         raise ValueError("replications must be at least 100")
+    if not math.isfinite(noncentrality):
+        raise ValueError("noncentrality must be finite")
     from ._order_stats import _abs_t, _ks_distance_p
 
     t = RngStream(seed).normals(replications)

@@ -6,18 +6,18 @@ is exactly the log Bayes factor; the Hyvarinen score, which depends only on
 derivatives of the log density and so survives the arbitrary constant of an
 improper prior; and the posterior-expected Kullback-Leibler score, beside
 the conjugate posterior it reads. Each rule reads both hypotheses in units
-of sem, so it answers at every scale where its penalties are doubles. Every
-rule is reported as a penalty: smaller is better, negative difference
-s0 - s1 selects the null, and the zero boundary is reported as a tie rather
-than broken by fiat. The Hyvarinen kernel is pointnull._hyvarinen, which
-the Hyvarinen comparison and sweep import when they run.
+of sem, so it answers at every scale where its penalties are doubles; the
+log and Hyvarinen compares refuse by name what leaves them. Every rule is a
+penalty: smaller is better, negative difference s0 - s1 selects the null,
+and the zero boundary is a tie rather than broken by fiat. The Hyvarinen
+kernel is pointnull._hyvarinen, which its comparison and sweep import.
 """
 
 import math
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import AlternativePrior, NormalProblem, _difference, _frexp, _ldexp, _shrinkage
+from .normal import AlternativePrior, NormalProblem, _difference, _finite, _frexp, _ldexp, _shrinkage
 from .numerics import (
     _LOG_SQRT_2PI,
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
@@ -27,6 +27,9 @@ from .numerics import (
 __all__ = _EXPORTS["scores"]
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# The flags that t, and so t^2 and each penalty, come from: a refusal names them.
+_T_FLAGS = "--t or --xbar, --theta0, --sigma"
 
 
 class ScoreReport(Record):
@@ -93,6 +96,8 @@ def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
     (t2m, t2e), (wm, we) = _square_over_sem2(_difference(problem.xbar, problem.theta0), problem), w
     # t^2 = n ((xbar - theta0) / sigma)^2, not a rounded t squared: t^2 = 2 stays exact
     half_t2 = _ldexp(0.5 * t2m / wm, t2e - we)
+    if math.isinf(half_t2):  # t^2 / (2 w) leaves the doubles only where t^2 does
+        _finite((t2m, t2e), f"t^2 from {_T_FLAGS} and --n")
     # log(sem^2 w) from a mantissa in [sqrt(1/2), sqrt(2)), which keeps its digits near 1
     (ms, es), (mn, en) = _frexp(problem.sigma), _frexp(problem.n)
     m, e = _frexp(ms * ms * wm / mn)
@@ -126,7 +131,7 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     """
     from ._hyvarinen import _hyvarinen_penalties
 
-    s0, s1, false_tie = _hyvarinen_penalties(problem, prior)
+    s0, s1, false_tie = _hyvarinen_penalties(problem, prior, named=True)
     if false_tie:
         raise ValueError(
             f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "

@@ -5,10 +5,12 @@ every other host keeps the plain exit.
 cli.console_entry ends the process with os._exit once main's output is out,
 where the interpreter itself runs pointnull: ``python -m pointnull.cli`` or
 the installed script. test_golden replays in-process, so it never reaches
-that exit; here recorded cases run as processes. The sitecustomize.py below,
-put on PYTHONPATH, registers an atexit hook and holds an object whose
-__del__ only interpreter teardown runs: a process that ends by os._exit
-prints the hook's line and not the teardown line.
+that exit; here recorded cases run as processes. Every process here runs
+with PYTHONDONTWRITEBYTECODE=1, as the benchmark runs each call, whatever
+the calling environment sets. The sitecustomize.py below, put on
+PYTHONPATH, registers an atexit hook and holds an object whose __del__ only
+interpreter teardown runs: a process that ends by os._exit prints the
+hook's line and not the teardown line.
 """
 
 import os
@@ -47,9 +49,38 @@ def first(predicate) -> dict:
     return next(case for case in CASES if predicate(case))
 
 
-# One recorded case per subcommand and format, one per exit code, and the
-# two argparse paths, help and a usage error, that the flag table leaves to
-# pointnull._usage.
+# Edge calls, each a recorded case: sigma^2/n underflowing to 0 still
+# answers, and so do the scores where sigma^2/n + tau^2 overflows or
+# sigma^2/n underflows; a severity grid of three adjacent doubles, where Phi
+# ties two neighbours, answers; the KS step's erfc above one chunk of 4096,
+# and an off-null sweep's binary-search counts and median window, at 1e5
+# replicates; a subnormal posterior is printed, not rounded to 0; B01, t and
+# xbar beyond the largest double, and a handler's own refusal, each exit 2
+# with one named line; the value "--" is a usage error; the KL score reads
+# an overflowing t in units of sem and answers.
+EDGE_CALLS = [
+    "paper-check --format json",
+    "severity --n 100 --xbar 0.2",
+    "severity --n 100 --xbar 0.2 --grid-lo 0.1 --grid-hi 0.10000000000000003 --grid-points 3",
+    "report --t 1.96 --n 10 --sigma 1e-200 --format csv",
+    "score --rule log --t 1.96 --n 100 --tau 1e200",
+    "simulate --kind score-consistency --sigma 1e-200 --reps 10 --n-grid 4",
+    "simulate --kind uniformity --reps 100000 --noncentrality 0.2",
+    "simulate --kind consistency --reps 100000 --theta-true 0.3",
+    "report --t 1.96",
+    "report --t=-- --n 4",
+    "report --t 1.96 --n 10000 --tau 1e308",
+    "report --t 40 --n 10 --format csv",
+    "score --rule log --t 1 --n 10 --alt flat --tau 1",
+    "report --theta0=-3.8e259 --sigma=2.2e-289 --n=608249 --xbar=1.2e-225",
+    "report --sigma=1e300 --n=1 --t=1e10",
+    "score --rule log --sigma=1e300 --n=1 --t=1e10 --tau 1",
+    "score --rule sprenger-kl --theta0 0 --xbar 1e300 --sigma 1e-10 --n 1 --tau 1e-200",
+]
+
+# One recorded case per subcommand and format, one per exit code, the two
+# argparse paths, help and a usage error, that the flag table leaves to
+# pointnull._usage, and the edge calls.
 REPLAYED = [
     first(lambda c, cmd=cmd, fmt=fmt: c["code"] == 0 and c["argv"][0] == cmd and fmt in c["argv"])
     for cmd in COMMANDS
@@ -60,11 +91,16 @@ REPLAYED = [
     first(lambda c: "--help" in c["argv"]),
     first(lambda c: c["stderr"].startswith("usage:")),
 ]
+REPLAYED += [
+    first(lambda c, argv=call.split(): c["argv"] == argv)
+    for call in EDGE_CALLS
+    if call.split() not in [c["argv"] for c in REPLAYED]
+]
 
 
 def environment(*paths: str, **extra: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINSPECT"}
-    env.update(extra, COLUMNS="80")
+    env.update(extra, COLUMNS="80", PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, SRC, os.environ.get("PYTHONPATH")]))
     return env
 
@@ -153,6 +189,9 @@ def test_other_hosts_keep_the_plain_exit(hooks, tmp_path, host):
     }[host]
     proc = run(args, environment(hooks, **extra))
     expected = run(["-m", "pointnull.cli", *REPORT], environment())
+    if host == "cProfile":
+        # cProfile writes its file after cli returns, so cli must not end the process there
+        assert (tmp_path / "p.prof").stat().st_size > 0
     # PYTHONINSPECT turns a plain sys.exit(0) into exit 1 once stdin is at EOF
     plain = run(["-c", "import sys\nsys.exit(0)"], environment(**extra))
     assert proc.returncode == plain.returncode, proc.stderr

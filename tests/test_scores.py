@@ -270,17 +270,23 @@ class TestHyvarinenCompare:
 
     @pytest.mark.parametrize("sigma", [5e-324, 1e-160, 2.0**-520], ids=repr)
     def test_below_two_to_minus_1023_the_penalty_leaves_the_doubles(self, sigma):
-        # -2/sem^2 at the mode is below -max, so s0 is -inf; the CLI refuses it
+        # -2/sem^2 at the mode is below -max: s0 is refused by name, with its
+        # log10 size, in the library and the CLI alike
         with mpmath.workprec(300):
             assert -2 / mpmath.mpf(sigma) ** 2 < -sys.float_info.max
-        problem = NormalProblem(0.0, sigma, 1, 0.0)
-        assert hyvarinen_compare(problem, AlternativePrior.flat()).s0 == -math.inf
+            size = float(mpmath.log10(2 / mpmath.mpf(sigma) ** 2))
+        want = (
+            "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n "
+            f"lies beyond the largest double, at 10^{size:.6g}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            hyvarinen_compare(NormalProblem(0.0, sigma, 1, 0.0), AlternativePrior.flat())
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             argv = ["score", "--rule", "hyvarinen", "--xbar", "0", f"--sigma={sigma!r}",
                     "--n", "1", "--alt", "flat"]
             assert cli.main(argv) == 2
-        assert err.getvalue() == "error: result s0 is -inf, not a finite number\n"
+        assert err.getvalue() == f"error: {want}\n"
 
     @pytest.mark.parametrize(
         "sigma, n, xbar, selection",
@@ -373,43 +379,47 @@ def cli_argv(rule, problem, prior):
             f"--sigma={problem.sigma!r}", "--n", str(problem.n), *alt]
 
 
+BEYOND = re.compile(
+    r"(.+) from --t or --xbar, --theta0, --sigma.* lies beyond the largest double, at 10\^(.+)"
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scored_problems())
 def test_compares_match_mpmath_at_every_scale(case):
     # each penalty lies within 1e-15 of the largest term it sums, or within
-    # the smallest subnormal where it underflows; one beyond the doubles is
-    # +-inf, which the CLI refuses by name
+    # the smallest subnormal where it underflows. Where one leaves the
+    # doubles, the compare refuses by name the quantity that left them, the
+    # log score's t^2 or the Hyvarinen penalty, with its log10 size, and the
+    # CLI prints that line
     problem, prior = case
     want = mp_penalties(problem, prior)
+    with mpmath.workprec(300):
+        d = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0)
+        t2 = d * d * problem.n / mpmath.mpf(problem.sigma) ** 2
     for rule, compare in (("log", log_score_compare), ("hyvarinen", hyvarinen_compare)):
         (w0, scale0), (w1, scale1) = want[rule]
         try:
             rep = compare(problem, prior)
         except ValueError as exc:
             message = str(exc)
-            if message.endswith("have no difference s0 - s1"):
-                # both penalties overflow, to the same infinity
-                assert abs(w0) > sys.float_info.max and abs(w1) > sys.float_info.max
-                assert (w0 > 0) == (w1 > 0)
-            else:
+            if message.endswith("tie only by underflow: their exact values differ"):
                 # both underflow, and the underflow alone tied them
-                assert message.endswith("tie only by underflow: their exact values differ")
                 assert abs(w0) < 2.0**-1073 and abs(w1) < 2.0**-1073 and w0 != w1
-            continue
-        penalties = (("s0", rep.s0, w0, scale0), ("s1", rep.s1, w1, scale1))
-        for name, got, w, scale in penalties:
-            if math.isinf(got):
-                assert abs(w) > sys.float_info.max and (got > 0) == (w > 0), (rule, name)
-            else:
-                assert abs(got - w) <= 1e-15 * scale + 2.0**-1074, (rule, name, got, float(w))
-        beyond = [(name, got) for name, got, _, _ in penalties if math.isinf(got)]
-        if beyond:
-            # the CLI names the first penalty it finds beyond the doubles
+                continue
+            quantity, size = BEYOND.fullmatch(message).groups()
+            beyond = {"t^2": t2, "hyvarinen penalty s0": w0, "hyvarinen penalty s1": w1}[quantity]
+            # the log score leaves the doubles where its t^2 / 2 does
+            assert abs(w0 if quantity == "t^2" else beyond) > sys.float_info.max, (rule, message)
+            with mpmath.workprec(300):
+                assert abs(float(size) - float(mpmath.log10(abs(beyond)))) <= 6e-6 * abs(float(size))
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 assert cli.main(cli_argv(rule, problem, prior)) == 2
-            name, got = beyond[0]
-            assert err.getvalue() == f"error: result {name} is {got!r}, not a finite number\n"
+            assert err.getvalue() == f"error: {message}\n"
+            continue
+        for name, got, w, scale in (("s0", rep.s0, w0, scale0), ("s1", rep.s1, w1, scale1)):
+            assert abs(got - w) <= 1e-15 * scale + 2.0**-1074, (rule, name, got, float(w))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -552,9 +562,10 @@ class TestScoreReport:
             ScoreReport("hyvarinen", s0, s1)
 
     def test_overflowing_penalties_are_refused_by_compare(self):
-        # d^2/v^2 overflows under both predictives: inf - inf
+        # d^2/v^2 overflows under both predictives; the first is named
         p = NormalProblem(theta0=0.0, sigma=1e-50, n=4, xbar=1e100)
-        with pytest.raises(ValueError, match="s0 = inf and s1 = inf"):
+        want = "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n lies beyond"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} the largest double, at 10\\^401.204$"):
             hyvarinen_compare(p, AlternativePrior.conjugate(1e-50))
 
 

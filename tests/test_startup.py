@@ -30,7 +30,12 @@ import pointnull
 from pointnull.numerics import std_normal_quantile
 
 SRC = str(Path(pointnull.__file__).resolve().parents[1])
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+# each process runs as the benchmark runs a call, writing no bytecode
+ENV = dict(
+    os.environ,
+    PYTHONDONTWRITEBYTECODE="1",
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
 WATCHED = ("numpy", "statistics", "dataclasses", "inspect")
 SUBMODULES = tuple(
     f"pointnull.{name}"
@@ -86,15 +91,15 @@ OWN_MODULES = {
 # and so compiled on every call. A budget is the measured count; it is
 # lowered as code leaves a call, never raised.
 SOURCE_LINES = {
-    "report": 951,
-    "paradox": 1258,
-    "severity": 1061,
-    "binomial": 810,
-    "score": 1251,
-    "score-log": 1184,
-    "paper-check": 1673,
-    "simulate-uniformity": 1464,
-    "simulate-consistency": 1464,
+    "report": 935,
+    "paradox": 1251,
+    "severity": 1050,
+    "binomial": 802,
+    "score": 1244,
+    "score-log": 1172,
+    "paper-check": 1671,
+    "simulate-uniformity": 1454,
+    "simulate-consistency": 1454,
     "simulate-score-consistency": 1592,
 }
 
@@ -125,18 +130,33 @@ def after_main(argv: list[str], watched: tuple[str, ...] = WATCHED) -> list[str]
     return loaded_after(f"from pointnull import cli\nassert cli.main({argv!r}) == 0", watched)
 
 
-def pointnull_after_module_run(argv: list[str]) -> set[str]:
-    """The pointnull modules in sys.modules after argv runs the way
-    ``python -m pointnull.cli`` runs it: through runpy, as __main__."""
-    return set(last_line(
-        "import runpy, sys\n"
-        f"sys.argv = ['pointnull', *{argv!r}]\n"
-        "try:\n"
-        "    runpy.run_module('pointnull.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('pointnull')))"
-    ).split())
+# Put on PYTHONPATH, this sitecustomize prints the pointnull modules loaded
+# when the process ends, from an atexit hook, which cli's exit runs.
+LOADED_AT_EXIT = """\
+import atexit
+import sys
+
+atexit.register(lambda: print(*(m for m in sys.modules if m.startswith("pointnull")), file=sys.stderr))
+"""
+
+
+@pytest.fixture(scope="module")
+def module_run(tmp_path_factory):
+    """The pointnull modules a ``python -m pointnull.cli`` process of argv has
+    loaded when it ends, the process run as the benchmark runs it."""
+    site = tmp_path_factory.mktemp("site")
+    (site / "sitecustomize.py").write_text(LOADED_AT_EXIT, "utf-8")
+    env = dict(ENV, PYTHONPATH=os.pathsep.join([str(site), ENV["PYTHONPATH"]]))
+
+    def loaded(argv: list[str]) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pointnull.cli", *argv], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.splitlines()[-1].split())
+
+    return loaded
 
 
 def imported_by_module_run(argv: list[str]) -> set[str]:
@@ -204,17 +224,26 @@ def test_subcommand_loads_only_its_table_modules(argv, own):
     assert set(after_main(argv, SUBMODULES)) == expected
 
 
+@pytest.mark.parametrize("argv, own", OWN_MODULES.values(), ids=list(OWN_MODULES))
+def test_module_run_loads_only_its_table_modules(argv, own, module_run):
+    # as the in-process call above: binomial loads no normal, a log score no
+    # Hyvarinen kernel, paradox no sweep engine
+    expected = {"pointnull", "pointnull._record", "pointnull.numerics"}
+    expected |= {f"pointnull.{name}" for name in own}
+    assert {m for m in module_run(argv) if not m.startswith("pointnull.commands")} == expected
+
+
 @pytest.mark.parametrize("argv", [a for a, _ in OWN_MODULES.values()], ids=list(OWN_MODULES))
-def test_subcommand_loads_only_its_handler_module(argv):
+def test_subcommand_loads_only_its_handler_module(argv, module_run):
     own = f"pointnull.commands.{argv[0].replace('-', '_')}"
-    loaded = pointnull_after_module_run(argv)
+    loaded = module_run(argv)
     assert {m for m in loaded if m.startswith("pointnull.commands.")} == {own}
 
 
 @pytest.mark.parametrize("argv", [a for a, _ in OWN_MODULES.values()], ids=list(OWN_MODULES))
-def test_module_run_compiles_cli_once(argv):
+def test_module_run_compiles_cli_once(argv, module_run):
     # the running cli is __main__; a pointnull.cli module would be a second copy
-    loaded = pointnull_after_module_run(argv)
+    loaded = module_run(argv)
     assert "pointnull.numerics" in loaded and "pointnull.cli" not in loaded
 
 

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from ks_reference import uniform_ks_distance
 
 from pointnull import _order_stats, paradox
+from pointnull._hyvarinen import _hyvarinen_penalties
 from pointnull.normal import AlternativePrior, NormalProblem, log_bayes_factor_lindley
 from pointnull.numerics import RngStream, p_value
 from pointnull.paradox import (
@@ -78,10 +79,16 @@ def reference_score_consistency(run, prior):
             problem = NormalProblem(
                 theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta_true + sem * float(z)
             )
-            report = hyvarinen_compare(problem, prior)
-            if report.tie:
+            # a penalty beyond the doubles is +-inf here, and its sign still
+            # selects; a replicate whose penalties have no difference, or tie
+            # only by underflow, is refused with hyvarinen_compare's error
+            s0, s1, false_tie = _hyvarinen_penalties(problem, prior)
+            diff = s0 - s1
+            if math.isnan(diff) or false_tie:
+                hyvarinen_compare(problem, prior)
+            if diff == 0.0:
                 ties += 1
-            elif report.select_null:
+            elif diff < 0.0:
                 null += 1
         reps = run.replications
         summaries.append(
@@ -252,23 +259,40 @@ FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed
 
 @pytest.mark.parametrize("run", FAILING_RUNS, ids=repr)
 def test_failures_match_reference(run):
-    assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
+    got, want = outcome(consistency_simulation, run), outcome(reference_consistency, run)
+    if got != want:
+        # the sweep names the centre's t before any draw, where the loop meets
+        # the first replicate's
+        assert got[1].startswith("t from --theta-true, --theta0, --sigma and --n-grid lies beyond")
+        assert want == (ValueError, "t must be finite")
     for prior in (AlternativePrior.flat(), AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
 
 
-@pytest.mark.parametrize("seed, sign", [(6, "-inf"), (23, "inf")])
+@pytest.mark.parametrize("seed, sign", [(6, -1), (23, 1)])
 def test_first_refused_replicate_is_the_one_named(seed, sign):
-    # n/sigma^2 = 1e320 and tau = sigma take both penalties to +-inf: a
-    # replicate with 2 < t^2 < 4 gets opposite signs and selects, any other
-    # has no difference. The first replicates of these seeds select, and the
-    # sign in the message says which replicate was refused
+    # n/sigma^2 = 1e320 and tau = sigma take both penalties beyond the
+    # doubles: a replicate with 2 < t^2 < 4 gets opposite signs and selects,
+    # any other has no difference. The first replicates of these seeds
+    # select, and the size in the message says which replicate was refused
     run = run_of(10, n_grid=(1,), sigma=1e-160, seed=seed)
     prior = AlternativePrior.conjugate(1e-160)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    assert got[1] == f"hyvarinen penalties s0 = {sign} and s1 = {sign} have no difference s0 - s1"
+    ((n, sem, xbar),) = run.sample_means()
+    with mpmath.workprec(300):
+        v0 = mpmath.mpf(run.sigma) ** 2 / n
+        v1 = v0 + mpmath.mpf(prior.tau) ** 2
+        d2 = [mpmath.mpf(float(x)) ** 2 for x in xbar]
+        penalties = [(-2 / v0 + d / v0**2, -2 / v1 + d / v1**2) for d in d2]
+        first, (s0, _) = next((i, p) for i, p in enumerate(penalties) if p[0] * p[1] > 0)
+        size = float(mpmath.log10(abs(s0)))
+    assert first > 0 and mpmath.sign(s0) == sign
+    assert got[1] == (
+        "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n "
+        f"lies beyond the largest double, at 10^{size:.6g}"
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -305,10 +329,14 @@ def test_failure_runs_reach_every_error():
         ):
             if not isinstance(got, str):
                 errors.add(got)
+    beyond = "lies beyond the largest double, at 10^"
     assert errors == {
+        # xbar - theta0 = 2e308: the centre's t, refused before any draw
+        (ValueError, f"t from --theta-true, --theta0, --sigma and --n-grid {beyond}308.301"),
+        # a replicate's xbar - theta0 overflows, while the centre's t is 17
         (ValueError, "t must be finite"),
         # xbar - theta0 = 2e308: against tau = 1 both penalties overflow
-        (ValueError, "hyvarinen penalties s0 = inf and s1 = inf have no difference s0 - s1"),
+        (ValueError, f"hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n {beyond}616.602"),
         (
             ValueError,
             "hyvarinen penalties s0 = 0.0 and s1 = 0.0 tie only by underflow: "
@@ -321,7 +349,12 @@ def test_failure_runs_reach_every_error():
 @pytest.mark.parametrize("noncentrality", [math.inf, -math.inf, math.nan, 1.7976931348623157e308])
 def test_uniformity_failures_match_reference(noncentrality):
     got = outcome(pvalue_uniformity_check, 3, 100, noncentrality=noncentrality)
-    assert got == outcome(reference_uniformity, 3, 100, noncentrality)
+    want = outcome(reference_uniformity, 3, 100, noncentrality)
+    if math.isfinite(noncentrality):
+        assert got == want
+    else:
+        # refused by its own name before any draw, where the loop meets a t that is not finite
+        assert (got, want) == ((ValueError, "noncentrality must be finite"), (ValueError, "t must be finite"))
 
 
 def test_zero_standard_error_is_a_value_error():

@@ -6,6 +6,11 @@ import math
 # half a second and 90 MB.
 _MAX_GRID_POINTS = 100_000
 
+# A default grid, xbar +/- 3*sem, that overflows or collapses is refused in these words.
+_DEFAULT_GRID = (
+    "the default grid xbar +/- 3*sem {} at |xbar| = {:.6g} (sem = {:.6g}); pass --grid-lo and --grid-hi"
+)
+
 
 def run(args, cli) -> tuple[dict, dict, list]:
     problem = cli.NormalProblem(theta0=args.theta0, sigma=args.sigma, n=args.n, xbar=args.xbar)
@@ -19,10 +24,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     if (args.grid_lo is None and not math.isfinite(lo)) or (
         args.grid_hi is None and not math.isfinite(hi)
     ):
-        raise ValueError(
-            f"the default grid xbar +/- 3*sem overflows at |xbar| = {abs(problem.xbar):.6g} "
-            f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
-        )
+        raise ValueError(_DEFAULT_GRID.format("overflows", abs(problem.xbar), sem))
     if args.grid_points == 1:
         grid = [lo]
     else:
@@ -35,10 +37,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
         if args.grid_lo is None and args.grid_hi is None and any(
             b <= a for a, b in zip(grid, grid[1:])
         ):
-            raise ValueError(
-                f"the default grid xbar +/- 3*sem collapses at |xbar| = {abs(problem.xbar):.6g} "
-                f"(sem = {sem:.6g}); pass --grid-lo and --grid-hi"
-            )
+            raise ValueError(_DEFAULT_GRID.format("collapses", abs(problem.xbar), sem))
     curve = cli.severity_curve(problem, grid, args.level)
     rows = [
         {"theta1": th, "gamma": th - problem.theta0, "severity": sev}

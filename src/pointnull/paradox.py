@@ -5,13 +5,14 @@ probability while the p-value stays significant, side-by-side verdict
 tables, and seeded Monte Carlo checks of the large-n consistency story:
 under the null the Bayes factor's median grows without bound while
 p-values stay uniform, and off the null both measures collapse together.
-The p-value sweeps read their order statistics from pointnull._order_stats,
-which they import when they run, as they import numpy.
+Every sweep draws through ConsistencyRun.sweep, the one driver, which
+imports numpy when it runs, as the p-value sweeps import their order
+statistics from pointnull._order_stats: the closed forms load neither.
 """
 
 import math
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import _EXPORTS
 from ._record import Record
@@ -20,11 +21,6 @@ from .normal import bayes_factor_lindley, log_bayes_factor_lindley, posterior_pr
 # find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
 # _SQRT2 is p_value's divisor, so the sweeps' p-values are the doubles it returns
 from .numerics import _SQRT2, RngStream, find_crossing, p_value
-
-if TYPE_CHECKING:
-    # numpy itself is imported inside the sweep functions, the only ones
-    # that use arrays, so the closed forms load without it
-    import numpy as np
 
 __all__ = _EXPORTS["paradox"]
 
@@ -183,24 +179,27 @@ class ConsistencyRun(Record):
         if not (hasattr(self.seed, "__index__") and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
-    def sample_means(self) -> Iterator[tuple[int, float, "np.ndarray"]]:
-        """(n, sem, xbar) for each grid point, in grid order.
+    def sweep(self, summarise: Callable) -> list:
+        """summarise(n, sem, xbar) for each grid point, in grid order.
 
         xbar holds the replicates' sample means theta_true + sem * z, with z
         drawn from grid point i's own stream (seed, stream_id=i), built in the
-        draws' own buffer, which the caller may reuse. Every sweep over a run
-        draws through here, so the same seed gives identical draws.
+        draws' own buffer, which summarise may reuse. Every sweep draws here,
+        so the same seed gives identical draws.
         """
         import numpy as np
 
-        for i, n in enumerate(self.n_grid):
-            stream = RngStream(self.seed, stream_id=i)
-            sem = self.sigma / math.sqrt(n)
-            xbar = stream.normals(self.replications)
-            with np.errstate(over="ignore"):
+        summaries = []
+        # a value beyond the doubles is +-inf and one with none nan, silently, as
+        # Python floats were: each kind judges its own, and refuses by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, n in enumerate(self.n_grid):
+                sem = self.sigma / math.sqrt(n)
+                xbar = RngStream(self.seed, stream_id=i).normals(self.replications)
                 xbar *= sem
                 xbar += self.theta_true
-            yield n, sem, xbar
+                summaries.append(summarise(n, sem, xbar))
+        return summaries
 
 
 class ConsistencySummary(Record):
@@ -236,8 +235,6 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     window around x's middle ranks, widened until no element outside it can
     sort among them, and on the narrow band of x around alpha's threshold.
     """
-    import numpy as np
-
     from ._order_stats import _abs_t, _count_p_at_most, _erfc_band, _p_ranks
 
     if not 0.0 < alpha < 1.0:
@@ -247,35 +244,35 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     what = "t from --theta-true, --theta0, --sigma and --n-grid"
     _finite(_over_sem(run.theta_true, run.theta0, centre), what)
     alpha_band = _erfc_band(alpha)
-    summaries = []
-    for n, sem, t in run.sample_means():
+
+    def summarise(n, sem, t):
         if sem == 0.0:
             raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
-        # a replicate's t may yet overflow to inf, which _abs_t refuses; Python
-        # float arithmetic never warned about it, so numpy must not either
-        with np.errstate(over="ignore"):
-            t -= run.theta0
-            t /= sem
-        a = _abs_t(t)
+        t -= run.theta0
+        t /= sem
+        try:
+            a = _abs_t(t)
+        except ValueError:  # the sort lost the draws' order: a redraw names the first refused
+            from ._replicates import refuse_t
+            refuse_t(run, n)
+            raise
         # the t term is even in t and every step rounds monotonically, so
         # log B01 never rises with |t| and its middle ranks sit at |t|'s
-        with np.errstate(over="ignore"):
-            middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
+        middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
         collapsed = (a.size - int(a.searchsorted(_collapse_threshold(n)))) / a.size
         # the division rounds monotonically, so x stays sorted
         x = a
         x /= _SQRT2
-        summaries.append(
-            ConsistencySummary(
-                n=n,
-                median_log_bf=float(middle_log_bfs.mean()),
-                median_p_value=float(_p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()),
-                reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
-                bf_collapse_rate=collapsed,
-                joint_collapse_rate=collapsed,
-            )
+        return ConsistencySummary(
+            n=n,
+            median_log_bf=float(middle_log_bfs.mean()),
+            median_p_value=float(_p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()),
+            reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
+            bf_collapse_rate=collapsed,
+            joint_collapse_rate=collapsed,
         )
-    return summaries
+
+    return run.sweep(summarise)
 
 
 def _collapse_threshold(n: int) -> float:
@@ -305,16 +302,16 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
     of their size: the shift, |t|, its one sort and the division by sqrt(2)
     all happen in it.
     """
-    if not hasattr(replications, "__index__"):
-        raise ValueError(f"replications must be an integer, got {replications!r}")
     if replications < 100:
         raise ValueError("replications must be at least 100")
     if not math.isfinite(noncentrality):
         raise ValueError("noncentrality must be finite")
     from ._order_stats import _abs_t, _ks_distance_p
 
-    t = RngStream(seed).normals(replications)
-    t += noncentrality
-    x = _abs_t(t)
-    x /= _SQRT2
-    return _ks_distance_p(x)
+    def ks_distance(n, sem, t):
+        x = _abs_t(t)
+        x /= _SQRT2
+        return _ks_distance_p(x)
+
+    # one grid point, n = 1 at sigma 1 about theta0 0, where each mean is t = z + noncentrality
+    return ConsistencyRun(noncentrality, 0.0, 1.0, (1,), replications, seed).sweep(ks_distance)[0]

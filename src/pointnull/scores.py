@@ -131,8 +131,10 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     """
     from ._hyvarinen import _hyvarinen_penalties
 
-    s0, s1, false_tie = _hyvarinen_penalties(problem, prior, named=True)
-    if false_tie:
+    p0, p1, differ = _hyvarinen_penalties(problem, prior)
+    s0 = _finite(p0, f"hyvarinen penalty s0 from {_T_FLAGS} and --n")
+    s1 = _finite(p1, f"hyvarinen penalty s1 from {_T_FLAGS}, --n and the prior's tau")
+    if s0 == s1 and differ:
         raise ValueError(
             f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
             "their exact values differ"
@@ -167,8 +169,10 @@ def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
     if not prior.is_conjugate:
         raise ValueError("posterior-expected KL score needs a conjugate prior")
     (tm, te), _, (cm, ce) = _shrinkage(problem, prior)
-    mean = _ldexp(tm * cm, te + ce)
-    return 0.5 * _ldexp(cm, ce) + 0.5 * mean * mean
+    mean = _ldexp(m := tm * cm, e := te + ce)
+    if math.isinf(score := 0.5 * _ldexp(cm, ce) + 0.5 * mean * mean):  # c^2 <= 1: inf only where mean^2 is
+        _finite((0.5 * m * m, 2 * e), f"sprenger-kl score s0 from {_T_FLAGS}, --n and the prior's tau")
+    return score
 
 
 def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -195,7 +199,7 @@ def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSu
     """Hyvarinen-score selection rates across a seeded simulation sweep.
 
     Accepts the same run description as the Bayes-factor consistency sweep
-    and draws through the same run.sample_means(), so the two simulations see
+    and draws through the same run.sweep(), so the two simulations see
     identical draws for the same seed. Under the null with the flat
     alternative the null-selection rate sits on the intrinsic plateau
     P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
@@ -205,29 +209,25 @@ def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSu
 
     from ._hyvarinen import _hyvarinen_penalties
 
-    summaries = []
-    for n, _, xbar in run.sample_means():
-        # the first replicate's problem runs the checks a per-replicate
-        # hyvarinen_compare would meet first, and carries sigma and n
-        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=float(xbar[0]))
-        # inf and nan are judged below, silently, as Python floats were
-        with np.errstate(over="ignore", invalid="ignore"):
-            s0, s1, false_tie = _hyvarinen_penalties(problem, prior, xbar)
-            diff = s0 - s1
-        # the same arithmetic on one replicate refuses the first that
-        # hyvarinen_compare refuses, with its error
-        refused = np.flatnonzero(np.isnan(diff) | false_tie)
+    def summarise(n, sem, xbar):
+        # the problem carries sigma and n; each replicate's mean is judged below
+        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta0)
+        p0, p1, differ = _hyvarinen_penalties(problem, prior, xbar)
+        s0, s1 = _ldexp(*p0), _ldexp(*p1)
+        diff = s0 - s1
+        # the first replicate with no difference, or a tie that underflow made, is refused by name
+        refused = np.flatnonzero(np.isnan(diff) | (s0 == s1) & differ)
         if refused.size:
-            hyvarinen_compare(NormalProblem(run.theta0, run.sigma, n, float(xbar[refused[0]])), prior)
+            from ._replicates import refuse_score
+            refuse_score(run, n, int(refused[0]), float(xbar[refused[0]]), prior)
         null = int(np.count_nonzero(diff < 0.0))
         ties = int(np.count_nonzero(diff == 0.0))
         reps = run.replications
-        summaries.append(
-            ScoreSelectionSummary(
-                n=n,
-                select_null_rate=null / reps,
-                select_alt_rate=(reps - null - ties) / reps,
-                tie_rate=ties / reps,
-            )
+        return ScoreSelectionSummary(
+            n=n,
+            select_null_rate=null / reps,
+            select_alt_rate=(reps - null - ties) / reps,
+            tie_rate=ties / reps,
         )
-    return summaries
+
+    return run.sweep(summarise)

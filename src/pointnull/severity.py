@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import NormalProblem
+from .normal import NormalProblem, _difference, _finite
 # find_crossing has no caller here; the benchmark's tracer wraps severity.find_crossing
 from .numerics import find_crossing, std_normal_cdf, std_normal_quantile
 
@@ -53,12 +53,12 @@ def warranted_discrepancy(problem: NormalProblem, level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     z = std_normal_quantile(level)
-    gamma = (problem.xbar - problem.theta0) - z * problem.sem
-    if not math.isfinite(gamma):
-        # xbar - theta0 or z * sem can overflow where gamma does not; halving
-        # every operand keeps them in range and loses nothing at that scale
-        gamma = 2.0 * ((0.5 * problem.xbar - 0.5 * problem.theta0) - z * (0.5 * problem.sem))
-    return gamma
+    if math.isfinite(gamma := (problem.xbar - problem.theta0) - z * problem.sem):
+        return gamma
+    # xbar - theta0 or z * sem can overflow where gamma does not; halving
+    # every operand keeps them in range and loses nothing at that scale
+    half = (0.5 * problem.xbar - 0.5 * problem.theta0) - z * (0.5 * problem.sem)
+    return _finite((half, 1), "warranted gamma from --xbar, --theta0, --sigma, --n and --level")
 
 
 def severity_curve(
@@ -66,6 +66,7 @@ def severity_curve(
 ) -> SeverityCurve:
     """Severity at each theta1 of an ascending grid, plus the warranted gamma at level."""
     gamma = warranted_discrepancy(problem, level)
+    _finite(_difference(problem.theta0, -gamma), "warranted theta1 from --xbar, --sigma, --n and --level")
     thetas = [float(th) for th in grid]
     if not thetas:
         raise ValueError("grid must be non-empty")

@@ -51,6 +51,29 @@ def test_rng_stream_first_draws(key):
     )
 
 
+def stream_sites() -> list[str]:
+    """Where src/pointnull constructs an RngStream, as file:qualname:line."""
+    sites = []
+
+    def scan(path: Path, node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = [*scope, child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and ast.unparse(child.func).rpartition(".")[2] == "RngStream":
+                sites.append(f"{path.name}:{'.'.join(scope)}:{child.lineno}")
+            scan(path, child, inner)
+
+    for path in sorted(Path(pointnull.__file__).parent.rglob("*.py")):
+        scan(path, ast.parse(path.read_text("utf-8")), [])
+    return sites
+
+
+def test_streams_are_constructed_only_in_the_sweep_driver():
+    # every simulate draw, of every kind, comes from the one driver's streams,
+    # so that the first draws pinned above are the draws of every sweep
+    sites = stream_sites()
+    assert len(sites) == 1 and sites[0].startswith("paradox.py:ConsistencyRun.sweep:"), sites
+
+
 def numpy_attributes(tree: ast.AST) -> set[str]:
     """Dotted attribute paths read off numpy: off the name np, as in
     np.random.Philox, or off sys.modules["numpy"], which code handed an array

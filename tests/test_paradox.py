@@ -317,7 +317,7 @@ class TestConsistencyRun:
             ConsistencyRun(**base)
 
     def test_grid_point_above_largest_float_is_refused(self):
-        # math.sqrt(n) in sample_means raised OverflowError
+        # math.sqrt(n) in the sweep driver raised OverflowError
         with pytest.raises(ValueError, match="^sample sizes must be at most the largest float"):
             ConsistencyRun(0.0, 0.0, 1.0, (5, 10**400), replications=2, seed=1)
 

@@ -28,6 +28,8 @@ LIBRARY_ONLY = {
         "Python's module protocol: a name the package does not export",
     "cli.py __getattr__: AttributeError module ":
         "Python's module protocol: a name that is no library export",
+    "cli.py _check_finite: ValueError result ":
+        "the last guard: every result that can leave the doubles is refused by name first",
     "_record.py Record.__init__: TypeError () takes the fields ":
         "a record built with the wrong fields, which no handler does",
     "_record.py Record.__setattr__: AttributeError cannot assign to field ":
@@ -84,8 +86,6 @@ LIBRARY_ONLY = {
         "simulate checks --reps first",
     "paradox.py ConsistencyRun.__post_init__: ValueError seed must be an unsigned 64-bit integer, got ":
         "cli.main checks --seed first",
-    "paradox.py pvalue_uniformity_check: ValueError replications must be an integer, got ":
-        "the flag table reads --reps as an int",
     "severity.py severity_curve: ValueError grid must be non-empty":
         "severity checks --grid-points first",
     "scores.py ScoreReport.__post_init__: ValueError  penalties s0 = ":

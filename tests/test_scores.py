@@ -434,14 +434,14 @@ def test_sweep_arithmetic_is_the_compare_elementwise(case, ts):
     xbars = [problem.theta0 + t * problem.sem for t in ts] + [problem.xbar]
     xbars = [x for x in xbars if math.isfinite(x)]
     with np.errstate(over="ignore", invalid="ignore"):
-        s0, s1, false_tie = _hyvarinen_penalties(problem, prior, np.array(xbars))
-        s0, s1, false_tie = np.broadcast_arrays(s0, s1, false_tie)
+        (m0, e0), (m1, e1), differ = _hyvarinen_penalties(problem, prior, np.array(xbars))
+        parts = np.broadcast_arrays(m0, e0, m1, e1, differ)
     for i, x in enumerate(xbars):
         one = NormalProblem(problem.theta0, problem.sigma, problem.n, x)
-        want = _hyvarinen_penalties(one, prior)
-        assert (float(s0[i]).hex(), float(s1[i]).hex(), bool(false_tie[i])) == (
-            want[0].hex(), want[1].hex(), want[2]
-        )
+        (w0, f0), (w1, f1), want_differ = _hyvarinen_penalties(one, prior)
+        # each (m, e) pair, and so the double it rounds to, and whether the exact values differ
+        assert [float(part[i]).hex() for part in parts[:4]] == [float(v).hex() for v in (w0, f0, w1, f1)]
+        assert bool(parts[4][i]) == bool(want_differ)
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def test_sweep_once_refused_for_a_variance_selects_as_mpmath():
     run = ConsistencyRun(
         theta_true=0.0, theta0=0.0, sigma=1e-200, n_grid=(4,), replications=10, seed=42
     )
-    ((n, sem, xbar),) = run.sample_means()
+    ((n, sem, xbar),) = run.sweep(lambda *point: point)
     want = sum(mpmath.mpf(float(x)) ** 2 * n / mpmath.mpf(1e-200) ** 2 < 2 for x in xbar)
     (summary,) = score_consistency_sim(run, AlternativePrior.flat())
     assert summary.select_null_rate == want / 10 == 0.9

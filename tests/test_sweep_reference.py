@@ -28,7 +28,7 @@ from ks_reference import uniform_ks_distance
 
 from pointnull import _order_stats, paradox
 from pointnull._hyvarinen import _hyvarinen_penalties
-from pointnull.normal import AlternativePrior, NormalProblem, log_bayes_factor_lindley
+from pointnull.normal import AlternativePrior, NormalProblem, _finite, _ldexp, log_bayes_factor_lindley
 from pointnull.numerics import RngStream, p_value
 from pointnull.paradox import (
     ConsistencyRun,
@@ -42,6 +42,30 @@ from pointnull.scores import ScoreSelectionSummary, hyvarinen_compare, score_con
 ABOVE_CHUNK = (1 << 16) + 5
 
 
+BEYOND = "lies beyond the largest double, at 10^"
+
+
+def refused_replicate(run, n, j, z):
+    """The error the sweeps raise for replicate j at grid point n, whose draw
+    is z: its mean, else xbar - theta0, else t, named with its exact size
+    where that lies beyond the doubles; else the last guard's message."""
+    sem = run.sigma / math.sqrt(n)
+    xbar = run.theta_true + sem * z
+    where = f"of replicate {j + 1} at n={n} from"
+    flags = f"{where} --theta-true, --theta0, --sigma and --n-grid"
+    with mpmath.workprec(300):
+        if math.isinf(xbar):
+            what = f"mean {where} --theta-true, --sigma and --n-grid"
+            exact = mpmath.mpf(run.theta_true) + mpmath.mpf(sem) * z
+        elif math.isinf(xbar - run.theta0):
+            what, exact = f"xbar - theta0 {flags}", mpmath.mpf(xbar) - run.theta0
+        else:
+            what, exact = f"t {flags}", (mpmath.mpf(xbar) - run.theta0) * math.sqrt(n) / run.sigma
+        if abs(exact) > sys.float_info.max:
+            return ValueError(f"{what} {BEYOND}{float(mpmath.log10(abs(exact))):.6g}")
+    return ValueError("t must be finite")
+
+
 def reference_consistency(run, alpha=0.05):
     log_tol = math.log(1e-6)
     summaries = []
@@ -53,6 +77,8 @@ def reference_consistency(run, alpha=0.05):
         for j, z in enumerate(stream.normals(run.replications)):
             xbar = run.theta_true + sem * float(z)
             t = (xbar - run.theta0) / sem
+            if math.isinf(t):
+                raise refused_replicate(run, n, j, float(z))
             log_bfs[j] = log_bayes_factor_lindley(t, n)
             p_vals[j] = p_value(t)
         below = log_bfs < log_tol
@@ -75,16 +101,24 @@ def reference_score_consistency(run, prior):
         stream = RngStream(run.seed, stream_id=i)
         sem = run.sigma / math.sqrt(n)
         null = ties = 0
-        for z in stream.normals(run.replications):
-            problem = NormalProblem(
-                theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta_true + sem * float(z)
-            )
+        for j, z in enumerate(stream.normals(run.replications)):
+            xbar = run.theta_true + sem * float(z)
+            if math.isinf(xbar):
+                # the mean's own refusal, or NormalProblem's where only rounding made it inf
+                error = refused_replicate(run, n, j, float(z))
+                raise error if str(error) != "t must be finite" else ValueError("xbar must be finite")
+            problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=xbar)
             # a penalty beyond the doubles is +-inf here, and its sign still
-            # selects; a replicate whose penalties have no difference, or tie
-            # only by underflow, is refused with hyvarinen_compare's error
-            s0, s1, false_tie = _hyvarinen_penalties(problem, prior)
+            # selects; a replicate whose penalties have no difference is
+            # refused by the penalty's name and size, and one whose penalties
+            # tie only by underflow with hyvarinen_compare's error
+            p0, p1, differ = _hyvarinen_penalties(problem, prior)
+            s0, s1 = _ldexp(*p0), _ldexp(*p1)
             diff = s0 - s1
-            if math.isnan(diff) or false_tie:
+            if math.isnan(diff) or (s0 == s1 and differ):
+                where = f"of replicate {j + 1} at n={n} from --theta-true, --theta0, --sigma"
+                _finite(p0, f"hyvarinen penalty s0 {where} and --n-grid")
+                _finite(p1, f"hyvarinen penalty s1 {where}, --n-grid and --tau")
                 hyvarinen_compare(problem, prior)
             if diff == 0.0:
                 ties += 1
@@ -255,6 +289,15 @@ FAILING_RUNS += [run_of(10, n_grid=(1,), sigma=1e-154, seed=s) for s in range(3)
 # finite replicate's penalties tie only by underflow: whether the first
 # replicate overflows decides which error comes first
 FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed=s) for s in range(6)]
+FAILING_RUNS += [
+    # centre t 1.8e298, but every replicate's xbar - theta0 overflows, which
+    # only the consistency sweep forms; against tau = 1 the null's penalty,
+    # t^2 n/sigma^2, overflows, and against the flat prior the score sweep answers
+    run_of(40, n_grid=(1,), theta_true=1e308, theta0=-7.98e307, sigma=1e10),
+    # sem z overflows in the first refused replicate, whose mean
+    # theta_true + sem z is a double: the sweeps' last guards refuse it
+    run_of(10, n_grid=(1,), theta_true=-1e308, sigma=1e308, seed=4),
+]
 
 
 @pytest.mark.parametrize("run", FAILING_RUNS, ids=repr)
@@ -264,7 +307,7 @@ def test_failures_match_reference(run):
         # the sweep names the centre's t before any draw, where the loop meets
         # the first replicate's
         assert got[1].startswith("t from --theta-true, --theta0, --sigma and --n-grid lies beyond")
-        assert want == (ValueError, "t must be finite")
+        assert want[1].startswith("xbar - theta0 of replicate 1 at n=1 from")
     for prior in (AlternativePrior.flat(), AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
@@ -280,7 +323,7 @@ def test_first_refused_replicate_is_the_one_named(seed, sign):
     prior = AlternativePrior.conjugate(1e-160)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    ((n, sem, xbar),) = run.sample_means()
+    ((n, sem, xbar),) = run.sweep(lambda *point: point)
     with mpmath.workprec(300):
         v0 = mpmath.mpf(run.sigma) ** 2 / n
         v1 = v0 + mpmath.mpf(prior.tau) ** 2
@@ -290,8 +333,8 @@ def test_first_refused_replicate_is_the_one_named(seed, sign):
         size = float(mpmath.log10(abs(s0)))
     assert first > 0 and mpmath.sign(s0) == sign
     assert got[1] == (
-        "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n "
-        f"lies beyond the largest double, at 10^{size:.6g}"
+        f"hyvarinen penalty s0 of replicate {first + 1} at n=1 from --theta-true, --theta0, "
+        f"--sigma and --n-grid lies beyond the largest double, at 10^{size:.6g}"
     )
 
 
@@ -304,7 +347,7 @@ def test_runs_once_refused_for_a_nan_replicate_select_as_mpmath(seed):
     prior = AlternativePrior.conjugate(1e-154)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    ((n, sem, xbar),) = run.sample_means()
+    ((n, sem, xbar),) = run.sweep(lambda *point: point)
     with mpmath.workprec(300):
         v0 = mpmath.mpf(run.sigma) ** 2 / n
         v1 = v0 + mpmath.mpf(prior.tau) ** 2
@@ -329,20 +372,46 @@ def test_failure_runs_reach_every_error():
         ):
             if not isinstance(got, str):
                 errors.add(got)
-    beyond = "lies beyond the largest double, at 10^"
     assert errors == {
         # xbar - theta0 = 2e308: the centre's t, refused before any draw
-        (ValueError, f"t from --theta-true, --theta0, --sigma and --n-grid {beyond}308.301"),
-        # a replicate's xbar - theta0 overflows, while the centre's t is 17
-        (ValueError, "t must be finite"),
+        (ValueError, f"t from --theta-true, --theta0, --sigma and --n-grid {BEYOND}308.301"),
         # xbar - theta0 = 2e308: against tau = 1 both penalties overflow
-        (ValueError, f"hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n {beyond}616.602"),
+        (
+            ValueError,
+            "hyvarinen penalty s0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma "
+            f"and --n-grid {BEYOND}616.602",
+        ),
         (
             ValueError,
             "hyvarinen penalties s0 = 0.0 and s1 = 0.0 tie only by underflow: "
             "their exact values differ",
         ),
+        # a replicate's mean overflows, while the centre's t is 17; whether the
+        # first replicate's does decides which error the score sweep meets first
+        *(
+            (ValueError, f"mean of replicate {j} at n=1 from --theta-true, --sigma and --n-grid {BEYOND}{size}")
+            for j, size in [(1, "308.26"), (1, "308.264"), (3, "308.261"), (4, "308.287"), (5, "308.282"),
+                            (9, "308.285")]
+        ),
+        (
+            ValueError,
+            "xbar - theta0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma and "
+            f"--n-grid {BEYOND}308.255",
+        ),
+        (
+            ValueError,
+            "hyvarinen penalty s0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma "
+            f"and --n-grid {BEYOND}576.51",
+        ),
+        # the last guards, where sem z overflows but the mean is a double; an
+        # earlier replicate's penalties tie by underflow against the flat prior
+        (ValueError, "t must be finite"),
         (ValueError, "xbar must be finite"),
+        (
+            ValueError,
+            "hyvarinen penalties s0 = -0.0 and s1 = 0.0 tie only by underflow: "
+            "their exact values differ",
+        ),
     }
 
 
@@ -365,14 +434,35 @@ def test_zero_standard_error_is_a_value_error():
         consistency_simulation(run)
 
 
-def test_both_sweeps_draw_through_sample_means():
+def test_every_sweep_draws_through_the_driver(monkeypatch):
     run = run_of(5, n_grid=(10, 1000), theta_true=0.1, seed=8)
-    means = list(run.sample_means())
-    assert [n for n, _, _ in means] == [10, 1000]
-    for i, (n, sem, xbar) in enumerate(means):
+    points = run.sweep(lambda *point: point)
+    assert [n for n, _, _ in points] == [10, 1000]
+    for i, (n, sem, xbar) in enumerate(points):
         z = RngStream(8, stream_id=i).normals(5)
         assert sem == 1.0 / math.sqrt(n)
         assert xbar.tolist() == [0.1 + sem * float(v) for v in z]
+    # each kind makes every stream inside the driver, from the run it hands it
+    inside, streams, sweep, stream = [], [], ConsistencyRun.sweep, paradox.RngStream
+
+    def driver(self, summarise):
+        inside.append(self)
+        try:
+            return sweep(self, summarise)
+        finally:
+            inside.pop()
+
+    def making(seed, stream_id=0):
+        streams.append((seed, stream_id, inside[-1] if inside else None))
+        return stream(seed, stream_id)
+
+    monkeypatch.setattr(ConsistencyRun, "sweep", driver)
+    monkeypatch.setattr(paradox, "RngStream", making)
+    consistency_simulation(run)
+    score_consistency_sim(run, AlternativePrior.flat())
+    pvalue_uniformity_check(8, 100, noncentrality=0.1)
+    uniformity = ConsistencyRun(0.1, 0.0, 1.0, (1,), 100, 8)
+    assert streams == [(8, i, run) for i in (0, 1)] * 2 + [(8, 0, uniformity)]
 
 
 # ---------------------------------------------------------------- erfc slack

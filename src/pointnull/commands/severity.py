@@ -2,6 +2,8 @@
 
 import math
 
+from ..normal import _difference, _finite
+
 # A severity grid is built as a Python list; this many points take about
 # half a second and 90 MB.
 _MAX_GRID_POINTS = 100_000
@@ -39,21 +41,18 @@ def run(args, cli) -> tuple[dict, dict, list]:
         ):
             raise ValueError(_DEFAULT_GRID.format("collapses", abs(problem.xbar), sem))
     curve = cli.severity_curve(problem, grid, args.level)
-    rows = [
-        {"theta1": th, "gamma": th - problem.theta0, "severity": sev}
-        for th, sev in curve.points
-    ]
+    rows = []
+    for i, (th, sev) in enumerate(curve.points):
+        if math.isinf(gamma := th - problem.theta0):
+            what = f"gamma of row {i + 1} from --theta0 and the grid's theta1"
+            _finite(_difference(th, problem.theta0), what)
+        rows.append({"theta1": th, "gamma": gamma, "severity": sev})
     # footer row: the warranted point itself lies on the curve, so it is a
     # valid (theta1, gamma, severity) triple
     g = curve.warranted_gamma
     rows.append({"theta1": problem.theta0 + g, "gamma": g, "severity": args.level})
-    inputs = {
-        **problem._asdict(),
-        "level": args.level,
-        "grid_lo": lo,
-        "grid_hi": hi,
-        "grid_points": args.grid_points,
-    }
+    inputs = {**problem._asdict(), "level": args.level}
+    inputs.update(grid_lo=lo, grid_hi=hi, grid_points=args.grid_points)
     results = {"warranted_gamma": g, "rows": rows}
     provenance = [
         ["warranted_gamma", "closed-form"],

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from . import _EXPORTS
 from ._record import Record
-from .normal import HypothesisWeights, NormalProblem, TestReport, _finite, _over_sem
+from .normal import HypothesisWeights, NormalProblem, TestReport, _finite, _frexp, _ldexp, _over_sem
 from .normal import bayes_factor_lindley, log_bayes_factor_lindley, posterior_prob_null
 # find_crossing has no caller here; the benchmark's tracer wraps paradox.find_crossing
 # _SQRT2 is p_value's divisor, so the sweeps' p-values are the doubles it returns
@@ -36,6 +36,9 @@ _LOG_SLACK = 1e-12
 
 # Largest crossing reported: every integer up to 2^53 is exact as a double.
 _MAX_EXACT_N = 2**53
+
+# The flags a sweep's centre t, and so each replicate's t, comes from: a refusal names them.
+_FLAGS = "--theta-true, --theta0, --sigma and --n-grid"
 
 
 class UnreachableTargetError(RuntimeError):
@@ -180,13 +183,13 @@ class ConsistencyRun(Record):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     def sweep(self, summarise: Callable) -> list:
-        """summarise(n, sem, xbar) for each grid point, in grid order.
-
-        xbar holds the replicates' sample means theta_true + sem * z, with z
-        drawn from grid point i's own stream (seed, stream_id=i), built in the
-        draws' own buffer, which summarise may reuse. Every sweep draws here,
-        so the same seed gives identical draws.
-        """
+        """summarise(n, t) for each grid point, in grid order, with t = z + c:
+        z drawn from grid point i's own stream (seed, stream_id=i), and c the
+        point's centre t, (theta_true - theta0) / sem on mantissas, refused by
+        name beyond the doubles. No mean is formed, and z + c rounds to c long
+        before it could overflow. t is built in the draws' own buffer, which
+        summarise may reuse. Every sweep draws here, so the same seed gives
+        identical draws."""
         import numpy as np
 
         summaries = []
@@ -194,11 +197,11 @@ class ConsistencyRun(Record):
         # Python floats were: each kind judges its own, and refuses by name
         with np.errstate(over="ignore", invalid="ignore"):
             for i, n in enumerate(self.n_grid):
-                sem = self.sigma / math.sqrt(n)
-                xbar = RngStream(self.seed, stream_id=i).normals(self.replications)
-                xbar *= sem
-                xbar += self.theta_true
-                summaries.append(summarise(n, sem, xbar))
+                centre = NormalProblem(self.theta0, self.sigma, n, self.theta_true)
+                c = _finite(_over_sem(self.theta_true, self.theta0, centre), f"t from {_FLAGS}")
+                t = RngStream(self.seed, stream_id=i).normals(self.replications)
+                t += c
+                summaries.append(summarise(n, t))
         return summaries
 
 
@@ -224,48 +227,41 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
     two rates are one count.
 
     Each summary is the double that mapping log_bayes_factor_lindley and
-    p_value over every replicate would give. A grid point works in the one
-    buffer its stream draws: xbar, t, |t| and x = |t|/sqrt(2) replace each
-    other in place, and |t| is sorted there once. log B01 is even in t and
-    never rises with |t|, exactly, and p falls as x grows, up to libm's
-    rises. So log B01 runs on |t|'s one or two middle ranks, and a
-    replicate's factor is below 1e-6 exactly where |t| >= a*, the first
-    double at which the scalar kernel puts it there, which a binary search
-    counts. math.erfc runs only where a p-value can change a summary: on a
-    window around x's middle ranks, widened until no element outside it can
-    sort among them, and on the narrow band of x around alpha's threshold.
+    p_value over every replicate's t would give; a median log B01 beyond the
+    doubles is refused by name. A grid point works in the one buffer its
+    stream draws: t, |t| and x = |t|/sqrt(2) replace each other in place,
+    and |t| is sorted there once. log B01 is even in t and never rises with
+    |t|, exactly, and p falls as x grows, up to libm's rises. So log B01
+    runs on |t|'s one or two middle ranks, and a replicate's factor is below
+    1e-6 exactly where |t| >= a*, the first double at which the scalar
+    kernel puts it there, which a binary search counts. math.erfc runs only
+    where a p-value can change a summary: on a window around x's middle
+    ranks, widened until no element outside it can sort among them, and on
+    the narrow band of x around alpha's threshold.
     """
     from ._order_stats import _abs_t, _count_p_at_most, _erfc_band, _p_ranks
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    # before any draw: the t of the replicates' centre, theta_true, largest at the last grid point
-    centre = NormalProblem(run.theta0, run.sigma, run.n_grid[-1], run.theta_true)
-    what = "t from --theta-true, --theta0, --sigma and --n-grid"
-    _finite(_over_sem(run.theta_true, run.theta0, centre), what)
     alpha_band = _erfc_band(alpha)
 
-    def summarise(n, sem, t):
-        if sem == 0.0:
-            raise ValueError(f"the standard error sigma/sqrt(n) underflows to 0 at n={n}")
-        t -= run.theta0
-        t /= sem
-        try:
-            a = _abs_t(t)
-        except ValueError:  # the sort lost the draws' order: a redraw names the first refused
-            from ._replicates import refuse_t
-            refuse_t(run, n)
-            raise
+    def summarise(n, t):
+        a = _abs_t(t)
         # the t term is even in t and every step rounds monotonically, so
         # log B01 never rises with |t| and its middle ranks sit at |t|'s
-        middle_log_bfs = log_bayes_factor_lindley(a[(a.size - 1) // 2 : a.size // 2 + 1], n)
+        middle = a[(a.size - 1) // 2 : a.size // 2 + 1]
+        median_log_bf = float(log_bayes_factor_lindley(middle, n).mean())
+        if median_log_bf == -math.inf:  # -n t^2 / (2(1 + n)), on the largest middle t's mantissa
+            e = _frexp(float(middle[-1]))[1]
+            q = float((_ldexp(middle, -e) ** 2).mean()) / (2.0 + 2.0 / n)
+            median_log_bf = _finite((-q, 2 * e), f"median log B01 at n={n} from {_FLAGS}")
         collapsed = (a.size - int(a.searchsorted(_collapse_threshold(n)))) / a.size
         # the division rounds monotonically, so x stays sorted
         x = a
         x /= _SQRT2
         return ConsistencySummary(
             n=n,
-            median_log_bf=float(middle_log_bfs.mean()),
+            median_log_bf=median_log_bf,
             median_p_value=float(_p_ranks(x[::-1], (x.size - 1) // 2, x.size // 2).mean()),
             reject_rate=_count_p_at_most(x, alpha, alpha_band) / x.size,
             bf_collapse_rate=collapsed,
@@ -308,10 +304,10 @@ def pvalue_uniformity_check(seed: int, replications: int, *, noncentrality: floa
         raise ValueError("noncentrality must be finite")
     from ._order_stats import _abs_t, _ks_distance_p
 
-    def ks_distance(n, sem, t):
+    def ks_distance(n, t):
         x = _abs_t(t)
         x /= _SQRT2
         return _ks_distance_p(x)
 
-    # one grid point, n = 1 at sigma 1 about theta0 0, where each mean is t = z + noncentrality
+    # one grid point, n = 1 at sigma 1 about theta0 0, whose centre t is noncentrality exactly
     return ConsistencyRun(noncentrality, 0.0, 1.0, (1,), replications, seed).sweep(ks_distance)[0]

@@ -129,16 +129,10 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     reported as-is. The magnitude carries no absolute calibration, so no
     acceptance bound is applied here.
     """
-    from ._hyvarinen import _hyvarinen_penalties
+    from ._hyvarinen import _hyvarinen_scores
 
-    p0, p1, differ = _hyvarinen_penalties(problem, prior)
-    s0 = _finite(p0, f"hyvarinen penalty s0 from {_T_FLAGS} and --n")
-    s1 = _finite(p1, f"hyvarinen penalty s1 from {_T_FLAGS}, --n and the prior's tau")
-    if s0 == s1 and differ:
-        raise ValueError(
-            f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
-            "their exact values differ"
-        )
+    d, where = _difference(problem.xbar, problem.theta0), f"from {_T_FLAGS}"
+    s0, s1 = _hyvarinen_scores(problem, prior, d, f"{where} and --n", f"{where}, --n and the prior's tau")
     return ScoreReport("hyvarinen", s0, s1)
 
 
@@ -198,36 +192,12 @@ class ScoreSelectionSummary(Record):
 def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSummary]:
     """Hyvarinen-score selection rates across a seeded simulation sweep.
 
-    Accepts the same run description as the Bayes-factor consistency sweep
-    and draws through the same run.sweep(), so the two simulations see
-    identical draws for the same seed. Under the null with the flat
+    Draws through run.sweep(), as the Bayes-factor consistency sweep does,
+    so the two see the same t for the same run. Under the null with the flat
     alternative the null-selection rate sits on the intrinsic plateau
     P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
     sharpen with n. Off the null the alternative takes over completely.
     """
-    import numpy as np
+    from ._hyvarinen import _selection_summary
 
-    from ._hyvarinen import _hyvarinen_penalties
-
-    def summarise(n, sem, xbar):
-        # the problem carries sigma and n; each replicate's mean is judged below
-        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta0)
-        p0, p1, differ = _hyvarinen_penalties(problem, prior, xbar)
-        s0, s1 = _ldexp(*p0), _ldexp(*p1)
-        diff = s0 - s1
-        # the first replicate with no difference, or a tie that underflow made, is refused by name
-        refused = np.flatnonzero(np.isnan(diff) | (s0 == s1) & differ)
-        if refused.size:
-            from ._replicates import refuse_score
-            refuse_score(run, n, int(refused[0]), float(xbar[refused[0]]), prior)
-        null = int(np.count_nonzero(diff < 0.0))
-        ties = int(np.count_nonzero(diff == 0.0))
-        reps = run.replications
-        return ScoreSelectionSummary(
-            n=n,
-            select_null_rate=null / reps,
-            select_alt_rate=(reps - null - ties) / reps,
-            tie_rate=ties / reps,
-        )
-
-    return run.sweep(summarise)
+    return run.sweep(lambda n, t: _selection_summary(run, prior, n, t))

@@ -55,10 +55,10 @@ def warranted_discrepancy(problem: NormalProblem, level: float) -> float:
     z = std_normal_quantile(level)
     if math.isfinite(gamma := (problem.xbar - problem.theta0) - z * problem.sem):
         return gamma
-    # xbar - theta0 or z * sem can overflow where gamma does not; halving
-    # every operand keeps them in range and loses nothing at that scale
-    half = (0.5 * problem.xbar - 0.5 * problem.theta0) - z * (0.5 * problem.sem)
-    return _finite((half, 1), "warranted gamma from --xbar, --theta0, --sigma, --n and --level")
+    # xbar - theta0 or z * sem can overflow where gamma does not; scaling every
+    # operand by 2^-6 keeps each term in range, as |z| <= 38, and loses nothing at that scale
+    scaled = (problem.xbar / 64.0 - problem.theta0 / 64.0) - z * (problem.sem / 64.0)
+    return _finite((scaled, 6), "warranted gamma from --xbar, --theta0, --sigma, --n and --level")
 
 
 def severity_curve(

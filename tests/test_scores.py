@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointnull import cli
 from pointnull._hyvarinen import _hyvarinen_penalties
-from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate
+from pointnull.normal import AlternativePrior, NormalProblem, _difference, bayes_factor_conjugate
 from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
@@ -428,17 +428,18 @@ def test_compares_match_mpmath_at_every_scale(case):
     st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
 )
 def test_sweep_arithmetic_is_the_compare_elementwise(case, ts):
-    # score_consistency_sim scores an array of means with the same + - * /
-    # as hyvarinen_compare, so each element is the double the compare gives
+    # score_consistency_sim scores an array of differences xbar - theta0 with
+    # the same + - * / as hyvarinen_compare, so each element is the double the
+    # compare's kernel gives
     problem, prior = case
     xbars = [problem.theta0 + t * problem.sem for t in ts] + [problem.xbar]
     xbars = [x for x in xbars if math.isfinite(x)]
     with np.errstate(over="ignore", invalid="ignore"):
-        (m0, e0), (m1, e1), differ = _hyvarinen_penalties(problem, prior, np.array(xbars))
+        d = _difference(np.array(xbars), problem.theta0)
+        (m0, e0), (m1, e1), differ = _hyvarinen_penalties(problem, prior, d)
         parts = np.broadcast_arrays(m0, e0, m1, e1, differ)
     for i, x in enumerate(xbars):
-        one = NormalProblem(problem.theta0, problem.sigma, problem.n, x)
-        (w0, f0), (w1, f1), want_differ = _hyvarinen_penalties(one, prior)
+        (w0, f0), (w1, f1), want_differ = _hyvarinen_penalties(problem, prior, _difference(x, problem.theta0))
         # each (m, e) pair, and so the double it rounds to, and whether the exact values differ
         assert [float(part[i]).hex() for part in parts[:4]] == [float(v).hex() for v in (w0, f0, w1, f1)]
         assert bool(parts[4][i]) == bool(want_differ)
@@ -471,8 +472,9 @@ def test_sweep_once_refused_for_a_variance_selects_as_mpmath():
     run = ConsistencyRun(
         theta_true=0.0, theta0=0.0, sigma=1e-200, n_grid=(4,), replications=10, seed=42
     )
-    ((n, sem, xbar),) = run.sweep(lambda *point: point)
-    want = sum(mpmath.mpf(float(x)) ** 2 * n / mpmath.mpf(1e-200) ** 2 < 2 for x in xbar)
+    ((n, t),) = run.sweep(lambda *point: point)
+    # on the null the centre t is 0, so each t is its draw, and t^2 < 2 selects the null
+    want = sum(mpmath.mpf(float(x)) ** 2 < 2 for x in t)
     (summary,) = score_consistency_sim(run, AlternativePrior.flat())
     assert summary.select_null_rate == want / 10 == 0.9
     assert summary.tie_rate == 0.0

@@ -1,6 +1,7 @@
 """Severity evaluation, warranted discrepancy, curves."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -218,6 +219,28 @@ class TestWarrantedDiscrepancy:
         want, _ = mp_warranted(p, 0.99)
         assert math.isfinite(g)
         assert abs(g - want) <= TOL_GAMMA * abs(want)
+
+    def test_fallback_keeps_z_sem_in_range(self):
+        # z sem = 3.6e308 overflowed even halved, where gamma = -1.8e304 is a double
+        top = sys.float_info.max
+        p = NormalProblem(theta0=-top, sigma=top, n=1, xbar=top)
+        g = warranted_discrepancy(p, 0.9772552666085894)
+        want, scale = mp_warranted(p, 0.9772552666085894)
+        assert -1.8e304 < g < -1.79e304
+        assert abs(g - want) <= TOL_GAMMA * scale
+
+    def test_fallback_names_the_size_beyond_the_doubles(self):
+        # z sem = 7.9e308, once halved to 4e308 and refused at 10^inf
+        p = NormalProblem(theta0=0.0, sigma=1e308, n=1, xbar=0.0)
+        want, _ = mp_warranted(p, 0.999999999999999)
+        size = f"{float(mpmath.log10(abs(want))):.6g}"
+        assert size == "308.9"
+        message = (
+            "warranted gamma from --xbar, --theta0, --sigma, --n and --level "
+            f"lies beyond the largest double, at 10^{size}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            warranted_discrepancy(p, 0.999999999999999)
 
     def test_decreasing_in_level(self):
         gs = [warranted_discrepancy(UNIT, lvl) for lvl in (0.1, 0.5, 0.9, 0.99)]

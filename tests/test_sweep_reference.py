@@ -3,9 +3,11 @@
 consistency_simulation, score_consistency_sim and pvalue_uniformity_check
 evaluate every replicate with elementwise array arithmetic. The loops below
 evaluate one replicate at a time through the scalar kernels, as the sweeps
-once did; the arithmetic is the same, so the summaries must be equal to the
-last bit (compared through repr) and every failure must raise the same
-exception type with the same message.
+once did, on the t the driver hands every sweep: t = z + c, c the grid
+point's centre t, the t statistic of a sample whose mean is theta_true. The
+arithmetic is the same, so the summaries must be equal to the last bit
+(compared through repr) and every failure must raise the same exception type
+with the same message; a size beyond the doubles is mpmath's.
 
 The p-value sweeps call math.erfc only where a p-value can change an output
 and decide the rest from |t|, trusting erfc to fall with its argument up to
@@ -23,12 +25,19 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from ks_reference import uniform_ks_distance
 
 from pointnull import _order_stats, paradox
 from pointnull._hyvarinen import _hyvarinen_penalties
-from pointnull.normal import AlternativePrior, NormalProblem, _finite, _ldexp, log_bayes_factor_lindley
+from pointnull.normal import (
+    AlternativePrior,
+    NormalProblem,
+    _finite,
+    _ldexp,
+    log_bayes_factor_lindley,
+    t_statistic,
+)
 from pointnull.numerics import RngStream, p_value
 from pointnull.paradox import (
     ConsistencyRun,
@@ -36,56 +45,59 @@ from pointnull.paradox import (
     consistency_simulation,
     pvalue_uniformity_check,
 )
-from pointnull.scores import ScoreSelectionSummary, hyvarinen_compare, score_consistency_sim
+from pointnull.scores import ScoreSelectionSummary, score_consistency_sim
 
 # above the block size the array p-values are computed in
 ABOVE_CHUNK = (1 << 16) + 5
 
 
 BEYOND = "lies beyond the largest double, at 10^"
+# the flags a sweep's centre t, and so every replicate's t, comes from
+FLAGS = "--theta-true, --theta0, --sigma and --n-grid"
 
 
-def refused_replicate(run, n, j, z):
-    """The error the sweeps raise for replicate j at grid point n, whose draw
-    is z: its mean, else xbar - theta0, else t, named with its exact size
-    where that lies beyond the doubles; else the last guard's message."""
-    sem = run.sigma / math.sqrt(n)
-    xbar = run.theta_true + sem * z
-    where = f"of replicate {j + 1} at n={n} from"
-    flags = f"{where} --theta-true, --theta0, --sigma and --n-grid"
-    with mpmath.workprec(300):
-        if math.isinf(xbar):
-            what = f"mean {where} --theta-true, --sigma and --n-grid"
-            exact = mpmath.mpf(run.theta_true) + mpmath.mpf(sem) * z
-        elif math.isinf(xbar - run.theta0):
-            what, exact = f"xbar - theta0 {flags}", mpmath.mpf(xbar) - run.theta0
-        else:
-            what, exact = f"t {flags}", (mpmath.mpf(xbar) - run.theta0) * math.sqrt(n) / run.sigma
-        if abs(exact) > sys.float_info.max:
-            return ValueError(f"{what} {BEYOND}{float(mpmath.log10(abs(exact))):.6g}")
-    return ValueError("t must be finite")
+def beyond(what, exact):
+    """The refusal of a quantity whose exact value lies beyond the doubles."""
+    return ValueError(f"{what} {BEYOND}{float(mpmath.log10(abs(exact))):.6g}")
+
+
+def centre_t(run, n):
+    """Grid point n's centre t: the t statistic of a sample whose mean is
+    theta_true, refused with its exact size where that is no double."""
+    t = t_statistic(NormalProblem(run.theta0, run.sigma, n, run.theta_true))
+    if math.isinf(t):
+        with mpmath.workprec(300):
+            exact = (mpmath.mpf(run.theta_true) - run.theta0) * mpmath.sqrt(n) / run.sigma
+        raise beyond(f"t from {FLAGS}", exact)
+    return t
+
+
+def replicate_ts(run, i, n):
+    """Grid point i's t statistics, z + c, one Python float each."""
+    c = centre_t(run, n)
+    return [float(z) + c for z in RngStream(run.seed, stream_id=i).normals(run.replications)]
 
 
 def reference_consistency(run, alpha=0.05):
     log_tol = math.log(1e-6)
     summaries = []
     for i, n in enumerate(run.n_grid):
-        stream = RngStream(run.seed, stream_id=i)
-        sem = run.sigma / math.sqrt(n)
-        log_bfs = np.empty(run.replications)
-        p_vals = np.empty(run.replications)
-        for j, z in enumerate(stream.normals(run.replications)):
-            xbar = run.theta_true + sem * float(z)
-            t = (xbar - run.theta0) / sem
-            if math.isinf(t):
-                raise refused_replicate(run, n, j, float(z))
-            log_bfs[j] = log_bayes_factor_lindley(t, n)
-            p_vals[j] = p_value(t)
+        ts = replicate_ts(run, i, n)
+        log_bfs = np.array([log_bayes_factor_lindley(t, n) for t in ts])
+        p_vals = np.array([p_value(t) for t in ts])
+        median_log_bf = float(np.median(log_bfs))
+        if median_log_bf == -math.inf:
+            # the exact median of log B01 over the middle ranks' doubles t
+            with mpmath.workprec(300):
+                a = sorted(abs(mpmath.mpf(t)) for t in ts)
+                middle = a[(len(a) - 1) // 2 : len(a) // 2 + 1]
+                exact = mpmath.log1p(n) / 2 - n * sum(x * x for x in middle) / len(middle) / (2 * (1 + n))
+                raise beyond(f"median log B01 at n={n} from {FLAGS}", exact)
         below = log_bfs < log_tol
         summaries.append(
             ConsistencySummary(
                 n=n,
-                median_log_bf=float(np.median(log_bfs)),
+                median_log_bf=median_log_bf,
                 median_p_value=float(np.median(p_vals)),
                 reject_rate=float(np.mean(p_vals <= alpha)),
                 bf_collapse_rate=float(np.mean(below)),
@@ -95,31 +107,35 @@ def reference_consistency(run, alpha=0.05):
     return summaries
 
 
+def difference_of(t, problem):
+    """xbar - theta0 = t sem as (m, e), rounded on mantissas, as the score
+    sweep forms it from t: no mean is formed."""
+    (mt, et), (ms, es) = math.frexp(t), math.frexp(problem.sigma)
+    m, e = math.frexp(mt * ms / math.sqrt(problem.n))
+    return m, e + et + es
+
+
 def reference_score_consistency(run, prior):
     summaries = []
     for i, n in enumerate(run.n_grid):
-        stream = RngStream(run.seed, stream_id=i)
-        sem = run.sigma / math.sqrt(n)
+        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta0)
         null = ties = 0
-        for j, z in enumerate(stream.normals(run.replications)):
-            xbar = run.theta_true + sem * float(z)
-            if math.isinf(xbar):
-                # the mean's own refusal, or NormalProblem's where only rounding made it inf
-                error = refused_replicate(run, n, j, float(z))
-                raise error if str(error) != "t must be finite" else ValueError("xbar must be finite")
-            problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=xbar)
+        for j, t in enumerate(replicate_ts(run, i, n)):
             # a penalty beyond the doubles is +-inf here, and its sign still
             # selects; a replicate whose penalties have no difference is
             # refused by the penalty's name and size, and one whose penalties
             # tie only by underflow with hyvarinen_compare's error
-            p0, p1, differ = _hyvarinen_penalties(problem, prior)
+            p0, p1, differ = _hyvarinen_penalties(problem, prior, difference_of(t, problem))
             s0, s1 = _ldexp(*p0), _ldexp(*p1)
             diff = s0 - s1
             if math.isnan(diff) or (s0 == s1 and differ):
                 where = f"of replicate {j + 1} at n={n} from --theta-true, --theta0, --sigma"
                 _finite(p0, f"hyvarinen penalty s0 {where} and --n-grid")
                 _finite(p1, f"hyvarinen penalty s1 {where}, --n-grid and --tau")
-                hyvarinen_compare(problem, prior)
+                raise ValueError(
+                    f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
+                    "their exact values differ"
+                )
             if diff == 0.0:
                 ties += 1
             elif diff < 0.0:
@@ -276,7 +292,7 @@ def test_uniformity_matches_reference(seed, reps, noncentrality):
 
 
 FAILING_RUNS = [
-    # t overflows to inf
+    # the centre t overflows to inf: both sweeps refuse it before any draw
     run_of(10, n_grid=(1,), theta_true=1e308, theta0=-1e308),
     # sigma^2 / n underflows to 0, which the score sweeps once refused; n/sigma^2
     # overflows, and the penalties' infinities still select by their signs
@@ -285,29 +301,24 @@ FAILING_RUNS = [
 # n/sigma^2 = 1e308: the null's penalty (t^2 - 2) n/sigma^2 overflows once
 # |t^2 - 2| > 1.8, which once made it nan and refused the first such replicate
 FAILING_RUNS += [run_of(10, n_grid=(1,), sigma=1e-154, seed=s) for s in range(3)]
-# xbar overflows in about one replicate in six; n/sigma^2 underflows, so every
-# finite replicate's penalties tie only by underflow: whether the first
-# replicate overflows decides which error comes first
+# centre t 17: the means theta_true + sem z once overflowed in about one
+# replicate in six, and no mean is formed now. n/sigma^2 underflows, so against
+# the flat prior every replicate's penalties tie only by underflow
 FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed=s) for s in range(6)]
 FAILING_RUNS += [
-    # centre t 1.8e298, but every replicate's xbar - theta0 overflows, which
-    # only the consistency sweep forms; against tau = 1 the null's penalty,
-    # t^2 n/sigma^2, overflows, and against the flat prior the score sweep answers
+    # centre t 1.8e298: log B01 and its median lie beyond the doubles; against
+    # tau = 1 the null's penalty, t^2 n/sigma^2, overflows, and against the flat
+    # prior the score sweep answers
     run_of(40, n_grid=(1,), theta_true=1e308, theta0=-7.98e307, sigma=1e10),
-    # sem z overflows in the first refused replicate, whose mean
-    # theta_true + sem z is a double: the sweeps' last guards refuse it
+    run_of(10, n_grid=(1,), theta_true=1e170, sigma=1e10),
+    # sem z once overflowed in the first replicate, whose mean was a double
     run_of(10, n_grid=(1,), theta_true=-1e308, sigma=1e308, seed=4),
 ]
 
 
 @pytest.mark.parametrize("run", FAILING_RUNS, ids=repr)
 def test_failures_match_reference(run):
-    got, want = outcome(consistency_simulation, run), outcome(reference_consistency, run)
-    if got != want:
-        # the sweep names the centre's t before any draw, where the loop meets
-        # the first replicate's
-        assert got[1].startswith("t from --theta-true, --theta0, --sigma and --n-grid lies beyond")
-        assert want[1].startswith("xbar - theta0 of replicate 1 at n=1 from")
+    assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)
     for prior in (AlternativePrior.flat(), AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
@@ -323,11 +334,12 @@ def test_first_refused_replicate_is_the_one_named(seed, sign):
     prior = AlternativePrior.conjugate(1e-160)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    ((n, sem, xbar),) = run.sweep(lambda *point: point)
+    ((n, t),) = run.sweep(lambda *point: point)
     with mpmath.workprec(300):
         v0 = mpmath.mpf(run.sigma) ** 2 / n
         v1 = v0 + mpmath.mpf(prior.tau) ** 2
-        d2 = [mpmath.mpf(float(x)) ** 2 for x in xbar]
+        # xbar - theta0 = t sem
+        d2 = [mpmath.mpf(float(x)) ** 2 * v0 for x in t]
         penalties = [(-2 / v0 + d / v0**2, -2 / v1 + d / v1**2) for d in d2]
         first, (s0, _) = next((i, p) for i, p in enumerate(penalties) if p[0] * p[1] > 0)
         size = float(mpmath.log10(abs(s0)))
@@ -347,13 +359,13 @@ def test_runs_once_refused_for_a_nan_replicate_select_as_mpmath(seed):
     prior = AlternativePrior.conjugate(1e-154)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
-    ((n, sem, xbar),) = run.sweep(lambda *point: point)
+    ((n, t),) = run.sweep(lambda *point: point)
     with mpmath.workprec(300):
         v0 = mpmath.mpf(run.sigma) ** 2 / n
         v1 = v0 + mpmath.mpf(prior.tau) ** 2
         null = 0
-        for x in xbar:
-            d2 = (mpmath.mpf(float(x)) - run.theta0) ** 2
+        for x in t:
+            d2 = mpmath.mpf(float(x)) ** 2 * v0
             s0, s1 = -2 / v0 + d2 / v0**2, -2 / v1 + d2 / v1**2
             assert s0 != s1
             null += s0 < s1
@@ -373,44 +385,25 @@ def test_failure_runs_reach_every_error():
             if not isinstance(got, str):
                 errors.add(got)
     assert errors == {
-        # xbar - theta0 = 2e308: the centre's t, refused before any draw
-        (ValueError, f"t from --theta-true, --theta0, --sigma and --n-grid {BEYOND}308.301"),
-        # xbar - theta0 = 2e308: against tau = 1 both penalties overflow
-        (
-            ValueError,
-            "hyvarinen penalty s0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma "
-            f"and --n-grid {BEYOND}616.602",
-        ),
-        (
-            ValueError,
-            "hyvarinen penalties s0 = 0.0 and s1 = 0.0 tie only by underflow: "
-            "their exact values differ",
-        ),
-        # a replicate's mean overflows, while the centre's t is 17; whether the
-        # first replicate's does decides which error the score sweep meets first
-        *(
-            (ValueError, f"mean of replicate {j} at n=1 from --theta-true, --sigma and --n-grid {BEYOND}{size}")
-            for j, size in [(1, "308.26"), (1, "308.264"), (3, "308.261"), (4, "308.287"), (5, "308.282"),
-                            (9, "308.285")]
-        ),
-        (
-            ValueError,
-            "xbar - theta0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma and "
-            f"--n-grid {BEYOND}308.255",
-        ),
+        # theta_true - theta0 = 2e308: the centre's t, refused before any draw
+        (ValueError, f"t from {FLAGS} {BEYOND}308.301"),
+        # centre t 1.8e298 and 1e160: the median log B01, n t^2 / 4 at n = 1
+        (ValueError, f"median log B01 at n=1 from {FLAGS} {BEYOND}595.908"),
+        (ValueError, f"median log B01 at n=1 from {FLAGS} {BEYOND}319.398"),
+        # centre t 1.8e298: against tau = 1 both penalties overflow
         (
             ValueError,
             "hyvarinen penalty s0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma "
             f"and --n-grid {BEYOND}576.51",
         ),
-        # the last guards, where sem z overflows but the mean is a double; an
-        # earlier replicate's penalties tie by underflow against the flat prior
-        (ValueError, "t must be finite"),
-        (ValueError, "xbar must be finite"),
-        (
-            ValueError,
-            "hyvarinen penalties s0 = -0.0 and s1 = 0.0 tie only by underflow: "
-            "their exact values differ",
+        # n/sigma^2 underflows: against the flat prior the null's penalty ties 0 by underflow
+        *(
+            (
+                ValueError,
+                f"hyvarinen penalties s0 = {zero} and s1 = 0.0 tie only by underflow: "
+                "their exact values differ",
+            )
+            for zero in ("0.0", "-0.0")
         ),
     }
 
@@ -426,22 +419,25 @@ def test_uniformity_failures_match_reference(noncentrality):
         assert (got, want) == ((ValueError, "noncentrality must be finite"), (ValueError, "t must be finite"))
 
 
-def test_zero_standard_error_is_a_value_error():
-    # the per-replicate loop divided by sem = 0 and ended in ZeroDivisionError
+def test_zero_standard_error_answers_as_at_unit_sigma():
+    # sigma/sqrt(n) underflows to 0, which the sweep once refused: on the
+    # null the centre t is 0 whatever sigma, so every t is its draw
     run = run_of(10, n_grid=(10_000,), sigma=1e-322)
-    assert outcome(reference_consistency, run)[0] is ZeroDivisionError
-    with pytest.raises(ValueError, match=r"sigma/sqrt\(n\) underflows to 0 at n=10000"):
-        consistency_simulation(run)
+    got = outcome(consistency_simulation, run)
+    unit = run_of(10, n_grid=(10_000,))
+    assert got == outcome(reference_consistency, run) == outcome(consistency_simulation, unit)
+    assert isinstance(got, str)
 
 
 def test_every_sweep_draws_through_the_driver(monkeypatch):
     run = run_of(5, n_grid=(10, 1000), theta_true=0.1, seed=8)
     points = run.sweep(lambda *point: point)
-    assert [n for n, _, _ in points] == [10, 1000]
-    for i, (n, sem, xbar) in enumerate(points):
+    assert [n for n, _ in points] == [10, 1000]
+    for i, (n, t) in enumerate(points):
         z = RngStream(8, stream_id=i).normals(5)
-        assert sem == 1.0 / math.sqrt(n)
-        assert xbar.tolist() == [0.1 + sem * float(v) for v in z]
+        # the centre t, 0.1 sqrt(n), is the t statistic of a sample whose mean is 0.1
+        c = t_statistic(NormalProblem(0.0, 1.0, n, 0.1))
+        assert t.tolist() == [float(v) + c for v in z]
     # each kind makes every stream inside the driver, from the run it hands it
     inside, streams, sweep, stream = [], [], ConsistencyRun.sweep, paradox.RngStream
 
@@ -463,6 +459,87 @@ def test_every_sweep_draws_through_the_driver(monkeypatch):
     pvalue_uniformity_check(8, 100, noncentrality=0.1)
     uniformity = ConsistencyRun(0.1, 0.0, 1.0, (1,), 100, 8)
     assert streams == [(8, i, run) for i in (0, 1)] * 2 + [(8, 0, uniformity)]
+
+
+# ------------------------------------------------- location and scale
+
+# The sweeps read theta_true, theta0 and sigma only through each grid point's
+# centre t, formed on mantissas, so where the problem sits and its scale
+# leave every row's bytes alone.
+LOCATIONS = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(lambda se: se[0] * 10.0 ** se[1]),
+    st.just(1e16),
+)
+PRIORS = [AlternativePrior.flat(), AlternativePrior.conjugate(0.5)]
+
+
+def rows_of(run):
+    """The consistency and score sweeps' outcomes for run, and the t its driver hands."""
+    got = [outcome(consistency_simulation, run)] + [outcome(score_consistency_sim, run, p) for p in PRIORS]
+    return got + [[t.tolist() for t in run.sweep(lambda n, t: t)]]
+
+
+def uniformity_from_driver(run):
+    """The uniformity check's KS distance over the t the driver hands run at
+    its first grid point, n = 1, whose centre t is its noncentrality."""
+    c = t_statistic(NormalProblem(run.theta0, run.sigma, 1, run.theta_true))
+    got = outcome(pvalue_uniformity_check, run.seed, run.replications, noncentrality=c)
+    t = run.sweep(lambda n, t: t.copy())[0]
+    assert got == repr(uniform_ks_distance(np.array([p_value(v) for v in t.tolist()])))
+    return got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(LOCATIONS, st.sampled_from([1.0, 1e-3, 7.5, 1e200]), st.integers(0, 2**32))
+def test_a_null_run_gives_the_rows_of_the_run_at_zero(location, sigma, seed):
+    at = run_of(101, n_grid=(1, 100, 10**6), theta_true=location, theta0=location, sigma=sigma, seed=seed)
+    zero = run_of(101, n_grid=(1, 100, 10**6), sigma=sigma, seed=seed)
+    assert rows_of(at) == rows_of(zero)
+    assert uniformity_from_driver(at) == uniformity_from_driver(zero)
+
+
+# magnitudes at which every operand scaled by 2^k for |k| <= 1000 stays a normal double
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(2.0**-20, 4.0), st.floats(-4.0, -(2.0**-20)))
+
+
+@st.composite
+def scaled_runs(draw, k_max):
+    """A run off the null and the same run with theta_true, theta0 and sigma
+    scaled by 2^k, |k| <= k_max."""
+    theta_true, theta0 = draw(MAGNITUDES), draw(MAGNITUDES)
+    # a difference below 2^-20 could round differently once scaled into the subnormals
+    assume(theta_true == theta0 or abs(theta_true - theta0) >= 2.0**-20)
+    sigma, k, seed = draw(st.floats(0.25, 4.0)), draw(st.integers(-k_max, k_max)), draw(st.integers(0, 2**32))
+    run = run_of(101, n_grid=(1, 10, 100), theta_true=theta_true, theta0=theta0, sigma=sigma, seed=seed)
+    scaled = run_of(
+        101, n_grid=run.n_grid, theta_true=math.ldexp(theta_true, k), theta0=math.ldexp(theta0, k),
+        sigma=math.ldexp(sigma, k), seed=seed,
+    )
+    return run, scaled, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scaled_runs(1000))
+def test_scaling_every_operand_by_a_power_of_two_keeps_the_rows(case):
+    run, scaled, _ = case
+    assert outcome(consistency_simulation, scaled) == outcome(consistency_simulation, run)
+    assert [t.tolist() for t in scaled.sweep(lambda n, t: t)] == [t.tolist() for t in run.sweep(lambda n, t: t)]
+    assert uniformity_from_driver(scaled) == uniformity_from_driver(run)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scaled_runs(450))
+def test_scaling_keeps_the_score_rows_while_the_penalties_are_doubles(case):
+    # a penalty carries n/sigma^2, so 2^k moves it by 2^-2k: past |k| = 450
+    # the smallest penalties here leave the doubles, and the sweep refuses
+    # or selects by an infinity's sign
+    run, scaled, k = case
+    for tau in (None, 0.5):
+        prior = AlternativePrior.flat() if tau is None else AlternativePrior.conjugate(tau)
+        scaled_prior = prior if tau is None else AlternativePrior.conjugate(math.ldexp(tau, k))
+        got = outcome(score_consistency_sim, scaled, scaled_prior)
+        assert got == outcome(score_consistency_sim, run, prior)
+        assert isinstance(got, str)
 
 
 # ---------------------------------------------------------------- erfc slack
@@ -596,7 +673,7 @@ CRAFTED_ALPHAS += [p_value(t) for t in WOBBLE_T[:4]]
 @pytest.mark.parametrize("name", CRAFTED)
 def test_crafted_consistency_matches_reference(crafted, name, alpha):
     crafted(CRAFTED[name])
-    # at n = 1 the standard error is 1.0, so every t is its draw exactly
+    # on the null the centre t is 0, so every t is its draw exactly
     run = run_of(len(CRAFTED[name]), n_grid=(1, 50))
     got = outcome(consistency_simulation, run, alpha=alpha)
     assert got == outcome(reference_consistency, run, alpha)
@@ -666,8 +743,8 @@ def ties_at_a_star(draw):
 def test_collapse_threshold_matches_the_full_log_bf_map(case):
     n, draws = case
     assert A_STAR[n] > 5.0 and log_bayes_factor_lindley(1e308, n) == -math.inf
-    # sigma = sqrt(n) makes sem exactly 1.0, so every t is its draw
-    run = run_of(len(draws), n_grid=(n,), sigma=math.sqrt(n))
+    # on the null the centre t is 0, so every t is its draw
+    run = run_of(len(draws), n_grid=(n,))
     with pytest.MonkeyPatch.context() as monkeypatch:
         craft(monkeypatch, draws)
         assert outcome(consistency_simulation, run) == outcome(reference_consistency, run)

@@ -1,15 +1,8 @@
-"""Command-line surface.
-
-Seven subcommands cover the whole calculus: report (one problem, both
-verdicts), paradox (crossing sample size plus a bracketing table), severity
-(curves and the warranted discrepancy), binomial (count-data test), score
-(scoring-rule comparisons), simulate (seeded Monte Carlo sweeps), and
-paper-check (regression over the built-in reference anchors). Every command
-emits a versioned envelope as JSON, CSV, or an aligned table; all output is
-deterministic given the full flag set. This module holds the flag table,
-its parser, main, the renderers and the command's exit; each handler is a
-module of pointnull.commands. A valid call parses from the flag table;
-argparse, in pointnull._usage, is imported only for help or a usage error.
+"""Command-line surface: the flag table and its parser, main and the command's
+exit. Each subcommand's handler is a module of pointnull.commands, and each
+format's renderer, in pointnull._json_writer or pointnull._text, loads only
+with its format. A valid call parses from the flag table; argparse, in
+pointnull._usage, is imported only for help or a usage error.
 """
 
 import atexit
@@ -27,13 +20,12 @@ __all__ = ["FORMAT_VERSION", "console_entry", "main"]
 FORMAT_VERSION = "1"
 
 
-# A subcommand's handler, run(args, cli) in pointnull.commands.<name>, gets
-# this running module as cli and calls its library names as cli attributes.
-# The first use of a name imports only the module that defines it and binds
-# the name here. Python asks __getattr__ only for a name not yet bound, so a
-# stand-in set here (a test double, a tracing wrapper) is what handlers call.
-# Under python -m, this module is __main__, and importing pointnull.cli would
-# compile it again.
+# A handler, run(args, cli) in pointnull.commands.<name>, calls its library
+# names as attributes of this running module: the first use of a name imports
+# only the module that defines it and binds the name here. Python asks
+# __getattr__ only for a name not yet bound, so a stand-in set here (a test
+# double, a tracing wrapper) is what handlers call. Under python -m, this
+# module is __main__, and importing pointnull.cli would compile it again.
 def __getattr__(name: str) -> Any:
     """Serve a library name not yet bound here through the package's lookup, and bind it."""
     try:
@@ -43,82 +35,21 @@ def __getattr__(name: str) -> Any:
     return value
 
 
-def _fmt(value: Any, digits: int | None = None) -> str:
-    """Output text for a value; a float in full (repr) unless digits is given."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value) if digits is None else f"{value:.{digits}g}"
-    return str(value)
-
-
 def render_json(env: dict) -> str:
-    # imported here, so csv and table calls never load json
-    import json
-
-    return json.dumps(env, indent=2, allow_nan=False) + "\n"
-
-
-def _split_results(env: dict) -> tuple[dict, list[dict]]:
-    results = env["results"]
-    rows = results.get("rows", [])
-    scalars = {k: v for k, v in results.items() if k != "rows"}
-    return scalars, rows
+    return importlib.import_module("._json_writer", __package__).dumps(env) + "\n"
 
 
 def render_csv(env: dict, digits: int) -> str:
-    scalars, rows = _split_results(env)
-    lines = [f"# format_version={env['format_version']} command={env['command']}"]
-    # comment-line values keep full precision so the emission is
-    # recomputable without the JSON twin
-    if env["inputs"]:
-        lines.append("# input " + " ".join(f"{k}={_fmt(v)}" for k, v in env["inputs"].items()))
-    if scalars:
-        lines.append("# result " + " ".join(f"{k}={_fmt(v)}" for k, v in scalars.items()))
-    for name, tag in env.get("provenance", []):
-        lines.append(f"# provenance {name}={tag}")
-    if rows:
-        columns = list(rows[0].keys())
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c], digits) for c in columns))
-    else:
-        lines.append("key,value")
-        for k, v in scalars.items():
-            lines.append(f"{k},{_fmt(v, digits)}")
-    return "\n".join(lines) + "\n"
+    return importlib.import_module("._text", __package__).render(env, digits, csv=True)
 
 
 def render_table(env: dict, digits: int) -> str:
-    scalars, rows = _split_results(env)
-    lines = [f"{env['command']}  (format_version {env['format_version']})"]
-    if env["inputs"]:
-        lines.append("inputs:")
-        for k, v in env["inputs"].items():
-            lines.append(f"  {k} = {_fmt(v, digits)}")
-    if scalars:
-        lines.append("results:")
-        for k, v in scalars.items():
-            lines.append(f"  {k} = {_fmt(v, digits)}")
-    if rows:
-        columns = list(rows[0].keys())
-        cells = [[_fmt(r[c], digits) for c in columns] for r in rows]
-        widths = [
-            max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)
-        ]
-        lines.append("")
-        lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return importlib.import_module("._text", __package__).render(env, digits, csv=False)
 
 
 def _check_finite(results: dict) -> None:
     """Refuse a nan or infinite result, naming it, whatever the output format."""
-    fields = [(k, v) for k, v in results.items() if k != "rows"]
+    fields = list(results.items())  # the rows entry itself is a list, never a float
     for i, row in enumerate(results.get("rows", [])):
         fields += [(f"rows[{i}].{k}", v) for k, v in row.items()]
     for name, value in fields:
@@ -192,12 +123,9 @@ _SUBCOMMANDS = {
 def _parse(argv: list[str]) -> SimpleNamespace | None:
     """argparse's namespace for a valid call of --flag value and --flag=value
     after a subcommand name, read from the flag table; None for any other
-    call, which argparse then parses.
-
-    None covers every call argparse refuses, and every token argparse may
-    read other than as written: an abbreviated or repeated flag, a value of
-    "--" (argparse strips it even from --out=--, storing []), and a
-    space-form value that starts with "-".
+    call, which _usage.parse hands to argparse: a call argparse refuses, or a
+    token it may read other than as written (an abbreviated or repeated flag,
+    a value of "--", a space-form value that starts with "-" and is no number).
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
@@ -217,11 +145,12 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                 return None
             value = True
         else:
-            if not eq:
-                value = next(tokens, None)
-                if value is None or value.startswith("-"):
-                    return None
+            if not eq and (value := next(tokens, None)) is None:
+                return None
             try:
+                # _usage joins a "-" value to its flag for argparse only if it reads as a number
+                if not eq and value.startswith("-"):
+                    float(value)
                 value = _TYPES[kind](value)
             except ValueError:
                 return None
@@ -241,55 +170,20 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**namespace)
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    # argparse reads a lone token such as -3.1e-05 as an unknown flag: its
-    # negative-number pattern has no exponent form. No subcommand takes
-    # positional arguments, so such a token is the value of the option before it.
-    joined: list[str] = []
-    for token in argv:
-        if (
-            joined
-            and token.startswith("-")
-            and joined[-1].startswith("-")
-            and "=" not in joined[-1]
-            and _is_float(token)
-        ):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:
-        from ._usage import build_parser
-
-        parser = build_parser(_SUBCOMMANDS, _TYPES)
-        try:
-            args = parser.parse_args(argv)
-            # argparse strips "--" even out of --flag=--, storing []: refuse it as a bare --flag
-            for dest in (k for k, v in vars(args).items() if isinstance(v, list)):
-                parser.parse_args([args.command, "--" + dest.replace("_", "-")])
-        except SystemExit as exc:
-            # argparse exits 0 for --help and 2 for usage faults; keep both
-            return int(exc.code or 0)
+        # argparse's namespace, or its exit code: 0 after --help, 2 on a usage error
+        args = importlib.import_module("._usage", __package__).parse(argv, _SUBCOMMANDS, _TYPES)
+        if isinstance(args, int):
+            return args
     try:
         if not 1 <= args.digits <= 17:
             raise ValueError("--digits must be between 1 and 17")
         if not 0 <= args.seed < 2**64:
             raise ValueError("--seed must fit in an unsigned 64-bit integer")
-        module = args.command.replace("-", "_")
-        handler = importlib.import_module(f".commands.{module}", __package__)
+        handler = importlib.import_module(f".commands.{args.command.replace('-', '_')}", __package__)
         # handlers get the module this code runs as; runpy.run_module without alter_sys (as
         # python -m cProfile -m runs cli) runs it in a bare dict, so they get pointnull.cli
         running = sys.modules.get(__name__)
@@ -297,13 +191,8 @@ def main(argv: list[str] | None = None) -> int:
             running = importlib.import_module("pointnull.cli")
         inputs, results, provenance = handler.run(args, running)
         _check_finite(results)
-        env = {
-            "format_version": FORMAT_VERSION,
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-            "provenance": provenance,
-        }
+        env = dict(format_version=FORMAT_VERSION, command=args.command, inputs=inputs,
+                   results=results, provenance=provenance)
         fmt = args.format or args.default_format
         render = render_csv if fmt == "csv" else render_table
         text = render_json(env) if fmt == "json" else render(env, args.digits)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pointnull
 from pointnull import cli
-from pointnull._usage import build_parser
+from pointnull._usage import parse
 from pointnull.cli import FORMAT_VERSION, main
 from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate, t_statistic
 from pointnull.numerics import p_value
@@ -594,20 +594,21 @@ class TestPlumbing:
         assert (exc.value.code, captured.out, captured.err) == expected
 
 
-# The flag table's parser against argparse over the same table. A draw is a
-# valid call, its flags in any order and in either form, with at most one
-# change that argparse may refuse or read otherwise. Plain values include
-# forms int and float read loosely: nan, -inf, 1_000, " 7 ", 1e999.
+# The flag table's parser against argparse over the same table, as main
+# falls back to it (negative values joined to their flags, and "--" refused).
+# A draw is a valid call, its flags in any order and in either form, with at
+# most one change that argparse may refuse or read otherwise. Plain values
+# include forms int and float read loosely: nan, -inf, 1_000, " 7 ", 1e999,
+# and negative ones, which a space-form flag takes only if they read as numbers.
 PLAIN = {
     "int": ["3", "100", " 7 ", "1_000", "-2", "12"],
     "float": ["0.5", "nan", "-inf", "1_000", " 7 ", "1e3", "-2.5", "-3.1e-05", "1e999"],
-    "str": ["a=b", "x", "100,1000", ""],
+    "str": ["a=b", "x", "100,1000", "", "-3", "-1e-05"],
 }
 ODD = ["0x10", "2.5", "", "-", "--", "a=b", "bogus", "-x", "--t", "1.5.2"]
 DASHED = ["-", "--", "-x", "--t", "-3", "--out"]
 CHANGES = ["none"] * 4 + ["odd value", "dashed --out", "switch", "drop", "group", "abbreviate"]
 CHANGES += ["repeat", "-h", "--help", "--", "x"]
-PARSER = build_parser(cli._SUBCOMMANDS, cli._TYPES)
 
 
 @st.composite
@@ -652,16 +653,14 @@ def table_argvs(draw):
     elif change in ("-h", "--help", "--", "x"):
         chunks.append([change])
     order = draw(st.permutations(range(len(chunks))))
-    return cli._join_negative_values([command, *(t for j in order for t in chunks[j])])
+    return [command, *(t for j in order for t in chunks[j])]
 
 
 def argparse_namespace(argv):
-    """argparse's namespace for argv, or None where it exits."""
+    """argparse's namespace for argv, as main's fallback parses it, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return PARSER.parse_args(argv)
-        except SystemExit:
-            return None
+        args = parse(argv, cli._SUBCOMMANDS, cli._TYPES)
+    return None if isinstance(args, int) else args
 
 
 def table_parse(argv):
@@ -704,7 +703,14 @@ UNIFORMITY = ["simulate", "--kind", "uniformity", "--reps", "100"]
         ([*REPORT, "--out=--"], False),  # argparse stores []
         ([*REPORT, "--out", "--"], False),
         ([*REPORT, "--out", "-"], False),
+        ([*REPORT, "--out", "-x"], False),
         ([*REPORT, "--out=-x"], True),
+        ([*REPORT, "--out", "-3"], True),
+        (["report", "--t", "-3.1e-05", "--n", "-4", "--theta0", "-inf", "--rho0", "-nan"], True),
+        ([*REPORT, "--tau", "-1_000 "], True),
+        ([*REPORT, "--tau-equals-sigma", "-1"], False),
+        ([*REPORT, "--theta0", "-1", "-2"], False),
+        (["report", "--t", "1", "--n", "-2.5"], False),
         ([*REPORT, "--tau-equals-sigma=x"], False),
         ([*REPORT, "--tau-equals-sigma="], False),
         (["paper-check", "--demo-fail", "x"], False),
@@ -727,4 +733,40 @@ UNIFORMITY = ["simulate", "--kind", "uniformity", "--reps", "100"]
     ids=lambda a: " ".join(map(repr, a)) if isinstance(a, list) else None,
 )
 def test_flag_table_parser_edges(argv, taken):
-    assert (table_parse(cli._join_negative_values(argv)) is not None) is taken
+    assert (table_parse(argv) is not None) is taken
+
+
+# render_json writes the envelope without loading json. Drawn values have the
+# envelope's shape, nested str-keyed dicts, lists and tuples (empty ones too),
+# over the scalars json writes in its own ways: -0.0, subnormals, floats near
+# the largest double, ints up to 10^300, and strings with quotes, backslashes,
+# control, non-ASCII, astral and lone surrogate characters.
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]
+)
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\b\t\n\f\r\x1f\x7f\x80é\U0001d11e\ud800\udfff'), max_size=8)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-(10**300), 10**300) | JSON_FLOATS | JSON_TEXT
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+def test_json_writer_is_json_dumps_byte_for_byte(env):
+    assert cli.render_json(env) == json.dumps(env, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["top", "row"])
+def test_json_writer_refuses_a_non_finite_float_as_json_does(value, where):
+    env = {"results": {"rows": [{"x": 1.0}, {"x": value}]}} if where == "row" else {"x": value}
+    with pytest.raises(ValueError) as expected:
+        json.dumps(env, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as refused:
+        cli.render_json(env)
+    assert str(refused.value) == str(expected.value)

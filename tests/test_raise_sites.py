@@ -30,6 +30,9 @@ LIBRARY_ONLY = {
         "Python's module protocol: a name that is no library export",
     "cli.py _check_finite: ValueError result ":
         "the last guard: every result that can leave the doubles is refused by name first",
+    "_json_writer.py dumps: ValueError Out of range float values are not JSON compliant: ":
+        "json's own refusal, which render_json keeps: _check_finite refuses a non-finite "
+        "result by name first, and the handlers refuse non-finite inputs",
     "_record.py Record.__init__: TypeError () takes the fields ":
         "a record built with the wrong fields, which no handler does",
     "_record.py Record.__setattr__: AttributeError cannot assign to field ":

@@ -1,8 +1,11 @@
-"""Start-up guard: a closed-form call loads only what its subcommand runs.
+"""Start-up guard: a closed-form call loads only what its subcommand and format run.
 
-numpy is imported inside the sweep functions and json inside render_json,
-so a module-level import of either puts its load time back on calls that
-never use it. std_normal_quantile takes NormalDist's routine from
+numpy is imported inside the sweep functions, so a module-level import of it
+puts its load time back on calls that never use it. Each output format's
+renderer sits in a module that only that format loads: the JSON writer in
+_json_writer, which writes json.dumps's bytes itself, so no call loads json
+(whose import compiles regexes), and the csv and table renderers in _text.
+std_normal_quantile takes NormalDist's routine from
 _statistics, so no call loads statistics (with fractions and decimal). The
 records are plain classes, so no call loads dataclasses or the inspect
 machinery it pulls in. The package namespace and cli's library names are
@@ -11,8 +14,9 @@ modules that define the names its handler calls, and only its own handler
 module. Code that only some calls run sits in a private module that loads
 with its caller: the p-value sweeps' order statistics (_order_stats) and
 the Hyvarinen kernel (_hyvarinen). A valid call parses from cli's flag
-table without argparse. With no bytecode cache, every loaded line is
-compiled on every call, so each call has a budget of loaded source lines.
+table without argparse, which with its helpers sits in _usage. With no
+bytecode cache, every loaded line is compiled on every call, so each call
+has a budget of loaded source lines in each output format.
 Each case runs in a fresh interpreter, since this test process has long
 since imported everything.
 """
@@ -41,7 +45,7 @@ SUBMODULES = tuple(
     f"pointnull.{name}"
     for name in (
         "_record", "numerics", "normal", "binomial", "paradox", "_order_stats", "severity",
-        "scores", "_hyvarinen", "cli",
+        "scores", "_hyvarinen", "cli", "_json_writer", "_text", "_usage",
     )
 )
 CLOSED_FORM = [
@@ -61,46 +65,69 @@ def simulate_argv(kind: str) -> list[str]:
 # A valid call parses from cli's flag table; argparse, and the gettext and
 # locale it loads, are for help and usage errors only.
 PARSER_MODULES = ("argparse", "gettext", "locale", "__future__")
+# cli's own parser takes a space-form value that starts with "-" where it
+# reads as a number, such as -3.1e-05, which argparse would read as a flag.
+NEGATIVE = ["report", "--t", "-3.1e-05", "--n", "16818", "--theta0", "-1"]
 VALID_CALLS = CLOSED_FORM + [simulate_argv(k) for k in ("consistency", "uniformity", "score-consistency")]
+VALID_CALLS += [NEGATIVE]
 
 
-# The library modules each call loads beyond cli, the record helper and
-# numerics, which every library module builds on. binomial takes p_value from
-# numerics and loads no normal; report loads none of paradox, scores,
-# severity and binomial; the p-value sweeps' order statistics load only for
-# the consistency and uniformity sweeps, and the Hyvarinen kernel only for
-# --rule hyvarinen and the score sweep, which alone of the sweeps loads scores.
+# The library modules each call loads, in its default format, beyond cli,
+# the record helper and numerics, which every library module builds on.
+# binomial takes p_value from numerics and loads no normal; report loads none
+# of paradox, scores, severity and binomial; the p-value sweeps' order
+# statistics load only for the consistency and uniformity sweeps, and the
+# Hyvarinen kernel only for --rule hyvarinen and the score sweep, which alone
+# of the sweeps loads scores. Each call also loads its default format's
+# renderer: _json_writer for json, _text for csv and table.
 OWN_MODULES = {
-    "report": (CLOSED_FORM[0], ("normal",)),
-    "paradox": (CLOSED_FORM[1], ("normal", "paradox")),
-    "severity": (CLOSED_FORM[2], ("normal", "severity")),
-    "binomial": (CLOSED_FORM[3], ("binomial",)),
-    "score": (CLOSED_FORM[4], ("normal", "scores", "_hyvarinen")),
+    "report": (CLOSED_FORM[0], ("normal", "_json_writer")),
+    "paradox": (CLOSED_FORM[1], ("normal", "paradox", "_text")),
+    "severity": (CLOSED_FORM[2], ("normal", "severity", "_text")),
+    "binomial": (CLOSED_FORM[3], ("binomial", "_json_writer")),
+    "score": (CLOSED_FORM[4], ("normal", "scores", "_hyvarinen", "_json_writer")),
     "score-log": (
-        ["score", "--rule", "log", "--t", "1.96", "--n", "100", "--tau", "1"], ("normal", "scores"),
+        ["score", "--rule", "log", "--t", "1.96", "--n", "100", "--tau", "1"],
+        ("normal", "scores", "_json_writer"),
     ),
-    "paper-check": (CLOSED_FORM[5], ("normal", "binomial", "paradox", "scores")),
-    "simulate-uniformity": (simulate_argv("uniformity"), ("normal", "paradox", "_order_stats")),
-    "simulate-consistency": (simulate_argv("consistency"), ("normal", "paradox", "_order_stats")),
+    "paper-check": (CLOSED_FORM[5], ("normal", "binomial", "paradox", "scores", "_text")),
+    "simulate-uniformity": (simulate_argv("uniformity"), ("normal", "paradox", "_order_stats", "_text")),
+    "simulate-consistency": (simulate_argv("consistency"), ("normal", "paradox", "_order_stats", "_text")),
     "simulate-score-consistency": (
-        simulate_argv("score-consistency"), ("normal", "paradox", "scores", "_hyvarinen"),
+        simulate_argv("score-consistency"), ("normal", "paradox", "scores", "_hyvarinen", "_text"),
     ),
 }
 
-# pointnull source each call loads, summed over its loaded modules' files,
-# and so compiled on every call. A budget is the measured count; it is
-# lowered as code leaves a call, never raised.
+FORMATS = ("json", "csv", "table")
+# pointnull source each call loads in each output format, summed over its
+# loaded modules' files, and so compiled on every call: the closed-form calls
+# in every format, the sweeps in their default csv. A budget is the measured
+# count; it is lowered as code leaves a call, never raised.
 SOURCE_LINES = {
-    "report": 935,
-    "paradox": 1244,
-    "severity": 1049,
-    "binomial": 802,
-    "score": 1235,
-    "score-log": 1142,
-    "paper-check": 1634,
-    "simulate-uniformity": 1444,
-    "simulate-consistency": 1444,
-    "simulate-score-consistency": 1576,
+    ("report", "json"): 850,
+    ("report", "csv"): 869,
+    ("report", "table"): 869,
+    ("paradox", "json"): 1159,
+    ("paradox", "csv"): 1178,
+    ("paradox", "table"): 1178,
+    ("severity", "json"): 964,
+    ("severity", "csv"): 983,
+    ("severity", "table"): 983,
+    ("binomial", "json"): 717,
+    ("binomial", "csv"): 736,
+    ("binomial", "table"): 736,
+    ("score", "json"): 1150,
+    ("score", "csv"): 1169,
+    ("score", "table"): 1169,
+    ("score-log", "json"): 1057,
+    ("score-log", "csv"): 1076,
+    ("score-log", "table"): 1076,
+    ("paper-check", "json"): 1549,
+    ("paper-check", "csv"): 1568,
+    ("paper-check", "table"): 1568,
+    ("simulate-uniformity", "csv"): 1378,
+    ("simulate-consistency", "csv"): 1378,
+    ("simulate-score-consistency", "csv"): 1510,
 }
 
 
@@ -192,12 +219,16 @@ def test_closed_form_module_run_loads_no_dataclasses(argv):
     assert imported.isdisjoint({"dataclasses", "inspect"})
 
 
-@pytest.mark.parametrize("argv", VALID_CALLS, ids=lambda a: a[0] if a[0] != "simulate" else a[2])
+def valid_call_id(argv: list[str]) -> str:
+    return "negative-values" if argv is NEGATIVE else argv[0] if argv[0] != "simulate" else argv[2]
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=valid_call_id)
 def test_valid_call_loads_no_argparse(argv):
     assert after_main(argv, PARSER_MODULES) == []
 
 
-@pytest.mark.parametrize("argv", VALID_CALLS, ids=lambda a: a[0] if a[0] != "simulate" else a[2])
+@pytest.mark.parametrize("argv", VALID_CALLS, ids=valid_call_id)
 def test_valid_module_run_imports_no_argparse(argv):
     assert imported_by_module_run(argv).isdisjoint(PARSER_MODULES)
 
@@ -247,17 +278,17 @@ def test_module_run_compiles_cli_once(argv, module_run):
     assert "pointnull.numerics" in loaded and "pointnull.cli" not in loaded
 
 
-@pytest.mark.parametrize("call", SOURCE_LINES)
-def test_call_loads_at_most_its_source_line_budget(call):
+@pytest.mark.parametrize("call, fmt", SOURCE_LINES, ids="-".join)
+def test_call_loads_at_most_its_source_line_budget(call, fmt):
     code = (
         "import contextlib, io, sys\n"
         "from pointnull import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({OWN_MODULES[call][0]!r}) == 0\n"
+        f"    assert cli.main({[*OWN_MODULES[call][0], '--format', fmt]!r}) == 0\n"
         "mods = [m for name, m in sys.modules.items() if name.partition('.')[0] == 'pointnull']\n"
         "print(sum(len(open(m.__file__, 'rb').read().splitlines()) for m in mods))"
     )
-    assert int(last_line(code)) <= SOURCE_LINES[call]
+    assert int(last_line(code)) <= SOURCE_LINES[call, fmt]
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
@@ -284,7 +315,15 @@ def test_rng_stream_works_after_a_bare_import():
     assert "numpy" in loaded_after(code)
 
 
-@pytest.mark.parametrize("fmt, loaded", [("csv", []), ("table", []), ("json", ["json"])])
-def test_only_json_output_loads_json(fmt, loaded):
-    argv = ["report", "--t", "1.96", "--n", "16818", "--format", fmt]
-    assert after_main(argv, watched=("json",)) == loaded
+# Each format loads only its own renderer, and no call loads json (nor its C
+# helper _json, which the JSON writer takes only for a string json would escape).
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", CLOSED_FORM, ids=lambda a: a[0])
+def test_each_format_loads_only_its_renderer_and_no_json(argv, fmt):
+    argv = [*argv, "--format", fmt]
+    renderer = "pointnull._json_writer" if fmt == "json" else "pointnull._text"
+    watched = ("json", "_json", "pointnull._json_writer", "pointnull._text")
+    assert after_main(argv, watched) == [renderer]
+    imported = imported_by_module_run(argv)
+    assert "pointnull.numerics" in imported  # the probe sees the library's imports
+    assert imported.isdisjoint({"json", "_json"})

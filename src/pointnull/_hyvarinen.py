@@ -62,11 +62,13 @@ def _hyvarinen_penalties(problem: NormalProblem, prior: AlternativePrior, d: tup
     return p0, p1, (m0 != m1) | ((m0 != 0.0) & (e0 + p0[1] != e1 + p1[1]))
 
 
-def _hyvarinen_scores(problem: NormalProblem, prior: AlternativePrior, d: tuple, where0, where1) -> tuple:
-    """s0 and s1 at d as doubles: one beyond them is refused by name, where0 or
-    where1 saying where it comes from, and so is a tie only underflow made."""
+def _hyvarinen_scores(problem: NormalProblem, prior: AlternativePrior, d: tuple, at, *operands) -> tuple:
+    """s0 and s1 at d as doubles. One beyond them is refused by name, placed by at (a
+    sweep's replicate, or ""): s1 comes from the operands, s0 from all but tau. So is
+    a tie only underflow made."""
     p0, p1, differ = _hyvarinen_penalties(problem, prior, d)
-    s0, s1 = _finite(p0, f"hyvarinen penalty s0 {where0}"), _finite(p1, f"hyvarinen penalty s1 {where1}")
+    s0 = _finite(p0, f"hyvarinen penalty s0{at}", *[name for name in operands if name != "tau"])
+    s1 = _finite(p1, f"hyvarinen penalty s1{at}", *operands)
     if s0 == s1 and differ:
         raise ValueError(
             f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
@@ -87,7 +89,7 @@ def _selection_summary(run, prior: AlternativePrior, n: int, t) -> ScoreSelectio
     p0, p1, differ = _hyvarinen_penalties(problem, prior, (m, e := e + et + es))
     diff = (s0 := _ldexp(*p0)) - (s1 := _ldexp(*p1))
     for j in np.flatnonzero(np.isnan(diff) | (s0 == s1) & differ)[:1].tolist():
-        at, d = f"of replicate {j + 1} at n={n} from --theta-true, --theta0, --sigma", (m.item(j), e.item(j))
-        _hyvarinen_scores(problem, prior, d, f"{at} and --n-grid", f"{at}, --n-grid and --tau")
+        at, d = f" of replicate {j + 1} at n={n}", (m.item(j), e.item(j))
+        _hyvarinen_scores(problem, prior, d, at, "theta_true", "theta0", "tau", "sigma", "n_grid")
     null, ties, reps = int(np.count_nonzero(diff < 0.0)), int(np.count_nonzero(diff == 0.0)), t.size
     return ScoreSelectionSummary(n, null / reps, (reps - null - ties) / reps, ties / reps)

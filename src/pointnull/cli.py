@@ -157,7 +157,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if value == "--" or choices is not None and value not in choices:
                 return None
         given[name] = value
-    namespace = {"command": argv[0]}
+    namespace = {"command": argv[0], "default_format": _SUBCOMMANDS[argv[0]][0]}
     for (name, _, default, required, _, _), group in flags.values():
         if required and name not in given:
             return None
@@ -166,7 +166,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if present > 1 or group[0] and not present:
                 return None
         namespace[name[2:].replace("-", "_")] = given.get(name, default)
-    namespace["default_format"] = _SUBCOMMANDS[argv[0]][0]
     return SimpleNamespace(**namespace)
 
 

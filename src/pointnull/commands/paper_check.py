@@ -1,7 +1,5 @@
 """paper-check: regression over the built-in reference anchors."""
 
-import math
-
 
 def run(args, cli) -> tuple[dict, dict, list]:
     t, n = 1.96, 16818
@@ -16,10 +14,8 @@ def run(args, cli) -> tuple[dict, dict, list]:
     )
     single, wide = cli.reinterpret_as_prior_scale(problem)
     scale_dev = abs(cli.bayes_factor_conjugate(single, wide) / cli.bayes_factor_lindley(t, n) - 1.0)
-    log_identity_dev = abs(
-        cli.log_score_compare(problem, prior).diff
-        + math.log(cli.bayes_factor_conjugate(problem, prior))
-    )
+    log_bf = cli.log_bayes_factor_conjugate(problem, prior)
+    log_identity_dev = abs(cli.log_score_compare(problem, prior).diff + log_bf)
     ten_to_one = cli.ParadoxQuery(t=t, weights=cli.HypothesisWeights(10.0 / 11.0))
     anchors = [
         ("crossing_equal_weights", 16818, cli.crossing_sample_size(cli.ParadoxQuery(t=t)), 0.0),

@@ -44,8 +44,7 @@ def run(args, cli) -> tuple[dict, dict, list]:
     rows = []
     for i, (th, sev) in enumerate(curve.points):
         if math.isinf(gamma := th - problem.theta0):
-            what = f"gamma of row {i + 1} from --theta0 and the grid's theta1"
-            _finite(_difference(th, problem.theta0), what)
+            _finite(_difference(th, problem.theta0), f"gamma of row {i + 1}", "theta0", "theta1")
         rows.append({"theta1": th, "gamma": gamma, "severity": sev})
     # footer row: the warranted point itself lies on the curve, so it is a
     # valid (theta1, gamma, severity) triple

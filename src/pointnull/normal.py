@@ -49,7 +49,7 @@ class NormalProblem(Record):
         if math.isinf(xbar):  # a step overflowed: summed on mantissas, xbar may yet be a double
             mt, et = _frexp(t)
             m, e = _frexp(mt * sem)
-            xbar = _finite((m + _ldexp(theta0, -e - et), e + et), "xbar from --theta0, --t, --sigma and --n")
+            xbar = _finite((m + _ldexp(theta0, -e - et), e + et), "xbar", "theta0", "t", "sigma", "n")
         return cls(theta0, sigma, n, xbar)
 
     @property
@@ -168,18 +168,19 @@ def _over_sem(a: float, b: float, problem: NormalProblem) -> tuple:
 
 
 def _bf(log_bf: float) -> float:
-    """exp(log B01), refused by name where B01 lies above the largest double."""
-    try:
+    """exp(log B01); past the largest double, refused by name as e^r 2^k, k = floor(log B01 / log 2)."""
+    if log_bf <= math.log(sys.float_info.max) or not math.isfinite(log_bf):  # where exp answers
         return math.exp(log_bf)
-    except OverflowError:
-        raise ValueError(f"B01 lies above the largest double: log B01 = {log_bf:.6g}") from None
+    k, r = divmod(log_bf, math.log(2.0))  # k >= 1024 and r >= 0: e^r 2^k lies past 2^1024
+    return _finite((math.exp(r), int(k)), "B01", "t", "tau", "sigma", "n")
 
 
-def _finite(x: tuple, what: str) -> float:
-    """x = (m, e) as a double, refused by what it is, with its size, beyond the doubles."""
+def _finite(x: tuple, quantity: str, *operands: str) -> float:
+    """x = (m, e) as a double; beyond them, refused by quantity, the fields it comes from, and its size."""
     if math.isinf(value := _ldexp(*x)):
         size = math.log10(abs(x[0])) + x[1] * math.log10(2.0)
-        raise ValueError(f"{what} lies beyond the largest double, at 10^{size:.6g}")
+        fields = " and ".join(filter(None, (", ".join(operands[:-1]), operands[-1])))
+        raise ValueError(f"{quantity} from {fields} lies beyond the largest double, at 10^{size:.6g}")
     return value
 
 
@@ -288,6 +289,6 @@ def evaluate_test(
     """Both verdicts on one problem under a conjugate-normal alternative."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    t = _finite(_over_sem(problem.xbar, problem.theta0, problem), "t from --xbar, --theta0, --sigma and --n")
+    t = _finite(_over_sem(problem.xbar, problem.theta0, problem), "t", "xbar", "theta0", "sigma", "n")
     bf01 = bayes_factor_conjugate(problem, prior)
     return TestReport(t, p_value(t), bf01, posterior_prob_null(bf01, weights), alpha)

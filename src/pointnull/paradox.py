@@ -37,9 +37,6 @@ _LOG_SLACK = 1e-12
 # Largest crossing reported: every integer up to 2^53 is exact as a double.
 _MAX_EXACT_N = 2**53
 
-# The flags a sweep's centre t, and so each replicate's t, comes from: a refusal names them.
-_FLAGS = "--theta-true, --theta0, --sigma and --n-grid"
-
 
 class UnreachableTargetError(RuntimeError):
     """The required Bayes factor never rises to the requested target."""
@@ -198,7 +195,8 @@ class ConsistencyRun(Record):
         with np.errstate(over="ignore", invalid="ignore"):
             for i, n in enumerate(self.n_grid):
                 centre = NormalProblem(self.theta0, self.sigma, n, self.theta_true)
-                c = _finite(_over_sem(self.theta_true, self.theta0, centre), f"t from {_FLAGS}")
+                exact = _over_sem(self.theta_true, self.theta0, centre)
+                c = _finite(exact, "t", "theta_true", "theta0", "sigma", "n_grid")
                 t = RngStream(self.seed, stream_id=i).normals(self.replications)
                 t += c
                 summaries.append(summarise(n, t))
@@ -254,7 +252,8 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
         if median_log_bf == -math.inf:  # -n t^2 / (2(1 + n)), on the largest middle t's mantissa
             e = _frexp(float(middle[-1]))[1]
             q = float((_ldexp(middle, -e) ** 2).mean()) / (2.0 + 2.0 / n)
-            median_log_bf = _finite((-q, 2 * e), f"median log B01 at n={n} from {_FLAGS}")
+            quantity = f"median log B01 at n={n}"
+            median_log_bf = _finite((-q, 2 * e), quantity, "theta_true", "theta0", "sigma", "n_grid")
         collapsed = (a.size - int(a.searchsorted(_collapse_threshold(n)))) / a.size
         # the division rounds monotonically, so x stays sorted
         x = a

@@ -28,9 +28,6 @@ __all__ = _EXPORTS["scores"]
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# The flags that t, and so t^2 and each penalty, come from: a refusal names them.
-_T_FLAGS = "--t or --xbar, --theta0, --sigma"
-
 
 class ScoreReport(Record):
     """Two penalties under one rule, and the selection their difference makes.
@@ -97,7 +94,7 @@ def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
     # t^2 = n ((xbar - theta0) / sigma)^2, not a rounded t squared: t^2 = 2 stays exact
     half_t2 = _ldexp(0.5 * t2m / wm, t2e - we)
     if math.isinf(half_t2):  # t^2 / (2 w) leaves the doubles only where t^2 does
-        _finite((t2m, t2e), f"t^2 from {_T_FLAGS} and --n")
+        _finite((t2m, t2e), "t^2", "t")
     # log(sem^2 w) from a mantissa in [sqrt(1/2), sqrt(2)), which keeps its digits near 1
     (ms, es), (mn, en) = _frexp(problem.sigma), _frexp(problem.n)
     m, e = _frexp(ms * ms * wm / mn)
@@ -131,8 +128,8 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     """
     from ._hyvarinen import _hyvarinen_scores
 
-    d, where = _difference(problem.xbar, problem.theta0), f"from {_T_FLAGS}"
-    s0, s1 = _hyvarinen_scores(problem, prior, d, f"{where} and --n", f"{where}, --n and the prior's tau")
+    d = _difference(problem.xbar, problem.theta0)
+    s0, s1 = _hyvarinen_scores(problem, prior, d, "", "t", "tau", "sigma", "n")
     return ScoreReport("hyvarinen", s0, s1)
 
 
@@ -165,7 +162,7 @@ def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
     (tm, te), _, (cm, ce) = _shrinkage(problem, prior)
     mean = _ldexp(m := tm * cm, e := te + ce)
     if math.isinf(score := 0.5 * _ldexp(cm, ce) + 0.5 * mean * mean):  # c^2 <= 1: inf only where mean^2 is
-        _finite((0.5 * m * m, 2 * e), f"sprenger-kl score s0 from {_T_FLAGS}, --n and the prior's tau")
+        _finite((0.5 * m * m, 2 * e), "sprenger-kl score s0", "t", "tau", "sigma", "n")
     return score
 
 

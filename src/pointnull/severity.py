@@ -58,7 +58,7 @@ def warranted_discrepancy(problem: NormalProblem, level: float) -> float:
     # xbar - theta0 or z * sem can overflow where gamma does not; scaling every
     # operand by 2^-6 keeps each term in range, as |z| <= 38, and loses nothing at that scale
     scaled = (problem.xbar / 64.0 - problem.theta0 / 64.0) - z * (problem.sem / 64.0)
-    return _finite((scaled, 6), "warranted gamma from --xbar, --theta0, --sigma, --n and --level")
+    return _finite((scaled, 6), "warranted gamma", "xbar", "theta0", "sigma", "n", "level")
 
 
 def severity_curve(
@@ -66,7 +66,7 @@ def severity_curve(
 ) -> SeverityCurve:
     """Severity at each theta1 of an ascending grid, plus the warranted gamma at level."""
     gamma = warranted_discrepancy(problem, level)
-    _finite(_difference(problem.theta0, -gamma), "warranted theta1 from --xbar, --sigma, --n and --level")
+    _finite(_difference(problem.theta0, -gamma), "warranted theta1", "xbar", "sigma", "n", "level")
     thetas = [float(th) for th in grid]
     if not thetas:
         raise ValueError("grid must be non-empty")

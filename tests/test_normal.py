@@ -18,6 +18,7 @@ from pointnull.normal import (
     AlternativePrior,
     HypothesisWeights,
     NormalProblem,
+    _bf,
     bayes_factor_conjugate,
     bayes_factor_lindley,
     evaluate_test,
@@ -31,6 +32,8 @@ from pointnull.normal import (
 )
 from pointnull.numerics import p_value
 from pointnull.scores import conjugate_posterior, log_score_compare, sprenger_kl_score
+
+BEYOND = "lies beyond the largest double, at 10^"
 
 
 def random_problem(rng):
@@ -75,7 +78,7 @@ class TestNormalProblem:
         with mpmath.workprec(200):
             want = mpmath.mpf(theta0) + mpmath.mpf(t) * mpmath.mpf(sigma) / mpmath.sqrt(n)
         if abs(want) > sys.float_info.max:
-            with pytest.raises(ValueError, match=r"^xbar from --theta0, --t, --sigma and --n lies beyond"):
+            with pytest.raises(ValueError, match=r"^xbar from theta0, t, sigma and n lies beyond"):
                 NormalProblem.from_t(t, n, theta0=theta0, sigma=sigma)
         else:
             xbar = NormalProblem.from_t(t, n, theta0=theta0, sigma=sigma).xbar
@@ -355,8 +358,29 @@ class TestBayesFactorConjugate:
         problem = NormalProblem.from_t(1.96, 10_000)
         prior = AlternativePrior.conjugate(1e308)
         assert 709.8 < log_bayes_factor_conjugate(problem, prior) < 712.0
-        with pytest.raises(ValueError, match=r"^B01 lies above the largest double: log B01 = 711\.88"):
+        with pytest.raises(ValueError) as refusal:
             bf(problem, prior)
+        assert str(refusal.value) == f"B01 from t, tau, sigma and n {BEYOND}309.166"
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.floats(-1e4, 1e4), st.integers(-1000, 1000)))
+    def test_factor_is_exp_and_refused_where_exp_overflows(self, x):
+        # B01 is math.exp(log B01) bit for bit, and refused exactly where exp
+        # overflows, at its size log B01 / ln 10; an integer steps that many
+        # doubles from log of the largest double
+        if isinstance(x, int):
+            steps, x = x, math.log(sys.float_info.max)
+            for _ in range(abs(steps)):
+                x = math.nextafter(x, math.copysign(math.inf, steps))
+        try:
+            want = math.exp(x)
+        except OverflowError:
+            with pytest.raises(ValueError) as refusal:
+                _bf(x)
+            size = f"{x / math.log(10.0):.6g}"
+            assert str(refusal.value) == f"B01 from t, tau, sigma and n {BEYOND}{size}"
+        else:
+            assert _bf(x).hex() == want.hex()
 
 
 class TestSavageDickey:

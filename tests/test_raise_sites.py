@@ -8,10 +8,14 @@ a site is its witness. Answers are replayed as well as refusals, since a
 refusal caught inside a handler (binomial's bf_laplace) prints in an
 answer's provenance. A new raise fails here until a golden case reaches it
 or it is listed below with its reason. The replay takes under a second.
+Only the command line knows its flags: a library module's refusal names the
+record fields its value comes from, and no string outside cli, _usage and
+the handlers under commands/ spells a flag.
 """
 
 import ast
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -182,3 +186,12 @@ def test_every_raise_site_has_a_witness_or_a_listed_reason(witnesses):
 def test_listed_sites_exist_and_no_golden_case_reaches_them(witnesses):
     assert sorted(LIBRARY_ONLY.keys() - set(SITES.values())) == []
     assert {site: witnesses[site] for site in LIBRARY_ONLY.keys() & witnesses.keys()} == {}
+
+
+def test_only_the_command_line_spells_a_flag():
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("cli.py", "_usage.py") or path.parent.name == "commands":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert [text for text in strings if re.search(r"--[a-z]", text)] == [], path.name

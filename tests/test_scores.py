@@ -276,7 +276,7 @@ class TestHyvarinenCompare:
             assert -2 / mpmath.mpf(sigma) ** 2 < -sys.float_info.max
             size = float(mpmath.log10(2 / mpmath.mpf(sigma) ** 2))
         want = (
-            "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n "
+            "hyvarinen penalty s0 from t, sigma and n "
             f"lies beyond the largest double, at 10^{size:.6g}"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
@@ -380,7 +380,7 @@ def cli_argv(rule, problem, prior):
 
 
 BEYOND = re.compile(
-    r"(.+) from --t or --xbar, --theta0, --sigma.* lies beyond the largest double, at 10\^(.+)"
+    r"(.+) from t(?:|, sigma and n|, tau, sigma and n) lies beyond the largest double, at 10\^(.+)"
 )
 
 
@@ -566,7 +566,7 @@ class TestScoreReport:
     def test_overflowing_penalties_are_refused_by_compare(self):
         # d^2/v^2 overflows under both predictives; the first is named
         p = NormalProblem(theta0=0.0, sigma=1e-50, n=4, xbar=1e100)
-        want = "hyvarinen penalty s0 from --t or --xbar, --theta0, --sigma and --n lies beyond"
+        want = "hyvarinen penalty s0 from t, sigma and n lies beyond"
         with pytest.raises(ValueError, match=f"^{re.escape(want)} the largest double, at 10\\^401.204$"):
             hyvarinen_compare(p, AlternativePrior.conjugate(1e-50))
 

@@ -236,7 +236,7 @@ class TestWarrantedDiscrepancy:
         size = f"{float(mpmath.log10(abs(want))):.6g}"
         assert size == "308.9"
         message = (
-            "warranted gamma from --xbar, --theta0, --sigma, --n and --level "
+            "warranted gamma from xbar, theta0, sigma, n and level "
             f"lies beyond the largest double, at 10^{size}"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -107,27 +107,27 @@ SOURCE_LINES = {
     ("report", "json"): 850,
     ("report", "csv"): 869,
     ("report", "table"): 869,
-    ("paradox", "json"): 1159,
-    ("paradox", "csv"): 1178,
-    ("paradox", "table"): 1178,
-    ("severity", "json"): 964,
-    ("severity", "csv"): 983,
-    ("severity", "table"): 983,
-    ("binomial", "json"): 717,
-    ("binomial", "csv"): 736,
-    ("binomial", "table"): 736,
-    ("score", "json"): 1150,
-    ("score", "csv"): 1169,
-    ("score", "table"): 1169,
-    ("score-log", "json"): 1057,
-    ("score-log", "csv"): 1076,
-    ("score-log", "table"): 1076,
-    ("paper-check", "json"): 1549,
-    ("paper-check", "csv"): 1568,
-    ("paper-check", "table"): 1568,
-    ("simulate-uniformity", "csv"): 1378,
-    ("simulate-consistency", "csv"): 1378,
-    ("simulate-score-consistency", "csv"): 1510,
+    ("paradox", "json"): 1158,
+    ("paradox", "csv"): 1177,
+    ("paradox", "table"): 1177,
+    ("severity", "json"): 963,
+    ("severity", "csv"): 982,
+    ("severity", "table"): 982,
+    ("binomial", "json"): 716,
+    ("binomial", "csv"): 735,
+    ("binomial", "table"): 735,
+    ("score", "json"): 1149,
+    ("score", "csv"): 1168,
+    ("score", "table"): 1168,
+    ("score-log", "json"): 1054,
+    ("score-log", "csv"): 1073,
+    ("score-log", "table"): 1073,
+    ("paper-check", "json"): 1541,
+    ("paper-check", "csv"): 1560,
+    ("paper-check", "table"): 1560,
+    ("simulate-uniformity", "csv"): 1377,
+    ("simulate-consistency", "csv"): 1377,
+    ("simulate-score-consistency", "csv"): 1508,
 }
 
 

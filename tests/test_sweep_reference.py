@@ -52,8 +52,8 @@ ABOVE_CHUNK = (1 << 16) + 5
 
 
 BEYOND = "lies beyond the largest double, at 10^"
-# the flags a sweep's centre t, and so every replicate's t, comes from
-FLAGS = "--theta-true, --theta0, --sigma and --n-grid"
+# the fields a sweep's centre t, and so every replicate's t, comes from
+FIELDS = "theta_true, theta0, sigma and n_grid"
 
 
 def beyond(what, exact):
@@ -68,7 +68,7 @@ def centre_t(run, n):
     if math.isinf(t):
         with mpmath.workprec(300):
             exact = (mpmath.mpf(run.theta_true) - run.theta0) * mpmath.sqrt(n) / run.sigma
-        raise beyond(f"t from {FLAGS}", exact)
+        raise beyond(f"t from {FIELDS}", exact)
     return t
 
 
@@ -92,7 +92,7 @@ def reference_consistency(run, alpha=0.05):
                 a = sorted(abs(mpmath.mpf(t)) for t in ts)
                 middle = a[(len(a) - 1) // 2 : len(a) // 2 + 1]
                 exact = mpmath.log1p(n) / 2 - n * sum(x * x for x in middle) / len(middle) / (2 * (1 + n))
-                raise beyond(f"median log B01 at n={n} from {FLAGS}", exact)
+                raise beyond(f"median log B01 at n={n} from {FIELDS}", exact)
         below = log_bfs < log_tol
         summaries.append(
             ConsistencySummary(
@@ -129,9 +129,9 @@ def reference_score_consistency(run, prior):
             s0, s1 = _ldexp(*p0), _ldexp(*p1)
             diff = s0 - s1
             if math.isnan(diff) or (s0 == s1 and differ):
-                where = f"of replicate {j + 1} at n={n} from --theta-true, --theta0, --sigma"
-                _finite(p0, f"hyvarinen penalty s0 {where} and --n-grid")
-                _finite(p1, f"hyvarinen penalty s1 {where}, --n-grid and --tau")
+                at = f"of replicate {j + 1} at n={n}"
+                _finite(p0, f"hyvarinen penalty s0 {at}", "theta_true", "theta0", "sigma", "n_grid")
+                _finite(p1, f"hyvarinen penalty s1 {at}", "theta_true", "theta0", "tau", "sigma", "n_grid")
                 raise ValueError(
                     f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
                     "their exact values differ"
@@ -345,8 +345,8 @@ def test_first_refused_replicate_is_the_one_named(seed, sign):
         size = float(mpmath.log10(abs(s0)))
     assert first > 0 and mpmath.sign(s0) == sign
     assert got[1] == (
-        f"hyvarinen penalty s0 of replicate {first + 1} at n=1 from --theta-true, --theta0, "
-        f"--sigma and --n-grid lies beyond the largest double, at 10^{size:.6g}"
+        f"hyvarinen penalty s0 of replicate {first + 1} at n=1 from {FIELDS} "
+        f"lies beyond the largest double, at 10^{size:.6g}"
     )
 
 
@@ -386,15 +386,14 @@ def test_failure_runs_reach_every_error():
                 errors.add(got)
     assert errors == {
         # theta_true - theta0 = 2e308: the centre's t, refused before any draw
-        (ValueError, f"t from {FLAGS} {BEYOND}308.301"),
+        (ValueError, f"t from {FIELDS} {BEYOND}308.301"),
         # centre t 1.8e298 and 1e160: the median log B01, n t^2 / 4 at n = 1
-        (ValueError, f"median log B01 at n=1 from {FLAGS} {BEYOND}595.908"),
-        (ValueError, f"median log B01 at n=1 from {FLAGS} {BEYOND}319.398"),
+        (ValueError, f"median log B01 at n=1 from {FIELDS} {BEYOND}595.908"),
+        (ValueError, f"median log B01 at n=1 from {FIELDS} {BEYOND}319.398"),
         # centre t 1.8e298: against tau = 1 both penalties overflow
         (
             ValueError,
-            "hyvarinen penalty s0 of replicate 1 at n=1 from --theta-true, --theta0, --sigma "
-            f"and --n-grid {BEYOND}576.51",
+            f"hyvarinen penalty s0 of replicate 1 at n=1 from {FIELDS} {BEYOND}576.51",
         ),
         # n/sigma^2 underflows: against the flat prior the null's penalty ties 0 by underflow
         *(

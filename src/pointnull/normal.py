@@ -132,11 +132,12 @@ class TestReport(Record):
 
 
 # The exact-scaling layer: a number as (m, e), worth m * 2**e, where a step may leave the doubles;
-# _ldexp rounds one back, +-inf past the largest. Each takes a float or, elementwise, a numpy array.
+# _ldexp rounds one back, +-inf past the largest. Each takes floats; _ldexp also, elementwise,
+# numpy arrays, as the consistency sweep's median refusal hands it.
 
 
-def _frexp(x) -> tuple:
-    return sys.modules["numpy"].frexp(x) if getattr(x, "ndim", 0) else math.frexp(x)
+def _frexp(x: float) -> tuple:
+    return math.frexp(x)
 
 
 def _ldexp(m, e):
@@ -148,13 +149,9 @@ def _ldexp(m, e):
         return math.copysign(math.inf, m)
 
 
-def _difference(a, b: float) -> tuple:
+def _difference(a: float, b: float) -> tuple:
     """a - b as (m, e); where it overflows, from the halves of a and b, exact at 2^970 and up."""
-    d = a - b
-    half = abs(d) == math.inf
-    if getattr(d, "ndim", 0):
-        d[half] = 0.5 * a[half] - 0.5 * b
-    elif half:
+    if half := math.isinf(d := a - b):
         d = 0.5 * a - 0.5 * b
     m, e = _frexp(d)
     return m, e + half

@@ -128,8 +128,7 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
     """
     from ._hyvarinen import _hyvarinen_scores
 
-    d = _difference(problem.xbar, problem.theta0)
-    s0, s1 = _hyvarinen_scores(problem, prior, d, "", "t", "tau", "sigma", "n")
+    s0, s1 = _hyvarinen_scores(problem, prior, _difference(problem.xbar, problem.theta0))
     return ScoreReport("hyvarinen", s0, s1)
 
 
@@ -189,11 +188,11 @@ class ScoreSelectionSummary(Record):
 def score_consistency_sim(run, prior: AlternativePrior) -> list[ScoreSelectionSummary]:
     """Hyvarinen-score selection rates across a seeded simulation sweep.
 
-    Draws through run.sweep(), as the Bayes-factor consistency sweep does,
-    so the two see the same t for the same run. Under the null with the flat
-    alternative the null-selection rate sits on the intrinsic plateau
-    P(chi-square_1 < 2) = 0.8427: the |t| = sqrt(2) boundary does not
-    sharpen with n. Off the null the alternative takes over completely.
+    Draws through run.sweep(), as the Bayes-factor consistency sweep does, so the two see
+    the same t for the same run. A replicate selects H1 where 2 (t^2 - 1) + r^2 (t^2 - 2) > 0,
+    r = tau/sem, or t^2 > 2 against the flat prior, so on the null the null-selection rate
+    sits on the plateau P(t^2 < 2w/(1 + w)), w = 1 + r^2: from P(chi-square_1 < 1) = 0.6827
+    as r -> 0 to the flat prior's P(chi-square_1 < 2) = 0.8427. Off the null H1 takes over.
     """
     from ._hyvarinen import _selection_summary
 

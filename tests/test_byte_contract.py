@@ -5,12 +5,12 @@ simulate's bytes depend on numpy's Philox bit generator and
 Generator.standard_normal, and on the sweeps using only numpy operations that
 are correctly rounded (a SIMD build of a transcendental may round by CPU).
 The golden corpus would catch either change, but only as a diff of bytes.
-The sweeps also rest on the exact-scaling layer giving each element of an
-array the double it gives that element as one float.
+The consistency sweep's median refusal also rests on the exact-scaling
+layer's _ldexp giving each element of an array the double it gives that
+element as one float.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pointnull
-from pointnull._hyvarinen import _product
-from pointnull.normal import NormalProblem, _difference, _frexp, _ldexp, _over_sem
+from pointnull.normal import _ldexp
 from pointnull.numerics import RngStream
-from pointnull.scores import _square_over_sem2
 
 # The first draws of three (seed, stream_id) keys: the uniformity check's
 # default stream, a consistency sweep's second grid point, and the largest seed.
@@ -32,11 +30,11 @@ FIRST_DRAWS = {
 }
 
 # numpy attributes the library may use: array construction, indexing and
-# counting, elementwise + - * / comparisons, sorting, and frexp/ldexp, all
-# exact or correctly rounded; the random ones are the stream pinned above.
+# counting, elementwise + - * / comparisons, sorting, and ldexp, all exact
+# or correctly rounded; the random ones are the stream pinned above.
 CORRECTLY_ROUNDED = {
     "abs", "append", "arange", "broadcast_arrays", "count_nonzero", "diff", "empty",
-    "errstate", "flatnonzero", "frexp", "fromiter", "isinf", "isnan", "ldexp", "maximum",
+    "errstate", "flatnonzero", "fromiter", "isinf", "ldexp", "maximum",
     "ndarray", "r_", "sort", "subtract",
     "random.SeedSequence", "random.Philox", "random.Generator",
 }
@@ -109,8 +107,8 @@ def test_library_uses_only_correctly_rounded_numpy():
 
 
 # The exact-scaling layer of pointnull.normal: the only functions that may name
-# frexp or ldexp, so that every number reaches (m, e) and comes back through one
-# dispatch between math's functions on a float and numpy's on an array.
+# frexp or ldexp, so that every number reaches (m, e) and comes back through
+# them, and an array only through _ldexp's dispatch to numpy.
 SCALING_LAYER = {"_frexp", "_ldexp"}
 SCALING_NAMES = {"frexp", "ldexp"}
 
@@ -136,24 +134,12 @@ def test_only_the_scaling_layer_names_frexp_or_ldexp():
             found += [f"{path.name}:{line}" for line in scaling_lines(node)]
     assert not found, (
         f"frexp or ldexp named outside pointnull.normal's scaling layer at {found}; "
-        "carry exponents through _frexp and _ldexp, which take a float or an array alike"
+        "carry exponents through _frexp and _ldexp"
     )
     assert layer == SCALING_LAYER, "the layer's functions moved: update SCALING_LAYER"
 
 
-# Doubles from the least subnormal to the largest, and sizes past 2^1000,
-# where a difference of opposite signs overflows and takes the halved path.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-HUGE = st.floats(min_value=2.0**1000, max_value=sys.float_info.max)
-OPERANDS = st.one_of(FINITE, HUGE, HUGE.map(lambda x: -x))
-PAIRS = st.one_of(st.tuples(OPERANDS, OPERANDS), st.tuples(HUGE, HUGE.map(lambda x: -x)))
-SCALE = st.builds(
-    NormalProblem,
-    theta0=st.just(0.0),
-    sigma=st.floats(min_value=5e-324, max_value=sys.float_info.max),
-    n=st.integers(1, 2**1023),
-    xbar=st.just(0.0),
-)
 EXAMPLES = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
@@ -162,29 +148,12 @@ def one_element(x):
 
 
 def assert_same_doubles(on_float, on_array):
-    """Each part of a layer result on floats is, as a double, the one element
-    of that part on one-element arrays."""
-    parts = on_float if isinstance(on_float, tuple) else (on_float,)
-    array_parts = on_array if isinstance(on_array, tuple) else (on_array,)
-    got = [float(np.asarray(part).reshape(-1)[0]).hex() for part in array_parts]
-    assert got == [float(part).hex() for part in parts]
+    """A layer result on floats is, as a double, the one element of its
+    result on one-element arrays."""
+    assert float(np.asarray(on_array).reshape(-1)[0]).hex() == float(on_float).hex()
 
 
-def layer_on_both(layer, *args, arrays=(0,)):
-    """layer on args, then on args with those at the positions in arrays made
-    one-element arrays, as the Hyvarinen sweep calls it."""
-    with np.errstate(all="ignore"):
-        wrapped = [one_element(a) if i in arrays else a for i, a in enumerate(args)]
-        assert_same_doubles(layer(*args), layer(*wrapped))
-
-
-@EXAMPLES
-@given(FINITE)
-def test_frexp_agrees_on_a_float_and_an_array(x):
-    layer_on_both(_frexp, x)
-
-
-# which of two arguments the Hyvarinen sweep passes as arrays
+# which of _ldexp's two arguments are one-element arrays
 EITHER_OR_BOTH = st.sampled_from([(0,), (1,), (0, 1)])
 
 
@@ -192,30 +161,6 @@ EITHER_OR_BOTH = st.sampled_from([(0,), (1,), (0, 1)])
 @given(FINITE, st.integers(-2200, 2200), EITHER_OR_BOTH)
 def test_ldexp_agrees_on_a_float_and_an_array(m, e, arrays):
     # past the largest double, math's OverflowError becomes numpy's inf
-    layer_on_both(_ldexp, m, e, arrays=arrays)
-
-
-@EXAMPLES
-@given(PAIRS)
-def test_difference_agrees_on_a_float_and_an_array(pair):
-    layer_on_both(_difference, *pair)
-
-
-@EXAMPLES
-@given(FINITE, FINITE, EITHER_OR_BOTH)
-def test_product_agrees_on_a_float_and_an_array(a, b, arrays):
-    layer_on_both(_product, a, b, arrays=arrays)
-
-
-@EXAMPLES
-@given(PAIRS, SCALE)
-def test_over_sem_agrees_on_a_float_and_an_array(pair, problem):
-    layer_on_both(_over_sem, *pair, problem)
-
-
-@EXAMPLES
-@given(FINITE, SCALE)
-def test_square_over_sem2_agrees_on_a_float_and_an_array(x, problem):
     with np.errstate(all="ignore"):
-        on_array = _square_over_sem2(_frexp(one_element(x)), problem)
-    assert_same_doubles(_square_over_sem2(_frexp(x), problem), on_array)
+        wrapped = [one_element(a) if i in arrays else a for i, a in enumerate((m, e))]
+        assert_same_doubles(_ldexp(m, e), _ldexp(*wrapped))

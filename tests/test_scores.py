@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointnull import cli
-from pointnull._hyvarinen import _hyvarinen_penalties
-from pointnull.normal import AlternativePrior, NormalProblem, _difference, bayes_factor_conjugate
+from pointnull._hyvarinen import _selection_summary
+from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate
 from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
@@ -31,8 +31,9 @@ from pointnull.scores import (
 
 # mpmath oracle (dps 40): 25*(1/26 + (12.5/13)^2)/2
 SPRENGER_25 = 3.370007396449704142
-# 1 - p_value(sqrt(2)) = P(chi-square_1 < 2), mpmath erfc oracle
+# 1 - p_value(sqrt(2)) = P(chi-square_1 < 2) and 1 - p_value(1), mpmath erfc oracle
 CHI2_BELOW_2 = 0.84270079294971487
+CHI2_BELOW_1 = 0.68268949213708590
 # relative bound on the Sprenger KL score against kl_by_quad; the cases
 # below reach 2e-16
 TOL_QUAD = 1e-14
@@ -422,27 +423,36 @@ def test_compares_match_mpmath_at_every_scale(case):
             assert abs(got - w) <= 1e-15 * scale + 2.0**-1074, (rule, name, got, float(w))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SELECTIONS = {"H0": (1.0, 0.0, 0.0), "H1": (0.0, 1.0, 0.0), "tie": (0.0, 0.0, 1.0)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    scored_problems(),
+    st.integers(-600, 600),
+    st.integers(0, 300),
+    st.one_of(st.none(), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
     st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
 )
-def test_sweep_arithmetic_is_the_compare_elementwise(case, ts):
-    # score_consistency_sim scores an array of differences xbar - theta0 with
-    # the same + - * / as hyvarinen_compare, so each element is the double the
-    # compare's kernel gives
-    problem, prior = case
-    xbars = [problem.theta0 + t * problem.sem for t in ts] + [problem.xbar]
-    xbars = [x for x in xbars if math.isfinite(x)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _difference(np.array(xbars), problem.theta0)
-        (m0, e0), (m1, e1), differ = _hyvarinen_penalties(problem, prior, d)
-        parts = np.broadcast_arrays(m0, e0, m1, e1, differ)
-    for i, x in enumerate(xbars):
-        (w0, f0), (w1, f1), want_differ = _hyvarinen_penalties(problem, prior, _difference(x, problem.theta0))
-        # each (m, e) pair, and so the double it rounds to, and whether the exact values differ
-        assert [float(part[i]).hex() for part in parts[:4]] == [float(v).hex() for v in (w0, f0, w1, f1)]
-        assert bool(parts[4][i]) == bool(want_differ)
+def test_sweep_selects_as_the_compare_wherever_its_diff_clears_rounding(k, j, tau, ts):
+    # at sigma = 2^k and n = 4^j, sem = 2^(k - j) exactly, so xbar = t sem hands
+    # hyvarinen_compare the sweep's t. The compare's diff carries its penalties'
+    # rounding, far below 2^-40 of their largest term, n/sigma^2 (t^2 + 2);
+    # wherever the diff clears that, the sweep's exact sign selects as it does
+    sigma, n = math.ldexp(1.0, k), 4**j
+    prior = AlternativePrior.flat() if tau is None else AlternativePrior.conjugate(tau)
+    run = ConsistencyRun(0.0, 0.0, sigma, (n,), 1, 0)
+    for t in ts:
+        if math.ldexp(xbar := math.ldexp(t, k - j), j - k) != t:
+            continue  # t sem is no double
+        try:
+            report = hyvarinen_compare(NormalProblem(0.0, sigma, n, xbar), prior)
+        except ValueError:
+            continue  # a penalty beyond the doubles, or a tie only underflow made
+        if abs(report.diff) <= mpmath.ldexp(mpmath.mpf(t) ** 2 + 2, 2 * (j - k) - 40):
+            continue
+        summary = _selection_summary(run, prior, n, np.array([t]))
+        rates = (summary.select_null_rate, summary.select_alt_rate, summary.tie_rate)
+        assert rates == SELECTIONS[report.selection], (t, report)
 
 
 @pytest.mark.parametrize(
@@ -467,8 +477,8 @@ def test_penalties_once_refused_for_a_variance_match_mpmath(argv):
 
 
 def test_sweep_once_refused_for_a_variance_selects_as_mpmath():
-    # sigma^2/n = 2.5e-401 underflowed; n/sigma^2 now takes the penalties to
-    # +-inf, whose signs still select: the null exactly where t^2 < 2
+    # sigma^2/n = 2.5e-401 underflowed; n/sigma^2 takes the penalties to
+    # +-inf, which the sweep never forms: it selects the null exactly where t^2 < 2
     run = ConsistencyRun(
         theta_true=0.0, theta0=0.0, sigma=1e-200, n_grid=(4,), replications=10, seed=42
     )
@@ -582,6 +592,17 @@ class TestScoreConsistencySim:
             assert abs(s.select_null_rate - CHI2_BELOW_2) < 0.02
             assert s.tie_rate == 0.0
             assert s.select_null_rate + s.select_alt_rate + s.tie_rate == 1.0
+
+    @pytest.mark.parametrize("tau, plateau", [(1e-200, CHI2_BELOW_1), (1e200, CHI2_BELOW_2)])
+    def test_conjugate_null_plateau_runs_from_chi_square_below_1_to_2(self, tau, plateau):
+        # the null selects where t^2 < 2w/(1 + w), w = 1 + r^2: at r -> 0 that
+        # is t^2 < 1, and at r -> inf the flat prior's t^2 < 2
+        run = ConsistencyRun(
+            theta_true=0.0, theta0=0.0, sigma=1.0, n_grid=(10, 1000), replications=2000, seed=42
+        )
+        for s in score_consistency_sim(run, AlternativePrior.conjugate(tau)):
+            assert abs(s.select_null_rate - plateau) < 0.02
+            assert s.tie_rate == 0.0
 
     def test_alternative_regime_selects_alternative(self):
         run = ConsistencyRun(

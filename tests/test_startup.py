@@ -104,30 +104,30 @@ FORMATS = ("json", "csv", "table")
 # in every format, the sweeps in their default csv. A budget is the measured
 # count; it is lowered as code leaves a call, never raised.
 SOURCE_LINES = {
-    ("report", "json"): 850,
-    ("report", "csv"): 869,
-    ("report", "table"): 869,
-    ("paradox", "json"): 1158,
-    ("paradox", "csv"): 1177,
-    ("paradox", "table"): 1177,
-    ("severity", "json"): 963,
-    ("severity", "csv"): 982,
-    ("severity", "table"): 982,
+    ("report", "json"): 847,
+    ("report", "csv"): 866,
+    ("report", "table"): 866,
+    ("paradox", "json"): 1155,
+    ("paradox", "csv"): 1174,
+    ("paradox", "table"): 1174,
+    ("severity", "json"): 960,
+    ("severity", "csv"): 979,
+    ("severity", "table"): 979,
     ("binomial", "json"): 716,
     ("binomial", "csv"): 735,
     ("binomial", "table"): 735,
-    ("score", "json"): 1149,
-    ("score", "csv"): 1168,
-    ("score", "table"): 1168,
-    ("score-log", "json"): 1054,
-    ("score-log", "csv"): 1073,
-    ("score-log", "table"): 1073,
-    ("paper-check", "json"): 1541,
-    ("paper-check", "csv"): 1560,
-    ("paper-check", "table"): 1560,
-    ("simulate-uniformity", "csv"): 1377,
-    ("simulate-consistency", "csv"): 1377,
-    ("simulate-score-consistency", "csv"): 1508,
+    ("score", "json"): 1144,
+    ("score", "csv"): 1163,
+    ("score", "table"): 1163,
+    ("score-log", "json"): 1050,
+    ("score-log", "csv"): 1069,
+    ("score-log", "table"): 1069,
+    ("paper-check", "json"): 1537,
+    ("paper-check", "csv"): 1556,
+    ("paper-check", "table"): 1556,
+    ("simulate-uniformity", "csv"): 1374,
+    ("simulate-consistency", "csv"): 1374,
+    ("simulate-score-consistency", "csv"): 1503,
 }
 
 

@@ -7,7 +7,8 @@ once did, on the t the driver hands every sweep: t = z + c, c the grid
 point's centre t, the t statistic of a sample whose mean is theta_true. The
 arithmetic is the same, so the summaries must be equal to the last bit
 (compared through repr) and every failure must raise the same exception type
-with the same message; a size beyond the doubles is mpmath's.
+with the same message; a size beyond the doubles is mpmath's. The score
+sweep's reference selects each replicate by mpmath's exact sign of s0 - s1.
 
 The p-value sweeps call math.erfc only where a p-value can change an output
 and decide the rest from |t|, trusting erfc to fall with its argument up to
@@ -18,6 +19,7 @@ it is tight: erfc's own one-ulp rises, the alpha and 1e-6 thresholds, and
 ties.
 """
 
+import functools
 import math
 import sys
 import warnings
@@ -29,15 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ks_reference import uniform_ks_distance
 
 from pointnull import _order_stats, paradox
-from pointnull._hyvarinen import _hyvarinen_penalties
-from pointnull.normal import (
-    AlternativePrior,
-    NormalProblem,
-    _finite,
-    _ldexp,
-    log_bayes_factor_lindley,
-    t_statistic,
-)
+from pointnull.normal import AlternativePrior, NormalProblem, log_bayes_factor_lindley, t_statistic
 from pointnull.numerics import RngStream, p_value
 from pointnull.paradox import (
     ConsistencyRun,
@@ -107,40 +101,43 @@ def reference_consistency(run, alpha=0.05):
     return summaries
 
 
-def difference_of(t, problem):
-    """xbar - theta0 = t sem as (m, e), rounded on mantissas, as the score
-    sweep forms it from t: no mean is formed."""
-    (mt, et), (ms, es) = math.frexp(t), math.frexp(problem.sigma)
-    m, e = math.frexp(mt * ms / math.sqrt(problem.n))
-    return m, e + et + es
+def exact(x):
+    """A float, an int or an mpf as an mpf, exactly, whatever the working precision."""
+    if isinstance(x, int):
+        return mpmath.mpf(mpmath.libmp.from_man_exp(x, 0))
+    return x if isinstance(x, mpmath.mpf) else mpmath.mpf(x)
+
+
+def exact_sum(*xs):
+    return functools.reduce(lambda a, b: mpmath.fadd(a, b, exact=True), map(exact, xs))
+
+
+def exact_product(*xs):
+    return functools.reduce(lambda a, b: mpmath.fmul(a, b, exact=True), map(exact, xs))
+
+
+def exact_selection(t, n, sigma, prior):
+    """mpmath's exact sign of the Hyvarinen difference s0 - s1 at the double t:
+    -1 selects the null, 0 ties. With V0 = sigma^2/n, V1 = V0 + tau^2 and
+    d = t sem, each penalty is -2/V + d^2/V^2, so s0 - s1 is
+    n (t^2 - 2)/S + n (2 U - t^2 S)/U^2 with S = sigma^2 and U = S + n tau^2,
+    and S U^2 / n > 0 times it is a sum of exact products. The flat prior's
+    penalty is 0, and s0 = n (t^2 - 2)/S."""
+    t2 = exact_product(t, t)
+    if not prior.is_conjugate:
+        return int(mpmath.sign(exact_sum(t2, -2)))
+    s = exact_product(sigma, sigma)
+    u = exact_sum(s, exact_product(n, prior.tau, prior.tau))
+    data = exact_product(exact_sum(t2, -2), u, u)
+    spread = exact_product(exact_sum(exact_product(2, u), exact_product(-1, t2, s)), s)
+    return int(mpmath.sign(exact_sum(data, spread)))
 
 
 def reference_score_consistency(run, prior):
     summaries = []
     for i, n in enumerate(run.n_grid):
-        problem = NormalProblem(theta0=run.theta0, sigma=run.sigma, n=n, xbar=run.theta0)
-        null = ties = 0
-        for j, t in enumerate(replicate_ts(run, i, n)):
-            # a penalty beyond the doubles is +-inf here, and its sign still
-            # selects; a replicate whose penalties have no difference is
-            # refused by the penalty's name and size, and one whose penalties
-            # tie only by underflow with hyvarinen_compare's error
-            p0, p1, differ = _hyvarinen_penalties(problem, prior, difference_of(t, problem))
-            s0, s1 = _ldexp(*p0), _ldexp(*p1)
-            diff = s0 - s1
-            if math.isnan(diff) or (s0 == s1 and differ):
-                at = f"of replicate {j + 1} at n={n}"
-                _finite(p0, f"hyvarinen penalty s0 {at}", "theta_true", "theta0", "sigma", "n_grid")
-                _finite(p1, f"hyvarinen penalty s1 {at}", "theta_true", "theta0", "tau", "sigma", "n_grid")
-                raise ValueError(
-                    f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} tie only by underflow: "
-                    "their exact values differ"
-                )
-            if diff == 0.0:
-                ties += 1
-            elif diff < 0.0:
-                null += 1
-        reps = run.replications
+        signs = [exact_selection(t, n, run.sigma, prior) for t in replicate_ts(run, i, n)]
+        null, ties, reps = signs.count(-1), signs.count(0), run.replications
         summaries.append(
             ScoreSelectionSummary(
                 n=n,
@@ -295,20 +292,19 @@ FAILING_RUNS = [
     # the centre t overflows to inf: both sweeps refuse it before any draw
     run_of(10, n_grid=(1,), theta_true=1e308, theta0=-1e308),
     # sigma^2 / n underflows to 0, which the score sweeps once refused; n/sigma^2
-    # overflows, and the penalties' infinities still select by their signs
+    # overflows, which the score sweep's selection never forms
     run_of(10, n_grid=(4,), sigma=1e-200),
 ]
 # n/sigma^2 = 1e308: the null's penalty (t^2 - 2) n/sigma^2 overflows once
 # |t^2 - 2| > 1.8, which once made it nan and refused the first such replicate
 FAILING_RUNS += [run_of(10, n_grid=(1,), sigma=1e-154, seed=s) for s in range(3)]
 # centre t 17: the means theta_true + sem z once overflowed in about one
-# replicate in six, and no mean is formed now. n/sigma^2 underflows, so against
-# the flat prior every replicate's penalties tie only by underflow
+# replicate in six, and no mean is formed now. n/sigma^2 underflows, which
+# once tied every replicate's penalties against the flat prior by underflow
 FAILING_RUNS += [run_of(40, n_grid=(1, 2), theta_true=1.7e308, sigma=1e307, seed=s) for s in range(6)]
 FAILING_RUNS += [
     # centre t 1.8e298: log B01 and its median lie beyond the doubles; against
-    # tau = 1 the null's penalty, t^2 n/sigma^2, overflows, and against the flat
-    # prior the score sweep answers
+    # tau = 1 the null's penalty, t^2 n/sigma^2, overflowed and was refused
     run_of(40, n_grid=(1,), theta_true=1e308, theta0=-7.98e307, sigma=1e10),
     run_of(10, n_grid=(1,), theta_true=1e170, sigma=1e10),
     # sem z once overflowed in the first replicate, whose mean was a double
@@ -322,41 +318,23 @@ def test_failures_match_reference(run):
     for prior in (AlternativePrior.flat(), AlternativePrior.conjugate(1.0)):
         got = outcome(score_consistency_sim, run, prior)
         assert got == outcome(reference_score_consistency, run, prior)
+        # the score sweep refuses nothing of its own, only the driver's centre t
+        assert isinstance(got, str) or got[1].startswith("t from ")
 
 
-@pytest.mark.parametrize("seed, sign", [(6, -1), (23, 1)])
-def test_first_refused_replicate_is_the_one_named(seed, sign):
-    # n/sigma^2 = 1e320 and tau = sigma take both penalties beyond the
-    # doubles: a replicate with 2 < t^2 < 4 gets opposite signs and selects,
-    # any other has no difference. The first replicates of these seeds
-    # select, and the size in the message says which replicate was refused
-    run = run_of(10, n_grid=(1,), sigma=1e-160, seed=seed)
-    prior = AlternativePrior.conjugate(1e-160)
-    got = outcome(score_consistency_sim, run, prior)
-    assert got == outcome(reference_score_consistency, run, prior)
-    ((n, t),) = run.sweep(lambda *point: point)
-    with mpmath.workprec(300):
-        v0 = mpmath.mpf(run.sigma) ** 2 / n
-        v1 = v0 + mpmath.mpf(prior.tau) ** 2
-        # xbar - theta0 = t sem
-        d2 = [mpmath.mpf(float(x)) ** 2 * v0 for x in t]
-        penalties = [(-2 / v0 + d / v0**2, -2 / v1 + d / v1**2) for d in d2]
-        first, (s0, _) = next((i, p) for i, p in enumerate(penalties) if p[0] * p[1] > 0)
-        size = float(mpmath.log10(abs(s0)))
-    assert first > 0 and mpmath.sign(s0) == sign
-    assert got[1] == (
-        f"hyvarinen penalty s0 of replicate {first + 1} at n=1 from {FIELDS} "
-        f"lies beyond the largest double, at 10^{size:.6g}"
-    )
+# sigma = 1e-154: sem^2 = 1e-308 and tau = sigma, where the null's penalty
+# was once nan for |t| > 1.34 and refused the run. sigma = 1e-160: n/sigma^2
+# = 1e320 took both penalties beyond the doubles, and the first replicate
+# whose penalties had the same sign (t^2 < 2 or t^2 > 4) was refused by name
+ONCE_REFUSED = [(1e-154, seed) for seed in range(3)] + [(1e-160, 6), (1e-160, 23)]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_runs_once_refused_for_a_nan_replicate_select_as_mpmath(seed):
-    # sem^2 = 1e-308 and tau = sigma: the null's penalty was once nan where
-    # |t| > 1.34 and refused the run; each replicate now selects the
-    # hypothesis whose exact penalty -2/V + d^2/V^2 is smaller
-    run = run_of(10, n_grid=(1,), sigma=1e-154, seed=seed)
-    prior = AlternativePrior.conjugate(1e-154)
+@pytest.mark.parametrize("sigma, seed", ONCE_REFUSED)
+def test_runs_once_refused_select_as_mpmath(sigma, seed):
+    # each replicate selects the hypothesis whose exact penalty -2/V + d^2/V^2
+    # is smaller, here at 300 bits from the penalties themselves
+    run = run_of(10, n_grid=(1,), sigma=sigma, seed=seed)
+    prior = AlternativePrior.conjugate(sigma)
     got = outcome(score_consistency_sim, run, prior)
     assert got == outcome(reference_score_consistency, run, prior)
     ((n, t),) = run.sweep(lambda *point: point)
@@ -390,20 +368,6 @@ def test_failure_runs_reach_every_error():
         # centre t 1.8e298 and 1e160: the median log B01, n t^2 / 4 at n = 1
         (ValueError, f"median log B01 at n=1 from {FIELDS} {BEYOND}595.908"),
         (ValueError, f"median log B01 at n=1 from {FIELDS} {BEYOND}319.398"),
-        # centre t 1.8e298: against tau = 1 both penalties overflow
-        (
-            ValueError,
-            f"hyvarinen penalty s0 of replicate 1 at n=1 from {FIELDS} {BEYOND}576.51",
-        ),
-        # n/sigma^2 underflows: against the flat prior the null's penalty ties 0 by underflow
-        *(
-            (
-                ValueError,
-                f"hyvarinen penalties s0 = {zero} and s1 = 0.0 tie only by underflow: "
-                "their exact values differ",
-            )
-            for zero in ("0.0", "-0.0")
-        ),
     }
 
 
@@ -497,18 +461,19 @@ def test_a_null_run_gives_the_rows_of_the_run_at_zero(location, sigma, seed):
     assert uniformity_from_driver(at) == uniformity_from_driver(zero)
 
 
-# magnitudes at which every operand scaled by 2^k for |k| <= 1000 stays a normal double
+# magnitudes at which every operand, and a prior's tau = 0.5, scaled by 2^k
+# for |k| <= 1000 stays a normal double
 MAGNITUDES = st.one_of(st.just(0.0), st.floats(2.0**-20, 4.0), st.floats(-4.0, -(2.0**-20)))
 
 
 @st.composite
-def scaled_runs(draw, k_max):
+def scaled_runs(draw):
     """A run off the null and the same run with theta_true, theta0 and sigma
-    scaled by 2^k, |k| <= k_max."""
+    scaled by 2^k, |k| <= 1000."""
     theta_true, theta0 = draw(MAGNITUDES), draw(MAGNITUDES)
     # a difference below 2^-20 could round differently once scaled into the subnormals
     assume(theta_true == theta0 or abs(theta_true - theta0) >= 2.0**-20)
-    sigma, k, seed = draw(st.floats(0.25, 4.0)), draw(st.integers(-k_max, k_max)), draw(st.integers(0, 2**32))
+    sigma, k, seed = draw(st.floats(0.25, 4.0)), draw(st.integers(-1000, 1000)), draw(st.integers(0, 2**32))
     run = run_of(101, n_grid=(1, 10, 100), theta_true=theta_true, theta0=theta0, sigma=sigma, seed=seed)
     scaled = run_of(
         101, n_grid=run.n_grid, theta_true=math.ldexp(theta_true, k), theta0=math.ldexp(theta0, k),
@@ -518,21 +483,13 @@ def scaled_runs(draw, k_max):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(scaled_runs(1000))
+@given(scaled_runs())
 def test_scaling_every_operand_by_a_power_of_two_keeps_the_rows(case):
-    run, scaled, _ = case
+    # the score sweep's selection carries no unit, so tau scales with the rest
+    run, scaled, k = case
     assert outcome(consistency_simulation, scaled) == outcome(consistency_simulation, run)
     assert [t.tolist() for t in scaled.sweep(lambda n, t: t)] == [t.tolist() for t in run.sweep(lambda n, t: t)]
     assert uniformity_from_driver(scaled) == uniformity_from_driver(run)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(scaled_runs(450))
-def test_scaling_keeps_the_score_rows_while_the_penalties_are_doubles(case):
-    # a penalty carries n/sigma^2, so 2^k moves it by 2^-2k: past |k| = 450
-    # the smallest penalties here leave the doubles, and the sweep refuses
-    # or selects by an infinity's sign
-    run, scaled, k = case
     for tau in (None, 0.5):
         prior = AlternativePrior.flat() if tau is None else AlternativePrior.conjugate(tau)
         scaled_prior = prior if tau is None else AlternativePrior.conjugate(math.ldexp(tau, k))
@@ -686,6 +643,58 @@ def test_crafted_uniformity_matches_reference(crafted, name):
     got = outcome(pvalue_uniformity_check, 1, reps)
     assert got == outcome(reference_uniformity, 1, reps)
     assert isinstance(got, str)
+
+
+# The score sweep's selection boundary: |t| = 1, where 2 (t^2 - 1) vanishes;
+# fl(sqrt(2)), the flat prior's |t| = sqrt(2); and fl(sqrt(4/3)), the root of
+# 2 (t^2 - 1) + r^2 (t^2 - 2) at r^2 = 1; each with its neighbours, either sign.
+# r^2 = n tau^2 / sigma^2 is 1 at sigma = tau with n = 1, and at sigma = 2 with
+# n = 4. At n = 126, sigma = 7 and tau = 1, r^2 = 18/7 and |t| = 1.25 is a root.
+BOUNDARY_T = [
+    sign * x
+    for sign in (1.0, -1.0)
+    for root in (1.0, math.sqrt(2.0), math.sqrt(4.0 / 3.0))
+    for x in around(root, 2)
+]
+BOUNDARY_T += around(1.25, 1)
+BOUNDARY_PROBLEMS = [(1.0, 1, None), (1.0, 1, 1.0), (2.0, 4, 1.0), (7.0, 126, 1.0)]
+
+
+@pytest.mark.parametrize("sigma, n, tau", BOUNDARY_PROBLEMS)
+@pytest.mark.parametrize("t", BOUNDARY_T, ids=float.hex)
+def test_crafted_boundary_replicates_select_as_mpmath(crafted, t, sigma, n, tau):
+    # on the null the centre t is 0, so the one replicate's t is its draw exactly
+    crafted([t])
+    run = run_of(1, n_grid=(n,), sigma=sigma)
+    prior = AlternativePrior.flat() if tau is None else AlternativePrior.conjugate(tau)
+    got = outcome(score_consistency_sim, run, prior)
+    assert got == outcome(reference_score_consistency, run, prior)
+    assert isinstance(got, str)
+
+
+# (sigma, n, tau, boundary) where the closed-form root lands one double above
+# the least double with a positive sign, and two below it: the sweep walks
+# from there to the boundary
+WALKED = [
+    (1.0, 6, 0.004476538114102673, 1.0000300568315348),
+    (7.0, 424, 0.0011447244068624068, 1.0000028347097187),
+]
+
+
+@pytest.mark.parametrize("sigma, n, tau, boundary", WALKED)
+def test_replicates_around_a_walked_boundary_select_as_mpmath(crafted, sigma, n, tau, boundary):
+    draws = around(boundary)
+    crafted(draws + [-t for t in draws])
+    run, prior = run_of(2 * len(draws), n_grid=(n,), sigma=sigma), AlternativePrior.conjugate(tau)
+    got = outcome(score_consistency_sim, run, prior)
+    assert got == outcome(reference_score_consistency, run, prior)
+    assert isinstance(got, str)
+
+
+def test_a_replicate_on_a_root_ties(crafted):
+    crafted(around(1.25, 1) + [-1.25])
+    (summary,) = score_consistency_sim(run_of(4, n_grid=(126,), sigma=7.0), AlternativePrior.conjugate(1.0))
+    assert summary == ScoreSelectionSummary(126, 0.25, 0.25, 0.5)
 
 
 def test_ties_across_the_median_widen_its_window_not_map_every_replicate(crafted, monkeypatch):

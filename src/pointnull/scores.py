@@ -10,7 +10,7 @@ of sem, so it answers at every scale where its penalties are doubles; the
 log and Hyvarinen compares refuse by name what leaves them. Every rule is a
 penalty: smaller is better, negative difference s0 - s1 selects the null,
 and the zero boundary is a tie rather than broken by fiat. The Hyvarinen
-kernel is pointnull._hyvarinen, which its comparison and sweep import.
+rule is pointnull._hyvarinen, which its comparison and sweep import.
 """
 
 import math
@@ -30,18 +30,19 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 class ScoreReport(Record):
-    """Two penalties under one rule, and the selection their difference makes.
+    """Two penalties under one rule, and the selection the sign of s0 - s1 makes.
 
-    Penalty convention throughout: smaller is better, so diff = s0 - s1 < 0
-    selects the null and diff = 0 is a tie. The gain form of the log score
-    is the negation; the sign bridge lives here and nowhere else.
-    c_dependent warns that the numbers move with an improper prior's
-    arbitrary constant.
+    Penalty convention throughout: smaller is better, so sign = -1 selects
+    the null and 0 is a tie; diff = s0 - s1 of the doubles never has the
+    other sign. The gain form of the log score is the negation; the sign
+    bridge lives here and nowhere else. c_dependent warns that the numbers
+    move with an improper prior's arbitrary constant.
     """
 
     rule: str
     s0: float
     s1: float
+    sign: int
     c_dependent: bool = False
 
     def __post_init__(self) -> None:
@@ -57,17 +58,15 @@ class ScoreReport(Record):
 
     @property
     def select_null(self) -> bool:
-        return self.diff < 0.0
+        return self.sign < 0
 
     @property
     def tie(self) -> bool:
-        return self.diff == 0.0
+        return self.sign == 0
 
     @property
     def selection(self) -> str:
-        if self.tie:
-            return "tie"
-        return "H0" if self.select_null else "H1"
+        return ("H0", "tie", "H1")[self.sign + 1]
 
 
 def _square_over_sem2(x: tuple, problem: NormalProblem) -> tuple:
@@ -115,7 +114,8 @@ def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
         s1 = _log_score(problem, _spread(problem, prior))
     else:
         s1 = -math.log(prior.c)
-    return ScoreReport("log", _log_score(problem), s1, c_dependent=not prior.is_conjugate)
+    diff = (s0 := _log_score(problem)) - s1  # the sign of the doubles
+    return ScoreReport("log", s0, s1, (diff > 0.0) - (diff < 0.0), c_dependent=not prior.is_conjugate)
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -123,13 +123,12 @@ def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreR
 
     Against the flat alternative the difference collapses to
     (n/sigma^2) (t^2 - 2): an emergent selection boundary at |t| = sqrt(2),
-    reported as-is. The magnitude carries no absolute calibration, so no
-    acceptance bound is applied here.
+    reported as-is. The selection is the exact sign of s0 - s1, and the
+    magnitude carries no absolute calibration, so no bound applies here.
     """
     from ._hyvarinen import _hyvarinen_scores
 
-    s0, s1 = _hyvarinen_scores(problem, prior, _difference(problem.xbar, problem.theta0))
-    return ScoreReport("hyvarinen", s0, s1)
+    return ScoreReport("hyvarinen", *_hyvarinen_scores(problem, prior))
 
 
 # no caller here; the benchmark's tracer wraps scores.conjugate_posterior
@@ -170,10 +169,10 @@ def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> Score
 
     There is no second predictive here: the score already measures the
     information lost by acting as if theta0 held, so s1 = 0 and any positive
-    value nominally points away from the null. Where to draw the acceptance
-    bound is exactly the calibration the rule does not supply.
+    value nominally points away from the null: s0 > 0 for tau > 0, so sign = 1.
+    Where to draw the bound is exactly the calibration the rule does not supply.
     """
-    return ScoreReport("sprenger-kl", sprenger_kl_score(problem, prior), 0.0)
+    return ScoreReport("sprenger-kl", sprenger_kl_score(problem, prior), 0.0, 1)
 
 
 class ScoreSelectionSummary(Record):

@@ -238,25 +238,48 @@ class TestHyvarinenCompare:
         p = NormalProblem(0.0, 1.0, 4, 0.5)
         assert fd_hyvarinen(p, AlternativePrior.flat(c=7.0), 1e-4)[1] == 0.0
 
-    @pytest.mark.parametrize("k", [-500, -1, 1, 500])
-    def test_rescaling_by_a_power_of_two(self, k):
-        # xbar - theta0, sigma and tau in units 2^k: the Hyvarinen penalties
-        # are curvatures, so they scale by 2^-2k exactly; the log penalties
-        # are -log densities, so they rise by k log 2
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["flat", "conjugate"])
+    def test_rescaling_by_a_power_of_two(self, conjugate):
+        # theta0, xbar, sigma and tau in units 2^k, at every k that keeps them
+        # normal doubles. No selection carries a unit, so the Hyvarinen and
+        # Sprenger-KL selections hold wherever both scales answer. The Hyvarinen
+        # penalties are curvatures, so they scale by 2^-2k exactly wherever they
+        # are normal doubles at both scales, and are refused only beyond the
+        # largest; the log penalties are -log densities, so they rise by
+        # k log 2, but for the flat prior's -log c
+        def scaled(x, k):
+            return x == 0.0 or -1021 <= math.frexp(x)[1] + k <= 1024
+
+        def answer(compare, problem, prior):
+            try:
+                return compare(problem, prior)
+            except ValueError:
+                return None
+
         rng = np.random.default_rng(105)
-        for _ in range(50):
+        for _ in range(8):
             p = random_problem(rng)
-            prior = AlternativePrior.conjugate(float(rng.uniform(0.05, 5)))
-            q = NormalProblem(
-                math.ldexp(p.theta0, k), math.ldexp(p.sigma, k), p.n, math.ldexp(p.xbar, k)
-            )
-            wide = AlternativePrior.conjugate(math.ldexp(prior.tau, k))
-            a, b = hyvarinen_compare(p, prior), hyvarinen_compare(q, wide)
-            assert (b.s0, b.s1) == (math.ldexp(a.s0, -2 * k), math.ldexp(a.s1, -2 * k))
-            a, b = log_score_compare(p, prior), log_score_compare(q, wide)
-            shift = k * math.log(2.0)
-            for x, y in ((a.s0, b.s0), (a.s1, b.s1)):
-                assert abs(y - (x + shift)) <= 1e-15 * max(abs(x), abs(shift), 1.0) * 4
+            tau = float(rng.uniform(0.05, 5))
+            prior = AlternativePrior.conjugate(tau) if conjugate else AlternativePrior.flat()
+            exps = [math.frexp(x)[1] for x in (p.theta0, p.sigma, p.xbar, prior.tau or 0.0) if x != 0.0]
+            hyv, log = hyvarinen_compare(p, prior), log_score_compare(p, prior)
+            kl = answer(sprenger_kl_report, p, prior)
+            for k in range(-1021 - min(exps), 1024 - max(exps) + 1):
+                q = NormalProblem(
+                    math.ldexp(p.theta0, k), math.ldexp(p.sigma, k), p.n, math.ldexp(p.xbar, k)
+                )
+                wide = AlternativePrior.conjugate(math.ldexp(tau, k)) if conjugate else prior
+                h, s = answer(hyvarinen_compare, q, wide), answer(sprenger_kl_report, q, wide)
+                for a, b in ((hyv, h), (kl, s)):
+                    assert a is None or b is None or b.selection == a.selection, (k, a, b)
+                if all(x == 0.0 or math.frexp(x)[1] - 2 * k <= 1023 for x in (hyv.s0, hyv.s1)):
+                    assert h is not None, k  # only a penalty beyond the doubles is refused
+                if all(scaled(x, 0) and scaled(x, -2 * k) for x in (hyv.s0, hyv.s1)):
+                    assert (h.s0, h.s1) == (math.ldexp(hyv.s0, -2 * k), math.ldexp(hyv.s1, -2 * k)), k
+                b, shift = log_score_compare(q, wide), k * math.log(2.0)
+                for x, y in ((log.s0, b.s0), (log.s1, b.s1))[: 1 + conjugate]:
+                    assert abs(y - (x + shift)) <= 1e-15 * max(abs(x), abs(shift), 1.0) * 4
+                assert conjugate or b.s1 == log.s1
 
     @pytest.mark.parametrize(
         "sigma, n",
@@ -301,31 +324,37 @@ class TestHyvarinenCompare:
         ],
     )
     def test_extreme_scales_match_mpmath(self, sigma, n, xbar, selection):
-        rep = hyvarinen_compare(NormalProblem(0.0, sigma, n, xbar), AlternativePrior.flat())
-        v = mpmath.mpf(sigma) ** 2 / n
-        want = -2 / v + mpmath.mpf(xbar) ** 2 / v**2
-        assert abs(rep.s0 - want) <= 1e-15 * abs(want)
+        problem = NormalProblem(0.0, sigma, n, xbar)
+        rep = hyvarinen_compare(problem, AlternativePrior.flat())
+        assert rep.s0 == nearest_double(mp_hyvarinen(problem, AlternativePrior.flat())[0])
         assert rep.selection == selection
 
     def test_overflowing_difference_is_scored(self):
         # the CLI's --theta0=-1.5e308 --xbar=1.5e308 --sigma=1e154 --n 1:
         # xbar - theta0 = 3e308 overflows, yet (3e308)^2/sigma^4 - 2/sigma^2
         # is 8.99999999999999887 at 300 bits, a tenth of an ulp short of
-        # halfway to 9, and the penalty is 9.0, one ulp above its rounding
+        # halfway to 9, so the penalty rounds to 8.999999999999998
         problem = NormalProblem(theta0=-1.5e308, sigma=1e154, n=1, xbar=1.5e308)
         report = hyvarinen_compare(problem, AlternativePrior.flat())
-        assert (report.s0, report.s1, report.selection) == (9.0, 0.0, "H1")
+        assert (report.s0, report.s1, report.selection) == (8.999999999999998, 0.0, "H1")
 
     @pytest.mark.parametrize(
         "sigma, prior",
-        [(1e200, AlternativePrior.flat()), (1e200, AlternativePrior.conjugate(1e210))],
+        [
+            (1e200, AlternativePrior.flat()),
+            (1e200, AlternativePrior.conjugate(1e210)),
+            (1.0, AlternativePrior.conjugate(1e-200)),
+        ],
     )
-    def test_a_tie_made_by_underflow_is_refused(self, sigma, prior):
-        # n/sigma^2 takes both penalties below the doubles, though t = 1.96
-        # selects the alternative
+    def test_penalties_that_round_equal_select_as_mpmath(self, sigma, prior):
+        # n/sigma^2 takes both penalties below the doubles, or r^2 = 1e-396 leaves
+        # them one double, though t = 1.96 selects the alternative: the selection
+        # is the exact sign, and diff the difference of the printed doubles, 0
         p = NormalProblem.from_t(1.96, 100, sigma=sigma)
-        with pytest.raises(ValueError, match="tie only by underflow: their exact values differ$"):
-            hyvarinen_compare(p, prior)
+        rep = hyvarinen_compare(p, prior)
+        w0, w1, sign = mp_hyvarinen(p, prior)
+        assert (rep.s0, rep.s1, rep.sign) == (nearest_double(w0), nearest_double(w1), sign)
+        assert (rep.diff, rep.selection) == (0.0, "H1")
 
 
 @pytest.mark.parametrize("prior", [AlternativePrior.flat(), AlternativePrior.conjugate(2)])
@@ -338,22 +367,42 @@ def test_integer_inputs_score_as_their_floats(prior):
 
 
 def mp_penalties(problem, prior):
-    """Log and Hyvarinen penalties (s0, s1) at 300 bits, each with the
-    largest of the terms it sums."""
+    """Log penalties (s0, s1) at 300 bits, each with the largest of the terms it sums."""
     with mpmath.workprec(300):
         d = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0)
         v0 = mpmath.mpf(problem.sigma) ** 2 / problem.n
-        out = {"log": [], "hyvarinen": []}
+        out = []
         for v in (v0, v0 + mpmath.mpf(prior.tau) ** 2 if prior.is_conjugate else None):
             if v is None:
-                out["log"].append((-mpmath.log(prior.c), abs(mpmath.log(prior.c))))
-                out["hyvarinen"].append((mpmath.mpf(0), mpmath.mpf(0)))
+                out.append((-mpmath.log(prior.c), abs(mpmath.log(prior.c))))
                 continue
-            log_terms = (d * d / (2 * v), mpmath.log(v) / 2, mpmath.log(2 * mpmath.pi) / 2)
-            hyv_terms = (-2 / v, d * d / v**2)
-            for rule, terms in (("log", log_terms), ("hyvarinen", hyv_terms)):
-                out[rule].append((sum(terms), max(abs(x) for x in terms)))
+            terms = (d * d / (2 * v), mpmath.log(v) / 2, mpmath.log(2 * mpmath.pi) / 2)
+            out.append((sum(terms), max(abs(x) for x in terms)))
         return out
+
+
+def nearest_double(x):
+    """An mpf rounded to the nearest double, ties to even, subnormals included; past the
+    doubles, OverflowError."""
+    sign, man, exp, _ = x._mpf_  # (-1)^sign man 2^exp
+    return (-1) ** sign * (man / (1 << -exp) if exp < 0 else float(man << exp))
+
+
+def mp_hyvarinen(problem, prior):
+    """The Hyvarinen penalties -2/V + d^2/V^2 = n (n d^2 - 2 S) / S^2, S = n V, at
+    S = sigma^2 and sigma^2 + n tau^2 (0 for the flat prior), and the sign of s0 - s1 from its
+    numerator over n, (n d^2 - 2 S0) S1^2 - (n d^2 - 2 S1) S0^2. At 2^16 bits every sum and
+    product of the doubles and n is exact, so the sign is exact, and each quotient is rounded
+    once there: (s0, s1, sign), s0 and s1 as mpf."""
+    with mpmath.workprec(1 << 16):
+        d, n = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0), mpmath.mpf(problem.n)
+        nd2, s0 = n * d * d, mpmath.mpf(problem.sigma) ** 2
+        w0 = n * (nd2 - 2 * s0) / (s0 * s0)
+        if not prior.is_conjugate:
+            return w0, mpmath.mpf(0), int(mpmath.sign(nd2 - 2 * s0))
+        s1 = s0 + n * mpmath.mpf(prior.tau) ** 2
+        w1 = n * (nd2 - 2 * s1) / (s1 * s1)
+        return w0, w1, int(mpmath.sign((nd2 - 2 * s0) * s1 * s1 - (nd2 - 2 * s1) * s0 * s0))
 
 
 @st.composite
@@ -388,30 +437,27 @@ BEYOND = re.compile(
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scored_problems())
 def test_compares_match_mpmath_at_every_scale(case):
-    # each penalty lies within 1e-15 of the largest term it sums, or within
-    # the smallest subnormal where it underflows. Where one leaves the
-    # doubles, the compare refuses by name the quantity that left them, the
-    # log score's t^2 or the Hyvarinen penalty, with its log10 size, and the
-    # CLI prints that line
+    # each log penalty lies within 1e-15 of the largest term it sums, or within
+    # the smallest subnormal where it underflows; each Hyvarinen penalty is
+    # mpmath's correctly rounded value, and its sign mpmath's exact sign of
+    # s0 - s1. Where a penalty leaves the doubles, the compare refuses by name
+    # the quantity that left them, the log score's t^2 or the Hyvarinen
+    # penalty, with its log10 size, and the CLI prints that line
     problem, prior = case
-    want = mp_penalties(problem, prior)
+    (l0, scale0), (l1, scale1) = mp_penalties(problem, prior)
+    h0, h1, sign = mp_hyvarinen(problem, prior)
     with mpmath.workprec(300):
         d = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0)
         t2 = d * d * problem.n / mpmath.mpf(problem.sigma) ** 2
     for rule, compare in (("log", log_score_compare), ("hyvarinen", hyvarinen_compare)):
-        (w0, scale0), (w1, scale1) = want[rule]
         try:
             rep = compare(problem, prior)
         except ValueError as exc:
             message = str(exc)
-            if message.endswith("tie only by underflow: their exact values differ"):
-                # both underflow, and the underflow alone tied them
-                assert abs(w0) < 2.0**-1073 and abs(w1) < 2.0**-1073 and w0 != w1
-                continue
             quantity, size = BEYOND.fullmatch(message).groups()
-            beyond = {"t^2": t2, "hyvarinen penalty s0": w0, "hyvarinen penalty s1": w1}[quantity]
+            beyond = {"t^2": t2, "hyvarinen penalty s0": h0, "hyvarinen penalty s1": h1}[quantity]
             # the log score leaves the doubles where its t^2 / 2 does
-            assert abs(w0 if quantity == "t^2" else beyond) > sys.float_info.max, (rule, message)
+            assert abs(l0 if quantity == "t^2" else beyond) > sys.float_info.max, (rule, message)
             with mpmath.workprec(300):
                 assert abs(float(size) - float(mpmath.log10(abs(beyond)))) <= 6e-6 * abs(float(size))
             err = io.StringIO()
@@ -419,8 +465,27 @@ def test_compares_match_mpmath_at_every_scale(case):
                 assert cli.main(cli_argv(rule, problem, prior)) == 2
             assert err.getvalue() == f"error: {message}\n"
             continue
-        for name, got, w, scale in (("s0", rep.s0, w0, scale0), ("s1", rep.s1, w1, scale1)):
+        if rule == "hyvarinen":
+            assert (rep.s0, rep.s1, rep.sign) == (nearest_double(h0), nearest_double(h1), sign)
+            continue
+        for name, got, w, scale in (("s0", rep.s0, l0, scale0), ("s1", rep.s1, l1, scale1)):
             assert abs(got - w) <= 1e-15 * scale + 2.0**-1074, (rule, name, got, float(w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scored_problems())
+def test_a_nonzero_diff_has_the_reports_sign(case):
+    # diff is s0 - s1 of the printed doubles, and each rule rounds its
+    # penalties monotonically, so rounding may close the gap to 0 but never
+    # turn it round
+    problem, prior = case
+    for compare in (log_score_compare, hyvarinen_compare, sprenger_kl_report):
+        try:
+            rep = compare(problem, prior)
+        except ValueError:
+            continue  # a value beyond the doubles, or sprenger-kl against the flat prior
+        if rep.diff != 0.0:
+            assert (rep.diff > 0.0) - (rep.diff < 0.0) == rep.sign, rep
 
 
 SELECTIONS = {"H0": (1.0, 0.0, 0.0), "H1": (0.0, 1.0, 0.0), "tie": (0.0, 0.0, 1.0)}
@@ -428,28 +493,23 @@ SELECTIONS = {"H0": (1.0, 0.0, 0.0), "H1": (0.0, 1.0, 0.0), "tie": (0.0, 0.0, 1.
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(-600, 600),
-    st.integers(0, 300),
+    st.integers(-500, 600).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, min(300, k + 500)))),
     st.one_of(st.none(), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
     st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
 )
-def test_sweep_selects_as_the_compare_wherever_its_diff_clears_rounding(k, j, tau, ts):
+def test_sweep_selects_as_the_compare(kj, tau, ts):
     # at sigma = 2^k and n = 4^j, sem = 2^(k - j) exactly, so xbar = t sem hands
-    # hyvarinen_compare the sweep's t. The compare's diff carries its penalties'
-    # rounding, far below 2^-40 of their largest term, n/sigma^2 (t^2 + 2);
-    # wherever the diff clears that, the sweep's exact sign selects as it does
-    sigma, n = math.ldexp(1.0, k), 4**j
+    # hyvarinen_compare the sweep's t. n/sigma^2 = 2^(2(j - k)) runs from 2^-1200,
+    # where the penalties underflow to 0, to 2^1000, which keeps them below the
+    # largest double; the two select by the one exact sign at every scale
+    (k, j), n = kj, 4 ** kj[1]
+    sigma = math.ldexp(1.0, k)
     prior = AlternativePrior.flat() if tau is None else AlternativePrior.conjugate(tau)
     run = ConsistencyRun(0.0, 0.0, sigma, (n,), 1, 0)
     for t in ts:
         if math.ldexp(xbar := math.ldexp(t, k - j), j - k) != t:
             continue  # t sem is no double
-        try:
-            report = hyvarinen_compare(NormalProblem(0.0, sigma, n, xbar), prior)
-        except ValueError:
-            continue  # a penalty beyond the doubles, or a tie only underflow made
-        if abs(report.diff) <= mpmath.ldexp(mpmath.mpf(t) ** 2 + 2, 2 * (j - k) - 40):
-            continue
+        report = hyvarinen_compare(NormalProblem(0.0, sigma, n, xbar), prior)
         summary = _selection_summary(run, prior, n, np.array([t]))
         rates = (summary.select_null_rate, summary.select_alt_rate, summary.tie_rate)
         assert rates == SELECTIONS[report.selection], (t, report)
@@ -471,7 +531,7 @@ def test_penalties_once_refused_for_a_variance_match_mpmath(argv):
     results = json.loads(out.getvalue())["results"]
     flags = dict(zip(argv[3::2], argv[4::2]))
     problem = NormalProblem.from_t(1.96, 100, sigma=float(flags.get("--sigma", 1.0)))
-    (w0, scale0), (w1, scale1) = mp_penalties(problem, AlternativePrior.conjugate(float(flags["--tau"])))["log"]
+    (w0, scale0), (w1, scale1) = mp_penalties(problem, AlternativePrior.conjugate(float(flags["--tau"])))
     assert abs(results["s0"] - w0) <= 1e-15 * scale0
     assert abs(results["s1"] - w1) <= 1e-15 * scale1
 
@@ -550,17 +610,19 @@ class TestSprengerKlScore:
 
 class TestScoreReport:
     @pytest.mark.parametrize(
-        "s0, s1, selection",
+        "s0, s1, sign, selection",
         [
-            (1.0, 2.0, "H0"),
-            (2.0, 1.0, "H1"),
-            (1.0, 1.0, "tie"),
-            (-math.inf, 0.0, "H0"),
-            (math.inf, 1e308, "H1"),
+            (1.0, 2.0, -1, "H0"),
+            (2.0, 1.0, 1, "H1"),
+            (1.0, 1.0, 0, "tie"),
+            (-math.inf, 0.0, -1, "H0"),
+            (math.inf, 1e308, 1, "H1"),
+            # score --rule hyvarinen --t 1.96 --n 100 --tau 1e-200: equal doubles, s0 > s1
+            (184.16000000000003, 184.16000000000003, 1, "H1"),
         ],
     )
-    def test_verdict_derives_from_the_penalties(self, s0, s1, selection):
-        rep = ScoreReport("log", s0, s1)
+    def test_verdict_derives_from_the_sign(self, s0, s1, sign, selection):
+        rep = ScoreReport("log", s0, s1, sign)
         assert rep.diff == s0 - s1
         assert (rep.select_null, rep.tie) == (selection == "H0", selection == "tie")
         assert rep.selection == selection
@@ -571,7 +633,7 @@ class TestScoreReport:
     def test_nan_difference_is_refused_naming_rule_and_penalties(self, s0, s1):
         want = f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} have no difference s0 - s1"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            ScoreReport("hyvarinen", s0, s1)
+            ScoreReport("hyvarinen", s0, s1, 0)
 
     def test_overflowing_penalties_are_refused_by_compare(self):
         # d^2/v^2 overflows under both predictives; the first is named

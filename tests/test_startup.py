@@ -116,18 +116,18 @@ SOURCE_LINES = {
     ("binomial", "json"): 716,
     ("binomial", "csv"): 735,
     ("binomial", "table"): 735,
-    ("score", "json"): 1144,
-    ("score", "csv"): 1163,
-    ("score", "table"): 1163,
-    ("score-log", "json"): 1050,
-    ("score-log", "csv"): 1069,
-    ("score-log", "table"): 1069,
-    ("paper-check", "json"): 1537,
-    ("paper-check", "csv"): 1556,
-    ("paper-check", "table"): 1556,
+    ("score", "json"): 1130,
+    ("score", "csv"): 1149,
+    ("score", "table"): 1149,
+    ("score-log", "json"): 1049,
+    ("score-log", "csv"): 1068,
+    ("score-log", "table"): 1068,
+    ("paper-check", "json"): 1536,
+    ("paper-check", "csv"): 1555,
+    ("paper-check", "table"): 1555,
     ("simulate-uniformity", "csv"): 1374,
     ("simulate-consistency", "csv"): 1374,
-    ("simulate-score-consistency", "csv"): 1503,
+    ("simulate-score-consistency", "csv"): 1489,
 }
 
 

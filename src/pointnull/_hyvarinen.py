@@ -1,10 +1,10 @@
 """The Hyvarinen rule in exact integers: the penalties of scores.hyvarinen_compare, and the
 one sign of s0 - s1 that it and scores.score_consistency_sim select by. Both import it when
-they run."""
+they run, as scores.sprenger_kl_score does for the exact t^2 and r^2 it shares."""
 
 import math
 
-from .normal import AlternativePrior, NormalProblem, _finite
+from .normal import AlternativePrior, NormalProblem, _difference, _finite
 from .scores import ScoreSelectionSummary
 
 
@@ -12,6 +12,12 @@ def _squared(x: tuple, sigma: float, n: int) -> tuple:
     """n (x / sigma)^2 as an integer ratio, for x an integer ratio (p, q)."""
     (p, q), (sp, sq) = x, sigma.as_integer_ratio()
     return n * (p * sq) ** 2, (q * sp) ** 2
+
+
+def _t2(problem: NormalProblem) -> tuple:
+    """t^2 = n ((xbar - theta0) / sigma)^2 as an integer ratio."""
+    (xp, xq), (cp, cq) = problem.xbar.as_integer_ratio(), problem.theta0.as_integer_ratio()
+    return _squared((xp * cq - cp * xq, xq * cq), problem.sigma, problem.n)
 
 
 def _r2(prior: AlternativePrior, sigma: float, n: int) -> tuple:
@@ -38,22 +44,21 @@ def _quotient(a: int, b: int, quantity: str, *operands: str) -> float:
 
 
 def _hyvarinen_scores(problem: NormalProblem, prior: AlternativePrior) -> tuple:
-    """s0, s1 and the sign of s0 - s1. For a predictive N(theta0, V) the penalty
-    2 (log m)'' + ((log m)')^2 is -2/V + d^2/V^2 at d = xbar - theta0: (n/sigma^2) (t^2 - 2)
+    """s0, s1, their difference and the sign of s0 - s1. For a predictive N(theta0, V) the
+    penalty 2 (log m)'' + ((log m)')^2 is -2/V + d^2/V^2 at d = xbar - theta0: (n/sigma^2) (t^2 - 2)
     for the point null and (n/(sigma^2 w)) (t^2/w - 2) for the conjugate alternative,
     w = 1 + r^2, while the improper flat predictive scores exactly 0, whatever its constant.
     d, t^2 and r^2 are exact integer ratios of the inputs, so each penalty is rounded once, and a
-    penalty beyond the doubles is refused by name."""
-    (xp, xq), (cp, cq) = problem.xbar.as_integer_ratio(), problem.theta0.as_integer_ratio()
-    p, q = _squared((xp * cq - cp * xq, xq * cq), problem.sigma, problem.n)
-    num, den = _r2(prior, problem.sigma, problem.n)
+    penalty, or their difference, beyond the doubles is refused by name."""
+    (p, q), (num, den) = _t2(problem), _r2(prior, problem.sigma, problem.n)
     # n/sigma^2 = k/l and w = (den + num)/den
     (k, l), w = _squared((1, 1), problem.sigma, problem.n), den + num
     s0 = _quotient(k * (p - 2 * q), l * q, "hyvarinen penalty s0", "t", "sigma", "n")
     s1 = _quotient(
         k * den * (p * den - 2 * q * w), l * q * w * w, "hyvarinen penalty s1", "t", "tau", "sigma", "n"
     )
-    return s0, s1, _sign((p, q), (num, den))
+    diff = _finite(_difference(s0, s1), "hyvarinen diff", "t", "tau", "sigma", "n")
+    return s0, s1, diff, _sign((p, q), (num, den))
 
 
 def _selection_summary(run, prior: AlternativePrior, n: int, t) -> ScoreSelectionSummary:

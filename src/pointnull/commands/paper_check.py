@@ -14,8 +14,8 @@ def run(args, cli) -> tuple[dict, dict, list]:
     )
     single, wide = cli.reinterpret_as_prior_scale(problem)
     scale_dev = abs(cli.bayes_factor_conjugate(single, wide) / cli.bayes_factor_lindley(t, n) - 1.0)
-    log_bf = cli.log_bayes_factor_conjugate(problem, prior)
-    log_identity_dev = abs(cli.log_score_compare(problem, prior).diff + log_bf)
+    log_bf, log_score = cli.log_bayes_factor_conjugate(problem, prior), cli.log_score_compare(problem, prior)
+    log_identity_dev = abs((log_score.s0 - log_score.s1) + log_bf)
     ten_to_one = cli.ParadoxQuery(t=t, weights=cli.HypothesisWeights(10.0 / 11.0))
     anchors = [
         ("crossing_equal_weights", 16818, cli.crossing_sample_size(cli.ParadoxQuery(t=t)), 0.0),

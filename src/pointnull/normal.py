@@ -132,17 +132,14 @@ class TestReport(Record):
 
 
 # The exact-scaling layer: a number as (m, e), worth m * 2**e, where a step may leave the doubles;
-# _ldexp rounds one back, +-inf past the largest. Each takes floats; _ldexp also, elementwise,
-# numpy arrays, as the consistency sweep's median refusal hands it.
+# _ldexp rounds one back, +-inf past the largest. Each takes floats.
 
 
 def _frexp(x: float) -> tuple:
     return math.frexp(x)
 
 
-def _ldexp(m, e):
-    if getattr(m, "ndim", 0) or getattr(e, "ndim", 0):
-        return sys.modules["numpy"].ldexp(m, e)
+def _ldexp(m: float, e: int) -> float:
     try:
         return math.ldexp(m, e)
     except OverflowError:

@@ -250,8 +250,8 @@ def consistency_simulation(run: ConsistencyRun, *, alpha: float = 0.05) -> list[
         middle = a[(a.size - 1) // 2 : a.size // 2 + 1]
         median_log_bf = float(log_bayes_factor_lindley(middle, n).mean())
         if median_log_bf == -math.inf:  # -n t^2 / (2(1 + n)), on the largest middle t's mantissa
-            e = _frexp(float(middle[-1]))[1]
-            q = float((_ldexp(middle, -e) ** 2).mean()) / (2.0 + 2.0 / n)
+            e, top = _frexp(float(middle[-1]))[1], middle.tolist()
+            q = sum(x * x for x in (_ldexp(v, -e) for v in top)) / len(top) / (2.0 + 2.0 / n)
             quantity = f"median log B01 at n={n}"
             median_log_bf = _finite((-q, 2 * e), quantity, "theta_true", "theta0", "sigma", "n_grid")
         collapsed = (a.size - int(a.searchsorted(_collapse_threshold(n)))) / a.size

@@ -1,16 +1,14 @@
 """Scoring-rule alternatives to the Bayes factor.
 
-Penalties of the point null and of the conjugate or improper flat
-alternative at the observed mean: the log score, whose pairwise difference
-is exactly the log Bayes factor; the Hyvarinen score, which depends only on
-derivatives of the log density and so survives the arbitrary constant of an
-improper prior; and the posterior-expected Kullback-Leibler score, beside
-the conjugate posterior it reads. Each rule reads both hypotheses in units
-of sem, so it answers at every scale where its penalties are doubles; the
-log and Hyvarinen compares refuse by name what leaves them. Every rule is a
-penalty: smaller is better, negative difference s0 - s1 selects the null,
-and the zero boundary is a tie rather than broken by fiat. The Hyvarinen
-rule is pointnull._hyvarinen, which its comparison and sweep import.
+Penalties of the point null and of the conjugate or improper flat alternative at the observed
+mean: the log score, whose difference is the log Bayes factor; the Hyvarinen score, which
+depends only on derivatives of the log density and so survives the arbitrary constant of an
+improper prior; and the posterior-expected Kullback-Leibler score, beside the conjugate
+posterior it reads. Each rule reads both hypotheses in units of sem, so it answers at every
+scale where its numbers are doubles, and refuses by name what leaves them. Every rule is a
+penalty: smaller is better, a negative difference selects the null, and the zero boundary is
+a tie rather than broken by fiat. The Hyvarinen rule is pointnull._hyvarinen, which its
+comparison and sweep import, as the KL score does for the exact t^2 and r^2 it shares.
 """
 
 import math
@@ -18,6 +16,7 @@ import math
 from . import _EXPORTS
 from ._record import Record
 from .normal import AlternativePrior, NormalProblem, _difference, _finite, _frexp, _ldexp, _shrinkage
+from .normal import log_bayes_factor_conjugate
 from .numerics import (
     _LOG_SQRT_2PI,
     RngStream,  # no caller here; the benchmark's tracer wraps scores.RngStream
@@ -30,18 +29,19 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 class ScoreReport(Record):
-    """Two penalties under one rule, and the selection the sign of s0 - s1 makes.
+    """Two penalties under one rule, the difference the rule forms, and the selection it makes.
 
     Penalty convention throughout: smaller is better, so sign = -1 selects
-    the null and 0 is a tie; diff = s0 - s1 of the doubles never has the
-    other sign. The gain form of the log score is the negation; the sign
-    bridge lives here and nowhere else. c_dependent warns that the numbers
-    move with an improper prior's arbitrary constant.
+    the null and 0 is a tie; a nonzero diff never has the other sign. The
+    gain form of the log score is the negation; the sign bridge lives here
+    and nowhere else. c_dependent warns that the numbers move with an
+    improper prior's arbitrary constant.
     """
 
     rule: str
     s0: float
     s1: float
+    diff: float
     sign: int
     c_dependent: bool = False
 
@@ -51,10 +51,6 @@ class ScoreReport(Record):
                 f"{self.rule} penalties s0 = {self.s0!r} and s1 = {self.s1!r} "
                 "have no difference s0 - s1"
             )
-
-    @property
-    def diff(self) -> float:
-        return self.s0 - self.s1
 
     @property
     def select_null(self) -> bool:
@@ -105,17 +101,18 @@ def _log_score(problem: NormalProblem, w: tuple = (1.0, 0)) -> float:
 def log_score_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
     """Log-score penalties -log m(xbar) of null and alternative.
 
-    diff equals -log B01 exactly: the rule reproduces Bayes-factor selection
-    for finite predictives, and inherits the arbitrary-constant defect
-    against the improper flat alternative, whose predictive is the constant
-    c, so that s1 = -log c and B01 itself is m0 / c.
+    s0 - s1 is -log B01, so diff is read from the conjugate kernel, with no log sem to cancel,
+    and the rule reproduces Bayes-factor selection for finite predictives. Against the
+    improper flat alternative, whose predictive is the constant c, s1 = -log c, B01 itself is
+    m0 / c and diff is s0 - s1: the rule inherits the arbitrary-constant defect.
     """
+    s0 = _log_score(problem)
     if prior.is_conjugate:
         s1 = _log_score(problem, _spread(problem, prior))
+        diff = 0.0 - log_bayes_factor_conjugate(problem, prior)  # 0.0, not -0.0, where log B01 is 0
     else:
-        s1 = -math.log(prior.c)
-    diff = (s0 := _log_score(problem)) - s1  # the sign of the doubles
-    return ScoreReport("log", s0, s1, (diff > 0.0) - (diff < 0.0), c_dependent=not prior.is_conjugate)
+        diff = s0 - (s1 := -math.log(prior.c))
+    return ScoreReport("log", s0, s1, diff, (diff > 0.0) - (diff < 0.0), c_dependent=not prior.is_conjugate)
 
 
 def hyvarinen_compare(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -148,20 +145,20 @@ def conjugate_posterior(problem: NormalProblem, prior: AlternativePrior) -> tupl
 def sprenger_kl_score(problem: NormalProblem, prior: AlternativePrior) -> float:
     """Posterior-expected KL divergence of the null from a size-n replicate.
 
-    n (omega^2 + (mu_n - theta0)^2) / (2 sigma^2) with the conjugate
-    posterior mean mu_n and variance omega^2, read in units of sem as
-    (c^2 + (t c^2)^2) / 2 with c^2 = tau^2 / (sem^2 + tau^2), so it answers
-    at every scale. Nonnegative, approaching zero only as tau collapses the
-    posterior onto theta0. The replication unit is a full sample of n;
-    divide by n for the single-observation reading.
+    n (omega^2 + (mu_n - theta0)^2) / (2 sigma^2) with the conjugate posterior mean mu_n and
+    variance omega^2, read in units of sem as (c^2 + (t c^2)^2) / 2 with c^2 = r^2 / (1 + r^2),
+    from the exact t^2 and r^2 and rounded once. Nonnegative, approaching zero only as tau
+    collapses the posterior onto theta0. The replication unit is a full sample of n; divide by
+    n for the single-observation reading.
     """
     if not prior.is_conjugate:
         raise ValueError("posterior-expected KL score needs a conjugate prior")
-    (tm, te), _, (cm, ce) = _shrinkage(problem, prior)
-    mean = _ldexp(m := tm * cm, e := te + ce)
-    if math.isinf(score := 0.5 * _ldexp(cm, ce) + 0.5 * mean * mean):  # c^2 <= 1: inf only where mean^2 is
-        _finite((0.5 * m * m, 2 * e), "sprenger-kl score s0", "t", "tau", "sigma", "n")
-    return score
+    from ._hyvarinen import _quotient, _r2, _t2
+
+    # c^2 = num / w and t^2 = p / q, w = den + num: s0 = num (q w + p num) / (2 q w^2), rounded once
+    (p, q), (num, den) = _t2(problem), _r2(prior, problem.sigma, problem.n)
+    w = den + num
+    return _quotient(num * (q * w + p * num), 2 * q * w * w, "sprenger-kl score s0", "t", "tau", "sigma", "n")
 
 
 def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> ScoreReport:
@@ -172,7 +169,7 @@ def sprenger_kl_report(problem: NormalProblem, prior: AlternativePrior) -> Score
     value nominally points away from the null: s0 > 0 for tau > 0, so sign = 1.
     Where to draw the bound is exactly the calibration the rule does not supply.
     """
-    return ScoreReport("sprenger-kl", sprenger_kl_score(problem, prior), 0.0, 1)
+    return ScoreReport("sprenger-kl", s0 := sprenger_kl_score(problem, prior), 0.0, s0, 1)
 
 
 class ScoreSelectionSummary(Record):

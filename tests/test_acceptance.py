@@ -240,7 +240,7 @@ def test_criterion_09_scoring_rules():
         )
         prior = AlternativePrior.conjugate(float(rng.uniform(0.1, 4)))
         rep = log_score_compare(p, prior)
-        worst_log = max(worst_log, abs(rep.diff + math.log(bayes_factor_conjugate(p, prior))))
+        worst_log = max(worst_log, abs((rep.s0 - rep.s1) + math.log(bayes_factor_conjugate(p, prior))))
     assert worst_log < 1e-12
 
     p25 = NormalProblem(0.0, 1.0, 25, 0.5)

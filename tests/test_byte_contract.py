@@ -5,9 +5,6 @@ simulate's bytes depend on numpy's Philox bit generator and
 Generator.standard_normal, and on the sweeps using only numpy operations that
 are correctly rounded (a SIMD build of a transcendental may round by CPU).
 The golden corpus would catch either change, but only as a diff of bytes.
-The consistency sweep's median refusal also rests on the exact-scaling
-layer's _ldexp giving each element of an array the double it gives that
-element as one float.
 """
 
 import ast
@@ -15,10 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import pointnull
-from pointnull.normal import _ldexp
 from pointnull.numerics import RngStream
 
 # The first draws of three (seed, stream_id) keys: the uniformity check's
@@ -30,11 +25,11 @@ FIRST_DRAWS = {
 }
 
 # numpy attributes the library may use: array construction, indexing and
-# counting, elementwise + - * / comparisons, sorting, and ldexp, all exact
-# or correctly rounded; the random ones are the stream pinned above.
+# counting, elementwise + - * / comparisons and sorting, all exact or
+# correctly rounded; the random ones are the stream pinned above.
 CORRECTLY_ROUNDED = {
     "abs", "append", "arange", "broadcast_arrays", "count_nonzero", "diff", "empty",
-    "errstate", "flatnonzero", "fromiter", "isinf", "ldexp", "maximum",
+    "errstate", "flatnonzero", "fromiter", "isinf", "maximum",
     "ndarray", "r_", "sort", "subtract",
     "random.SeedSequence", "random.Philox", "random.Generator",
 }
@@ -108,7 +103,7 @@ def test_library_uses_only_correctly_rounded_numpy():
 
 # The exact-scaling layer of pointnull.normal: the only functions that may name
 # frexp or ldexp, so that every number reaches (m, e) and comes back through
-# them, and an array only through _ldexp's dispatch to numpy.
+# them, one float at a time.
 SCALING_LAYER = {"_frexp", "_ldexp"}
 SCALING_NAMES = {"frexp", "ldexp"}
 
@@ -138,29 +133,3 @@ def test_only_the_scaling_layer_names_frexp_or_ldexp():
     )
     assert layer == SCALING_LAYER, "the layer's functions moved: update SCALING_LAYER"
 
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-EXAMPLES = settings(max_examples=400, deadline=None, derandomize=True, database=None)
-
-
-def one_element(x):
-    return np.array([x])
-
-
-def assert_same_doubles(on_float, on_array):
-    """A layer result on floats is, as a double, the one element of its
-    result on one-element arrays."""
-    assert float(np.asarray(on_array).reshape(-1)[0]).hex() == float(on_float).hex()
-
-
-# which of _ldexp's two arguments are one-element arrays
-EITHER_OR_BOTH = st.sampled_from([(0,), (1,), (0, 1)])
-
-
-@EXAMPLES
-@given(FINITE, st.integers(-2200, 2200), EITHER_OR_BOTH)
-def test_ldexp_agrees_on_a_float_and_an_array(m, e, arrays):
-    # past the largest double, math's OverflowError becomes numpy's inf
-    with np.errstate(all="ignore"):
-        wrapped = [one_element(a) if i in arrays else a for i, a in enumerate((m, e))]
-        assert_same_doubles(_ldexp(m, e), _ldexp(*wrapped))

@@ -60,7 +60,7 @@ CASES = [
     ),
     (
         ScoreReport,
-        {"rule": "log", "s0": 1.0, "s1": 2.0, "sign": -1},
+        {"rule": "log", "s0": 1.0, "s1": 2.0, "diff": -1.0, "sign": -1},
         {"c_dependent": False},
     ),
     (

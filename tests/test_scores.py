@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointnull import cli
 from pointnull._hyvarinen import _selection_summary
-from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate
+from pointnull.normal import AlternativePrior, NormalProblem, bayes_factor_conjugate, log_bayes_factor_conjugate
 from pointnull.numerics import log_normal_pdf
 from pointnull.paradox import ConsistencyRun
 from pointnull.scores import (
@@ -90,7 +90,8 @@ class TestLogScoreCompare:
             p = random_problem(rng)
             prior = AlternativePrior.conjugate(float(rng.uniform(0.05, 5)))
             rep = log_score_compare(p, prior)
-            assert abs(rep.diff + math.log(bayes_factor_conjugate(p, prior))) < 1e-12
+            # s0 - s1 and the conjugate kernel are two routes to -log B01; diff is the kernel's
+            assert abs((rep.s0 - rep.s1) + math.log(bayes_factor_conjugate(p, prior))) < 1e-12
 
     def test_paradox_point_identity(self):
         # with tau = sigma the penalty gap recovers log 19.000 at the
@@ -246,7 +247,8 @@ class TestHyvarinenCompare:
         # penalties are curvatures, so they scale by 2^-2k exactly wherever they
         # are normal doubles at both scales, and are refused only beyond the
         # largest; the log penalties are -log densities, so they rise by
-        # k log 2, but for the flat prior's -log c
+        # k log 2, but for the flat prior's -log c, while the conjugate log
+        # rule's diff, -log B01, and its selection hold byte for byte
         def scaled(x, k):
             return x == 0.0 or -1021 <= math.frexp(x)[1] + k <= 1024
 
@@ -280,6 +282,8 @@ class TestHyvarinenCompare:
                 for x, y in ((log.s0, b.s0), (log.s1, b.s1))[: 1 + conjugate]:
                     assert abs(y - (x + shift)) <= 1e-15 * max(abs(x), abs(shift), 1.0) * 4
                 assert conjugate or b.s1 == log.s1
+                if conjugate:
+                    assert (repr(b.diff), b.selection) == (repr(log.diff), log.selection), k
 
     @pytest.mark.parametrize(
         "sigma, n",
@@ -337,6 +341,18 @@ class TestHyvarinenCompare:
         problem = NormalProblem(theta0=-1.5e308, sigma=1e154, n=1, xbar=1.5e308)
         report = hyvarinen_compare(problem, AlternativePrior.flat())
         assert (report.s0, report.s1, report.selection) == (8.999999999999998, 0.0, "H1")
+
+    def test_difference_beyond_the_doubles_is_refused_by_name(self):
+        # s0 = 1.7e308 and s1 = -4.2e307 are doubles, but s0 - s1 is not; it is
+        # refused by name, with its size, not by the CLI's last guard on an inf
+        problem, prior = NormalProblem.from_t(1.7320508, 1, sigma=7.7e-155), AlternativePrior.conjugate(7.7e-155)
+        h0, h1, _ = mp_hyvarinen(problem, prior)
+        assert max(abs(h0), abs(h1)) < sys.float_info.max < h0 - h1
+        with mpmath.workprec(300):
+            size = float(mpmath.log10(h0 - h1))
+        want = f"hyvarinen diff from t, tau, sigma and n lies beyond the largest double, at 10^{size:.6g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            hyvarinen_compare(problem, prior)
 
     @pytest.mark.parametrize(
         "sigma, prior",
@@ -441,8 +457,8 @@ def test_compares_match_mpmath_at_every_scale(case):
     # the smallest subnormal where it underflows; each Hyvarinen penalty is
     # mpmath's correctly rounded value, and its sign mpmath's exact sign of
     # s0 - s1. Where a penalty leaves the doubles, the compare refuses by name
-    # the quantity that left them, the log score's t^2 or the Hyvarinen
-    # penalty, with its log10 size, and the CLI prints that line
+    # the quantity that left them, the log score's t^2 or a Hyvarinen
+    # penalty or their difference, with its log10 size, and the CLI prints that line
     problem, prior = case
     (l0, scale0), (l1, scale1) = mp_penalties(problem, prior)
     h0, h1, sign = mp_hyvarinen(problem, prior)
@@ -455,7 +471,9 @@ def test_compares_match_mpmath_at_every_scale(case):
         except ValueError as exc:
             message = str(exc)
             quantity, size = BEYOND.fullmatch(message).groups()
-            beyond = {"t^2": t2, "hyvarinen penalty s0": h0, "hyvarinen penalty s1": h1}[quantity]
+            beyond = {
+                "t^2": t2, "hyvarinen penalty s0": h0, "hyvarinen penalty s1": h1, "hyvarinen diff": h0 - h1,
+            }[quantity]
             # the log score leaves the doubles where its t^2 / 2 does
             assert abs(l0 if quantity == "t^2" else beyond) > sys.float_info.max, (rule, message)
             with mpmath.workprec(300):
@@ -475,8 +493,9 @@ def test_compares_match_mpmath_at_every_scale(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scored_problems())
 def test_a_nonzero_diff_has_the_reports_sign(case):
-    # diff is s0 - s1 of the printed doubles, and each rule rounds its
-    # penalties monotonically, so rounding may close the gap to 0 but never
+    # each rule hands its diff: the log rule -log B01 or, against the flat
+    # prior, s0 - s1, the Hyvarinen rule s0 - s1 of its correctly rounded
+    # penalties, the KL rule s0. Rounding may close the gap to 0 but never
     # turn it round
     problem, prior = case
     for compare in (log_score_compare, hyvarinen_compare, sprenger_kl_report):
@@ -486,6 +505,32 @@ def test_a_nonzero_diff_has_the_reports_sign(case):
             continue  # a value beyond the doubles, or sprenger-kl against the flat prior
         if rep.diff != 0.0:
             assert (rep.diff > 0.0) - (rep.diff < 0.0) == rep.sign, rep
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scored_problems().filter(lambda case: case[1].is_conjugate))
+def test_log_selection_is_the_sign_of_minus_log_b01(case):
+    # diff is the conjugate kernel's -log B01, 0.0 and never -0.0 where log B01
+    # rounds to 0, and the selection its sign: mpmath's sign of -log B01
+    # = t^2 r^2 / (2 (1 + r^2)) - log1p(r^2) / 2 wherever that has a nonzero
+    # double and clears the kernel's rounding of its two terms, 2^-46 of the
+    # larger (near log B01 = 0 they cancel, and a sign inside that band can
+    # flip: --t 16.897353388364156 --n 1 --tau 1e62 prints a tie at -2.4e-14)
+    problem, prior = case
+    try:
+        rep = log_score_compare(problem, prior)
+    except ValueError:
+        return  # t^2 beyond the doubles, refused by name above
+    assert repr(rep.diff) == repr(0.0 - log_bayes_factor_conjugate(problem, prior)) != "-0.0"
+    assert rep.sign == (rep.diff > 0.0) - (rep.diff < 0.0)
+    with mpmath.workprec(4000):
+        sigma2 = mpmath.mpf(problem.sigma) ** 2
+        d = mpmath.mpf(problem.xbar) - mpmath.mpf(problem.theta0)
+        t2, r2 = (problem.n * x * x / sigma2 for x in (d, mpmath.mpf(prior.tau)))
+        terms = (t2 * r2 / (2 * (1 + r2)), mpmath.log1p(r2) / 2)
+        want = terms[0] - terms[1]
+        if abs(want) >= max(mpmath.ldexp(1, -1074), mpmath.ldexp(max(terms), -46)):
+            assert rep.sign == mpmath.sign(want), (rep, mpmath.nstr(want, 20))
 
 
 SELECTIONS = {"H0": (1.0, 0.0, 0.0), "H1": (0.0, 1.0, 0.0), "tie": (0.0, 0.0, 1.0)}
@@ -622,7 +667,8 @@ class TestScoreReport:
         ],
     )
     def test_verdict_derives_from_the_sign(self, s0, s1, sign, selection):
-        rep = ScoreReport("log", s0, s1, sign)
+        # the rule hands diff; the report keeps it as given
+        rep = ScoreReport("log", s0, s1, s0 - s1, sign)
         assert rep.diff == s0 - s1
         assert (rep.select_null, rep.tie) == (selection == "H0", selection == "tie")
         assert rep.selection == selection
@@ -633,7 +679,7 @@ class TestScoreReport:
     def test_nan_difference_is_refused_naming_rule_and_penalties(self, s0, s1):
         want = f"hyvarinen penalties s0 = {s0!r} and s1 = {s1!r} have no difference s0 - s1"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            ScoreReport("hyvarinen", s0, s1, 0)
+            ScoreReport("hyvarinen", s0, s1, s0 - s1, 0)
 
     def test_overflowing_penalties_are_refused_by_compare(self):
         # d^2/v^2 overflows under both predictives; the first is named

@@ -77,7 +77,7 @@ VALID_CALLS += [NEGATIVE]
 # binomial takes p_value from numerics and loads no normal; report loads none
 # of paradox, scores, severity and binomial; the p-value sweeps' order
 # statistics load only for the consistency and uniformity sweeps, and the
-# Hyvarinen kernel only for --rule hyvarinen and the score sweep, which alone
+# Hyvarinen kernel only for --rule hyvarinen, --rule sprenger-kl and the score sweep, which alone
 # of the sweeps loads scores. Each call also loads its default format's
 # renderer: _json_writer for json, _text for csv and table.
 OWN_MODULES = {
@@ -104,30 +104,30 @@ FORMATS = ("json", "csv", "table")
 # in every format, the sweeps in their default csv. A budget is the measured
 # count; it is lowered as code leaves a call, never raised.
 SOURCE_LINES = {
-    ("report", "json"): 847,
-    ("report", "csv"): 866,
-    ("report", "table"): 866,
-    ("paradox", "json"): 1155,
-    ("paradox", "csv"): 1174,
-    ("paradox", "table"): 1174,
-    ("severity", "json"): 960,
-    ("severity", "csv"): 979,
-    ("severity", "table"): 979,
+    ("report", "json"): 844,
+    ("report", "csv"): 863,
+    ("report", "table"): 863,
+    ("paradox", "json"): 1152,
+    ("paradox", "csv"): 1171,
+    ("paradox", "table"): 1171,
+    ("severity", "json"): 957,
+    ("severity", "csv"): 976,
+    ("severity", "table"): 976,
     ("binomial", "json"): 716,
     ("binomial", "csv"): 735,
     ("binomial", "table"): 735,
-    ("score", "json"): 1130,
-    ("score", "csv"): 1149,
-    ("score", "table"): 1149,
-    ("score-log", "json"): 1049,
-    ("score-log", "csv"): 1068,
-    ("score-log", "table"): 1068,
-    ("paper-check", "json"): 1536,
-    ("paper-check", "csv"): 1555,
-    ("paper-check", "table"): 1555,
-    ("simulate-uniformity", "csv"): 1374,
-    ("simulate-consistency", "csv"): 1374,
-    ("simulate-score-consistency", "csv"): 1489,
+    ("score", "json"): 1129,
+    ("score", "csv"): 1148,
+    ("score", "table"): 1148,
+    ("score-log", "json"): 1043,
+    ("score-log", "csv"): 1062,
+    ("score-log", "table"): 1062,
+    ("paper-check", "json"): 1530,
+    ("paper-check", "csv"): 1549,
+    ("paper-check", "table"): 1549,
+    ("simulate-uniformity", "csv"): 1371,
+    ("simulate-consistency", "csv"): 1371,
+    ("simulate-score-consistency", "csv"): 1488,
 }
 
 
